@@ -250,33 +250,55 @@ def _rotate_batch_backward(dy: np.ndarray, rot) -> np.ndarray:
     return dx
 
 
-def _relative_scores(q: np.ndarray, k: np.ndarray, rel: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Attention logits when each (i, j) pair carries its own relative position.
+# Row-tile height for the neighbour-band pass of _relative_scores; tiles span
+# tile + 2w key columns, so taller tiles waste less on the band's edges.
+_BAND_TILE = 32
 
-    score_p(i,j) = (q1 k1 + q2 k2) cos(r theta_p) + (q1 k2 - q2 k1) sin(r theta_p),
-    summed over pairs p; identical to rotating q by rel[i,j] and dotting with k.
+
+def _relative_scores(q: np.ndarray, k: np.ndarray, g: int, w: int, theta: np.ndarray) -> np.ndarray:
+    """SelfExtend attention logits: q_i rotated by se_remap_deltas(i - j, g, w), dotted with k_j.
+
+    Write i = g*I + r and j = g*J + c with residues r, c in [0, g). Outside the
+    neighbour band the remapped position splits into a row phase and a key phase:
+
+        j < i:  w + (|i-j| - w) // g     = (I + w + m)  - (J + [c > s])
+        j > i:  -(w + (|i-j| - w) // g)  = (I - w - m') - (J + [c > g-1-s'])
+
+    with m, s = divmod(r - w, g) and m', s' = divmod(-r - w, g). So the rows of
+    one residue r take two RoPE matmuls against all keys, merged on j > i (both
+    key rotations are selections between the phases J and J + 1). The
+    band |i - j| <= w, where the position is plain i - j, is then overwritten
+    from ordinary RoPE scores in row tiles.
     """
-    B, H, L, Dh = q.shape
-    q1, q2 = q[..., 0::2], q[..., 1::2]
-    k1, k2 = k[..., 0::2], k[..., 1::2]
-    rel = rel.astype(np.float64)
-    scores = np.zeros((B, H, L, L))
-    buf1 = np.empty((B, L, L))
-    buf2 = np.empty((B, L, L))
-    for p in range(Dh // 2):
-        ang = rel * theta[p]
-        c, s = np.cos(ang), np.sin(ang)
-        for h in range(H):
-            np.multiply(q1[:, h, :, p, None], k1[:, h, None, :, p], out=buf1)
-            np.multiply(q2[:, h, :, p, None], k2[:, h, None, :, p], out=buf2)
-            buf1 += buf2
-            buf1 *= c
-            scores[:, h] += buf1
-            np.multiply(q1[:, h, :, p, None], k2[:, h, None, :, p], out=buf1)
-            np.multiply(q2[:, h, :, p, None], k1[:, h, None, :, p], out=buf2)
-            buf1 -= buf2
-            buf1 *= s
-            scores[:, h] += buf1
+    B, H, L, _ = q.shape
+    idx = np.arange(L)
+    block = (idx // g).astype(np.float64)
+    key_next = _rotate_batch(k, block[None] + 1.0, theta)[0]
+    key_same = _rotate_batch(k, block[None], theta)[0]
+
+    def keys_t(sigma):  # keys rotated by J + [c > sigma], transposed for the matmul
+        return np.where((idx % g > sigma)[:, None], key_next, key_same).swapaxes(-1, -2)
+
+    scores = np.empty((B, H, L, L))
+    for r in range(min(g, L)):
+        rows = slice(r, L, g)
+        strip, q_rows = scores[..., rows, :], q[..., rows, :]
+        m, s = divmod(r - w, g)
+        below = _rotate_batch(q_rows, block[None, rows] + (w + m), theta)[0]
+        np.matmul(below, keys_t(s), out=strip)
+        m, s = divmod(-r - w, g)
+        above = _rotate_batch(q_rows, block[None, rows] - (w + m), theta)[0]
+        np.copyto(strip, above @ keys_t(g - 1 - s), where=idx[rows, None] < idx[None, :])
+
+    pos = idx[None].astype(np.float64)
+    qr, kr = _rotate_batch(q, pos, theta)[0], _rotate_batch(k, pos, theta)[0]
+    tile = max(_BAND_TILE, w)
+    for i0 in range(0, L, tile):
+        i1 = min(L, i0 + tile)
+        c0, c1 = max(0, i0 - w), min(L, i1 + w)
+        band = np.abs(idx[i0:i1, None] - idx[None, c0:c1]) <= w
+        np.copyto(scores[..., i0:i1, c0:c1], qr[..., i0:i1, :] @ kr[..., c0:c1, :].swapaxes(-1, -2),
+                  where=band)
     return scores
 
 
@@ -350,7 +372,7 @@ def forward_batch(
     *,
     abs_ids: np.ndarray | None = None,
     phases: np.ndarray | None = None,
-    rel: np.ndarray | None = None,
+    self_extend: tuple[int, int] | None = None,
     attn_scale: np.ndarray | None = None,
     freqs: RoPEFrequencies | None = None,
     pos_table: np.ndarray | None = None,
@@ -358,12 +380,16 @@ def forward_batch(
 ):
     """Hidden states (B, L, d) for a padded batch.
 
-    Exactly one of ``abs_ids`` (absolute mode) or ``phases``/``rel`` (rotary
-    mode) applies. ``attn_scale`` multiplies pre-softmax logits per sequence.
-    ``pos_table`` overrides the model's own table (used by the plug-and-play
-    interpolation strategy, which builds its table on the fly). Padded key
-    positions are masked out of attention; padded rows still carry (ignored)
-    values.
+    Exactly one of ``abs_ids`` (absolute mode) or ``phases``/``self_extend``
+    (rotary mode) applies. ``self_extend`` is SelfExtend's ``(g, w)``: every
+    query/key pair (i, j) is scored at relative position
+    ``se_remap_deltas(i - j, g, w)`` instead of through per-token phases.
+    ``attn_scale`` multiplies pre-softmax logits per sequence. ``pos_table``
+    overrides the model's own table (used by the plug-and-play interpolation
+    strategy, which builds its table on the fly). Padded key positions are
+    masked out of attention; padded rows still carry (ignored) values.
+    ``want_cache`` is rejected with ``self_extend``: there is no SelfExtend
+    backward pass.
     """
     cfg = model.config
     token_ids = np.asarray(token_ids, dtype=np.int64)
@@ -375,6 +401,8 @@ def forward_batch(
         raise EmptyInputError("each sequence needs at least one active token")
     if np.min(token_ids) < 0 or np.max(token_ids) >= cfg.vocab_size:
         raise ConfigurationError("token ids outside the vocabulary")
+    if self_extend is not None and want_cache:
+        raise ConfigurationError("SelfExtend has no backward pass; it cannot record a cache")
     if attn_scale is None:
         attn_scale = np.ones(B)
 
@@ -391,8 +419,8 @@ def forward_batch(
         x = x + table[abs_ids]
         theta = None
     else:
-        if phases is None and rel is None:
-            raise ConfigurationError("rotary-mode forward needs phases or a relative-position matrix")
+        if phases is None and self_extend is None:
+            raise ConfigurationError("rotary-mode forward needs phases or SelfExtend's (g, w)")
         if freqs is None:
             freqs = model_frequencies(model)
         theta = freqs.theta
@@ -414,9 +442,9 @@ def forward_batch(
 
         rot_q = rot_k = rot_ctx = None
         if cfg.position_mode == ROTARY:
-            if rel is not None:
-                scores = _relative_scores(q, k, rel, theta)
-                qr, kr = q, k  # rotation folded into the pairwise scores
+            if self_extend is not None:
+                scores = _relative_scores(q, k, *self_extend, theta)
+                qr = kr = None
             else:
                 qr, rot_ctx = _rotate_batch(q, phases, theta)
                 kr, _rot_k_ctx = _rotate_batch(k, phases, theta)
@@ -476,8 +504,8 @@ def backward_batch(
     position gradients are scatter-added over the ids that produced them.
     ``needed`` restricts which parameter gradients are accumulated (the
     backward chain itself always runs in full); None computes all. Only
-    separable position assignments are supported (training never uses the
-    pairwise relative path).
+    per-token positions are supported: ``forward_batch`` records no cache for
+    SelfExtend, which has no backward pass.
     """
     cfg = model.config
     p = model.params
@@ -764,6 +792,9 @@ def encode_many(
     freqs = None
     if cfg.position_mode == ROTARY:
         freqs = model_frequencies(model, ntk_lambda=resolved.ntk_lambda)
+    self_extend = None
+    if resolved.strategy is Strategy.SE:
+        self_extend = (resolved.group_size, resolved.window)
 
     out = np.empty((len(seqs), cfg.hidden_size))
     for start in range(0, len(seqs), batch_size):
@@ -774,8 +805,7 @@ def encode_many(
         mask = np.zeros((B, L), dtype=bool)
         scale = np.ones(B)
         abs_ids = np.zeros((B, L), dtype=np.int64) if cfg.position_mode == ABSOLUTE else None
-        phases = np.zeros((B, L)) if cfg.position_mode == ROTARY else None
-        rel = None
+        phases = np.zeros((B, L)) if cfg.position_mode == ROTARY and self_extend is None else None
         for bi, s in enumerate(group):
             n = s.size
             tokens[bi, :n] = s
@@ -784,17 +814,11 @@ def encode_many(
                 scale[bi] = attention_scale(n, spec.l_orig)
             if abs_ids is not None:
                 abs_ids[bi, :n] = _absolute_assignment(model, resolved, n, table)
-            elif resolved.strategy is not Strategy.SE:
+            elif phases is not None:
                 phases[bi, :n] = _rotary_assignment(resolved, n)
-        if resolved.strategy is Strategy.SE:
-            idx = np.arange(L, dtype=np.int64)
-            rel = se_remap_deltas(
-                idx[:, None] - idx[None, :], resolved.group_size, resolved.window
-            )
-            phases = None
         hidden = forward_batch(
             model, tokens, mask,
-            abs_ids=abs_ids, phases=phases, rel=rel,
+            abs_ids=abs_ids, phases=phases, self_extend=self_extend,
             attn_scale=scale, freqs=freqs, pos_table=table,
         )
         for bi in range(B):

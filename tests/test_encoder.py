@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longctx import (
@@ -19,6 +19,7 @@ from longctx import (
     pool_and_normalize,
     standard_frequencies,
 )
+from longctx.encoder import _relative_scores, _rotate_batch, forward_batch
 from longctx.errors import (
     ConfigurationError,
     DimensionError,
@@ -26,6 +27,7 @@ from longctx.errors import (
     LengthError,
     PositionError,
 )
+from longctx.positions import resolve_extension, se_remap_deltas
 
 # --- init --------------------------------------------------------------------
 
@@ -124,6 +126,53 @@ def test_score_depends_only_on_relative_position(d, m, n, delta, seed):
     a = attention_score(q, k, m, n, f)
     b = attention_score(q, k, m + delta, n + delta, f)
     assert abs(a - b) < 1e-6
+
+
+# --- SelfExtend scores ---------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.integers(min_value=1, max_value=70),
+    g=st.integers(min_value=1, max_value=9),
+    w=st.integers(min_value=0, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(L=12, g=3, w=12, seed=0)  # L <= w: the band covers every pair
+@example(L=4, g=9, w=1, seed=0)  # L < g: some residue classes are empty
+@example(L=1, g=1, w=0, seed=0)
+def test_relative_scores_match_pairwise_remap(L, g, w, seed):
+    rng = np.random.default_rng(seed)
+    q, k = rng.normal(size=(2, 1, 1, L, 4))
+    freqs = standard_frequencies(4)
+    idx = np.arange(L)
+    rel = se_remap_deltas(idx[:, None] - idx[None, :], g, w)
+    ref = np.array([
+        [attention_score(q[0, 0, i], k[0, 0, j], rel[i, j], 0, freqs) for j in range(L)]
+        for i in range(L)
+    ])
+    got = _relative_scores(q, k, g, w, freqs.theta)[0, 0]
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("w", [0, 3, 50])
+def test_relative_scores_group_one_is_plain_rope(rng, w):
+    q, k = rng.normal(size=(2, 2, 3, 37, 8))
+    theta = standard_frequencies(8).theta
+    phases = np.arange(37, dtype=np.float64)[None]
+    qr, kr = _rotate_batch(q, phases, theta)[0], _rotate_batch(k, phases, theta)[0]
+    plain = qr @ kr.swapaxes(-1, -2)
+    got = _relative_scores(q, k, 1, w, theta)
+    assert np.abs(got - plain).max() <= 1e-12 * np.abs(plain).max()
+
+
+def test_self_extend_forward_refuses_a_backward_cache(tiny_rotary):
+    tokens = np.array([[3, 1, 60, 2]])
+    mask = np.ones_like(tokens, dtype=bool)
+    with pytest.raises(ConfigurationError):
+        forward_batch(tiny_rotary, tokens, mask, self_extend=(5, 1), want_cache=True)
+    hidden = forward_batch(tiny_rotary, tokens, mask, self_extend=(5, 1))
+    assert hidden.shape == (1, 4, 16)
 
 
 # --- forward / pooling ---------------------------------------------------------
@@ -241,12 +290,16 @@ def test_se_on_absolute_model_rejected(tiny_absolute):
 
 
 def test_encode_many_matches_single_calls(tiny_rotary):
-    spec = ExtensionSpec(strategy=Strategy.NTK, l_orig=8, l_target=32)
-    seqs = [np.arange(5), np.arange(20) % 64, np.array([1, 2])]
-    batch = encode_many(tiny_rotary, seqs, spec, batch_size=3)
-    for i, s in enumerate(seqs):
-        solo = encode(tiny_rotary, s, spec)
-        assert np.allclose(batch[i], solo, atol=1e-12)
+    seqs = [np.arange(5), np.arange(23) % 64, np.array([1, 2])]
+    for strategy in (Strategy.NTK, Strategy.SE):
+        spec = ExtensionSpec(strategy=strategy, l_orig=8, l_target=32)
+        if strategy is Strategy.SE:
+            # a padded length off the group grid shifts every residue class
+            assert 23 % resolve_extension(spec, "rotary").group_size != 0
+        batch = encode_many(tiny_rotary, seqs, spec, batch_size=3)
+        for i, s in enumerate(seqs):
+            solo = encode(tiny_rotary, s, spec)
+            assert np.allclose(batch[i], solo, atol=1e-12)
 
 
 def test_attn_scale_one_is_neutral(tiny_absolute):
