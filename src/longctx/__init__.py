@@ -41,10 +41,7 @@ from .positions import (  # noqa: E402
     Strategy,
     attention_scale,
     build_interpolated_matrix,
-    grouped_positions,
     ntk_frequencies,
-    pi_position_map,
-    recurrent_positions,
     resolve_ntk_lambda,
     resolve_se_params,
     self_extend_relpos,

@@ -29,9 +29,12 @@ from .errors import (
 )
 from .evaluation import BenchmarkTask, run_benchmark
 from .positions import (
+    ROPE_BASE,
     ExtensionSpec,
     Strategy,
+    assign_positions,
     attention_scale,
+    check_input_length,
     ntk_frequencies,
     resolve_extension,
     se_remap_deltas,
@@ -48,7 +51,6 @@ from .serialization import (
 )
 from .synth import DEFAULT_LENGTH_GRID, SyntheticTaskConfig, build_bucket
 from .tuning import TuneConfig, extend_for_tuning, training_pairs_from_task, tune
-from .encoder import position_assignment
 
 _EVAL_DEFAULTS = {
     "strategy": "none",
@@ -277,7 +279,8 @@ def cmd_inspect(args) -> int:
         window=args.w,
     )
     resolved = resolve_extension(spec, args.mode)
-    n = args.input_len or spec.l_target
+    n = spec.l_target if args.input_len is None else args.input_len
+    check_input_length(n, spec.l_target)
     dump: dict = {
         "strategy": spec.strategy.value,
         "mode": args.mode,
@@ -294,7 +297,7 @@ def cmd_inspect(args) -> int:
         },
     }
     if args.mode == "rotary":
-        freqs = (ntk_frequencies(args.d_head, 10000.0, resolved.ntk_lambda)
+        freqs = (ntk_frequencies(args.d_head, ROPE_BASE, resolved.ntk_lambda)
                  if resolved.ntk_lambda else standard_frequencies(args.d_head))
         dump["theta"] = freqs.theta.tolist()
     if spec.strategy is Strategy.SE:
@@ -303,16 +306,7 @@ def cmd_inspect(args) -> int:
             deltas, resolved.group_size, resolved.window
         ).tolist()
     else:
-        # effective positions need no model weights, only the config shape
-        probe = Model(
-            config=ModelConfig(
-                hidden_size=2, n_layers=1, n_heads=1, vocab_size=2,
-                original_context=spec.l_orig, position_mode=args.mode,
-            ),
-            params={"pos_table": np.zeros((spec.l_orig, 2))} if args.mode == "absolute" else {},
-        )
-        assignment = position_assignment(probe, n, spec)
-        dump["positions"] = np.asarray(assignment).tolist()
+        dump["positions"] = assign_positions(resolved, args.mode, n).tolist()
     text = json.dumps(dump, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

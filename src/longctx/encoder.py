@@ -26,22 +26,26 @@ from .errors import (
     ConfigurationError,
     DimensionError,
     EmptyInputError,
-    LengthError,
     NumericError,
     PositionError,
 )
 from .positions import (
+    ROPE_BASE,
     ExtensionSpec,
     ResolvedExtension,
     RoPEFrequencies,
     Strategy,
+    assign_positions,
     attention_scale,
     build_interpolated_matrix,
+    check_input_length,
     ntk_frequencies,
     resolve_extension,
-    se_remap_deltas,
     standard_frequencies,
 )
+# Not called here. perfbench/tracer.py patches the name encoder.se_remap_deltas
+# and fails if it is missing; drop this import together with that patch entry.
+from .positions import se_remap_deltas  # noqa: F401
 
 ABSOLUTE = "absolute"
 ROTARY = "rotary"
@@ -63,7 +67,7 @@ class ModelConfig:
     position_mode: str = ABSOLUTE
     ffn_multiplier: int = 4
     init_seed: int = 0
-    rope_base: float = 10000.0
+    rope_base: float = ROPE_BASE
 
     def __post_init__(self):
         if self.hidden_size < 2 or self.hidden_size % 2 != 0:
@@ -691,66 +695,6 @@ def _check_extension_compat(model: Model, resolved: ResolvedExtension) -> None:
         )
 
 
-def _absolute_assignment(model: Model, resolved: ResolvedExtension, n: int, table: np.ndarray):
-    """Row indices into ``table`` for one sequence of length n."""
-    spec = resolved.spec
-    idx = np.arange(n, dtype=np.int64)
-    st = resolved.strategy
-    if st is Strategy.NONE:
-        return idx
-    if st is Strategy.GP:
-        return idx // resolved.scale
-    if st is Strategy.RP:
-        return idx % spec.l_orig
-    if st in (Strategy.PI, Strategy.TUNED_PI):
-        if n <= spec.l_orig:
-            return idx * resolved.scale
-        return idx
-    if st is Strategy.TUNED_RP:
-        return idx
-    raise ConfigurationError(f"strategy {st.value} has no absolute position assignment")
-
-
-def _rotary_assignment(resolved: ResolvedExtension, n: int) -> np.ndarray:
-    """Real-valued phase positions for one sequence of length n."""
-    spec = resolved.spec
-    idx = np.arange(n, dtype=np.float64)
-    st = resolved.strategy
-    if st in (Strategy.NONE, Strategy.NTK):
-        return idx
-    if st is Strategy.GP:
-        return np.floor(idx / resolved.scale)
-    if st is Strategy.PI:
-        if n <= spec.l_orig:
-            return idx
-        return idx / resolved.scale
-    raise ConfigurationError(f"strategy {st.value} has no rotary phase assignment")
-
-
-def position_assignment(model: Model, n: int, spec: ExtensionSpec):
-    """Effective positions for an n-token input under ``spec``.
-
-    Returns integer row indices (absolute mode) or float phases (rotary);
-    SelfExtend returns the full relative-position matrix instead.
-    """
-    resolved = resolve_extension(spec, model.config.position_mode)
-    if model.config.position_mode == ABSOLUTE:
-        table = _strategy_table(model, resolved)
-        return _absolute_assignment(model, resolved, n, table)
-    if resolved.strategy is Strategy.SE:
-        idx = np.arange(n, dtype=np.int64)
-        return se_remap_deltas(idx[:, None] - idx[None, :], resolved.group_size, resolved.window)
-    return _rotary_assignment(resolved, n)
-
-
-def _strategy_table(model: Model, resolved: ResolvedExtension) -> np.ndarray:
-    """The absolute position table a strategy reads from (built if needed)."""
-    st = resolved.strategy
-    if st is Strategy.PI:
-        return build_interpolated_matrix(model.params["pos_table"], resolved.scale).rows
-    return model.params["pos_table"]
-
-
 def encode_many(
     model: Model,
     sequences: list[np.ndarray],
@@ -770,12 +714,9 @@ def encode_many(
     _check_extension_compat(model, resolved)
     seqs = [np.asarray(s, dtype=np.int64) for s in sequences]
     for s in seqs:
-        if s.ndim != 1 or s.size == 0:
-            raise EmptyInputError("token sequences must be non-empty and 1-D")
-        if s.size > spec.l_target:
-            raise LengthError(
-                f"sequence of {s.size} tokens exceeds the target window {spec.l_target}"
-            )
+        if s.ndim != 1:
+            raise EmptyInputError("token sequences must be 1-D")
+        check_input_length(s.size, spec.l_target)
     if not seqs:
         return np.zeros((0, cfg.hidden_size))
 
@@ -786,12 +727,11 @@ def encode_many(
             pcw_encode(model, s, spec.l_orig, batch_size=batch_size) for s in seqs
         ])
 
+    absolute = cfg.position_mode == ABSOLUTE
     table = None
-    if cfg.position_mode == ABSOLUTE:
-        table = _strategy_table(model, resolved)
-    freqs = None
-    if cfg.position_mode == ROTARY:
-        freqs = model_frequencies(model, ntk_lambda=resolved.ntk_lambda)
+    if absolute and resolved.strategy is Strategy.PI:
+        table = build_interpolated_matrix(model.params["pos_table"], resolved.scale).rows
+    freqs = None if absolute else model_frequencies(model, ntk_lambda=resolved.ntk_lambda)
     self_extend = None
     if resolved.strategy is Strategy.SE:
         self_extend = (resolved.group_size, resolved.window)
@@ -804,22 +744,21 @@ def encode_many(
         tokens = np.zeros((B, L), dtype=np.int64)
         mask = np.zeros((B, L), dtype=bool)
         scale = np.ones(B)
-        abs_ids = np.zeros((B, L), dtype=np.int64) if cfg.position_mode == ABSOLUTE else None
-        phases = np.zeros((B, L)) if cfg.position_mode == ROTARY and self_extend is None else None
+        pos = None
+        if self_extend is None:
+            pos = np.zeros((B, L), dtype=np.int64 if absolute else np.float64)
         for bi, s in enumerate(group):
             n = s.size
             tokens[bi, :n] = s
             mask[bi, :n] = True
             if attn_scaling:
                 scale[bi] = attention_scale(n, spec.l_orig)
-            if abs_ids is not None:
-                abs_ids[bi, :n] = _absolute_assignment(model, resolved, n, table)
-            elif phases is not None:
-                phases[bi, :n] = _rotary_assignment(resolved, n)
+            if pos is not None:
+                pos[bi, :n] = assign_positions(resolved, cfg.position_mode, n)
         hidden = forward_batch(
             model, tokens, mask,
-            abs_ids=abs_ids, phases=phases, self_extend=self_extend,
-            attn_scale=scale, freqs=freqs, pos_table=table,
+            abs_ids=pos if absolute else None, phases=None if absolute else pos,
+            self_extend=self_extend, attn_scale=scale, freqs=freqs, pos_table=table,
         )
         for bi in range(B):
             out[start + bi] = pool_and_normalize(hidden[bi], mask[bi])

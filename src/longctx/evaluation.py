@@ -119,8 +119,11 @@ def ndcg_at_10(rankings: dict[str, list[str]], qrels: dict[str, dict[str, int]])
 class ModelEmbedder:
     """Tokenizes and encodes texts with a model under one extension spec.
 
-    Texts longer than the target window come back as None with a recorded
-    reason, so benchmark runs can continue around unretrievable documents.
+    Implements the embedder protocol that ``run_benchmark`` calls for both
+    documents and queries: ``embed(texts)`` returns one unit vector or None
+    per text, plus ``(index, reason)`` for every None. Texts that are empty or
+    longer than the target window come back as None, so benchmark runs can
+    continue around unretrievable documents.
     """
 
     def __init__(self, model: Model, spec: ExtensionSpec, *,
@@ -131,7 +134,7 @@ class ModelEmbedder:
         self.attn_scaling = attn_scaling
         self.batch_size = batch_size
 
-    def _embed(self, texts: list[str]):
+    def embed(self, texts: list[str]) -> tuple[list[np.ndarray | None], list[tuple[int, str]]]:
         vocab = self.model.config.vocab_size
         seqs, keep, errors = [], [], []
         for i, text in enumerate(texts):
@@ -153,26 +156,13 @@ class ModelEmbedder:
                 out[i] = vecs[j]
         return out, errors
 
-    def embed_docs(self, texts: list[str]):
-        return self._embed(texts)
-
-    def embed_queries(self, texts: list[str]):
-        return self._embed(texts)
-
 
 def _as_embedder(model, spec, attn_scaling, batch_size):
     if isinstance(model, Model):
         if spec is None:
             raise ConfigurationError("a Model needs an ExtensionSpec to run the benchmark")
         return ModelEmbedder(model, spec, attn_scaling=attn_scaling, batch_size=batch_size)
-    return model  # any object with embed_docs / embed_queries
-
-
-def _unpack_embed(result):
-    """Both embedder conventions: (vectors, errors) or a plain vector stack."""
-    if isinstance(result, tuple):
-        return result
-    return list(result), []
+    return model  # any object with ModelEmbedder's embed protocol
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +258,8 @@ def run_benchmark(
 ) -> EvalReport:
     """Encode, rank, and score every task; deterministic given its inputs.
 
-    ``model`` is a Model (paired with ``spec``) or any embedder object.
+    ``model`` is a Model (paired with ``spec``) or any object with an
+    ``embed`` method following ModelEmbedder's protocol.
     Documents that cannot be encoded are recorded and scored unretrievable;
     the run continues.
     """
@@ -286,7 +277,7 @@ def run_benchmark(
         task = bench.task
         task.validate()
         doc_ids = sorted(task.docs)
-        doc_vecs, doc_errors = _unpack_embed(embedder.embed_docs([task.docs[d] for d in doc_ids]))
+        doc_vecs, doc_errors = embedder.embed([task.docs[d] for d in doc_ids])
         kept = [(doc_ids[i], v) for i, v in enumerate(doc_vecs) if v is not None]
         if not kept:
             index = None
@@ -295,7 +286,7 @@ def run_benchmark(
             index = EmbeddingIndex(ids=tuple(ids), vectors=np.stack(vecs))
 
         qids = sorted(task.queries)
-        q_vecs, q_errors = _unpack_embed(embedder.embed_queries([task.queries[q] for q in qids]))
+        q_vecs, q_errors = embedder.embed([task.queries[q] for q in qids])
         rankings: dict[str, list[str]] = {}
         for i, qid in enumerate(qids):
             if q_vecs[i] is None or index is None:

@@ -3,8 +3,8 @@
 Grouped/recurrent position reuse, linear interpolation of learned position
 tables, NTK frequency rescaling, SelfExtend relative-position remapping, and
 the inference-time attention-logit scaling applied alongside them. Every
-function here is pure; the encoder consumes these to build its per-token
-position assignment.
+function here is pure; ``assign_positions`` is the one per-token position
+rule that encoding, tuning and ``longctx inspect`` share.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, PositionError
+from .errors import ConfigurationError, DimensionError, EmptyInputError, LengthError
 
 ROPE_BASE = 10000.0
 
@@ -101,24 +101,6 @@ def resolve_ntk_lambda(s: int) -> float:
     return NTK_LAMBDA_TABLE.get(s, float(s + 1))
 
 
-def grouped_positions(pid, s: int):
-    """floor(pid / s); accepts a scalar or an integer array."""
-    if s < 1:
-        raise ValueError(f"scaling factor must be >= 1, got {s}")
-    if np.min(pid) < 0:
-        raise ValueError("position ids must be non-negative")
-    return pid // s
-
-
-def recurrent_positions(pid, l_orig: int):
-    """pid mod l_orig; accepts a scalar or an integer array."""
-    if l_orig < 1:
-        raise ValueError(f"original context must be >= 1, got {l_orig}")
-    if np.min(pid) < 0:
-        raise ValueError("position ids must be non-negative")
-    return pid % l_orig
-
-
 @dataclass(frozen=True)
 class PositionEmbeddingMatrix:
     """Learned position rows plus a per-row frozen flag."""
@@ -164,27 +146,6 @@ def build_interpolated_matrix(matrix, s: int) -> PositionEmbeddingMatrix:
     out[tail & ~anchor] = rows[l_orig - 1]
 
     return PositionEmbeddingMatrix(rows=out, frozen=anchor)
-
-
-def pi_position_map(token_index: int, input_len: int, spec: "ExtensionSpec") -> int:
-    """Row index into the interpolated table for one token.
-
-    Short inputs (within the original window) step through the anchor rows
-    {0, s, 2s, ...} so behavior matches the unextended model exactly; longer
-    inputs use the table densely.
-    """
-    if token_index >= spec.l_target:
-        raise PositionError(
-            f"token index {token_index} outside target window {spec.l_target}"
-        )
-    if not 0 <= token_index < input_len <= spec.l_target:
-        raise ValueError(
-            f"need 0 <= token_index < input_len <= l_target, "
-            f"got index {token_index}, len {input_len}, target {spec.l_target}"
-        )
-    if input_len <= spec.l_orig:
-        return token_index * spec.scale
-    return token_index
 
 
 def self_extend_relpos(i: int, j: int, g: int, w: int) -> int:
@@ -362,3 +323,40 @@ def resolve_extension(spec: ExtensionSpec, position_mode: str) -> ResolvedExtens
         spec=spec, scale=s, ntk_lambda=ntk_lambda, group_size=group_size,
         window=window, notes=tuple(notes),
     )
+
+
+def check_input_length(n: int, l_target: int) -> None:
+    """Reject an input length outside [1, l_target]."""
+    if n < 1:
+        raise EmptyInputError(f"input length must be >= 1, got {n}")
+    if n > l_target:
+        raise LengthError(f"sequence of {n} tokens exceeds the target window {l_target}")
+
+
+def assign_positions(resolved: ResolvedExtension, mode: str, n: int) -> np.ndarray:
+    """Positions of the n tokens of one input under a strategy resolved for ``mode``.
+
+    Absolute mode returns int64 rows into the strategy's position table (the
+    interpolated table for pi, the extended one for tuned_pi/tuned_rp); rotary
+    mode returns float64 phases. Grouping gives idx // s and recurrence
+    idx mod l_orig. Interpolation keeps inputs within l_orig on their original
+    positions (anchor rows idx * s, phases idx) and compresses longer ones
+    (dense rows idx, phases idx / s). pcw and se assign no per-token positions:
+    pcw encodes chunks at the original ones, se remaps i - j inside attention.
+    """
+    check_input_length(n, resolved.spec.l_target)
+    st, s = resolved.strategy, resolved.scale
+    if st in (Strategy.PCW, Strategy.SE):
+        raise ConfigurationError(f"strategy {st.value} has no per-token position assignment")
+    absolute = mode == "absolute"
+    idx = np.arange(n, dtype=np.int64 if absolute else np.float64)
+    if st is Strategy.GP:
+        return idx // s
+    if st is Strategy.RP:
+        return idx % resolved.spec.l_orig
+    if st in (Strategy.PI, Strategy.TUNED_PI):
+        short = n <= resolved.spec.l_orig
+        if absolute:
+            return idx * s if short else idx
+        return idx if short else idx / s
+    return idx

@@ -358,8 +358,6 @@ class OracleEmbedder:
         v = np.random.default_rng(seed).standard_normal(self.dim)
         return v / np.linalg.norm(v)
 
-    def embed_queries(self, texts: list[str]) -> np.ndarray:
-        return np.stack([self._vector(self._key(t)) for t in texts])
-
-    def embed_docs(self, texts: list[str]) -> np.ndarray:
-        return np.stack([self._vector(self._key(t)) for t in texts])
+    def embed(self, texts: list[str]) -> tuple[list[np.ndarray], list[tuple[int, str]]]:
+        """ModelEmbedder's protocol; a text without exactly one key is a ValidationError."""
+        return [self._vector(self._key(t)) for t in texts], []

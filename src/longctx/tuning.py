@@ -31,7 +31,7 @@ from .encoder import (
     pool_and_normalize_backward,
 )
 from .errors import ConfigurationError, NumericError, ValidationError
-from .positions import build_interpolated_matrix
+from .positions import ExtensionSpec, assign_positions, build_interpolated_matrix, resolve_extension
 from .synth import RetrievalTask
 from .tokenizer import tokenize
 
@@ -109,6 +109,25 @@ def sample_skip_bias(l_target: int, l_orig: int, rng: np.random.Generator) -> in
     if l_target < l_orig:
         raise ConfigurationError(f"l_target {l_target} must be >= l_orig {l_orig}")
     return int(rng.integers(0, l_target - l_orig + 1))
+
+
+def _training_positions(model: Model, pairs: list[TrainingPair], config: TuneConfig,
+                        rng: np.random.Generator | None) -> list[np.ndarray]:
+    """Identity positions for every sequence of ``pairs``, in pair order.
+
+    With ``rng``, each sequence is shifted by its own skip bias, drawn in that
+    order.
+    """
+    mode = model.config.position_mode
+    identity = resolve_extension(ExtensionSpec.none(config.l_orig), mode)
+    positions = []
+    for pair in pairs:
+        for seq in pair.sequences():
+            pos = assign_positions(identity, mode, seq.size)
+            if rng is not None:
+                pos = sample_skip_bias(config.l_target, config.l_orig, rng) + pos
+            positions.append(pos)
+    return positions
 
 
 def contrastive_loss(
@@ -273,7 +292,10 @@ def _run_training(
     """Shared loop: shuffle, batch, shift (optionally), step, watch for NaN.
 
     ``trainable`` maps parameter names to row masks (None = whole tensor);
-    parameters absent from it are untouched. None trains everything.
+    parameters absent from it are untouched. None trains everything. A
+    non-finite loss or gradient stops the run with the parameters of the last
+    logged step, restored from a copy of the trainable tensors taken before
+    each optimizer step.
     """
     if config.epochs == 0 or config.max_steps == 0 or not pairs:
         return TrainResult(model=model.copy())
@@ -281,7 +303,8 @@ def _run_training(
     rng = np.random.default_rng(config.seed)
     opt = Adagrad(config.learning_rate, config.warmup_steps)
     log: list[tuple[int, float]] = []
-    good = {k: v.copy() for k, v in work.params.items()}
+    names = list(work.params) if trainable is None else list(trainable)
+    good: dict[str, np.ndarray] = {}
     step = 0
     max_len = config.l_orig
 
@@ -295,16 +318,7 @@ def _run_training(
         order = rng.permutation(len(pairs))
         for start in range(0, len(pairs), config.batch_size):
             batch = [pairs[i] for i in order[start:start + config.batch_size]]
-            positions = []
-            for pair in batch:
-                for seq in pair.sequences():
-                    if shift_positions:
-                        u = sample_skip_bias(config.l_target, config.l_orig, rng)
-                        positions.append(u + np.arange(seq.size, dtype=np.int64))
-                    elif work.config.position_mode == ABSOLUTE:
-                        positions.append(np.arange(seq.size, dtype=np.int64))
-                    else:
-                        positions.append(np.arange(seq.size, dtype=np.float64))
+            positions = _training_positions(work, batch, config, rng if shift_positions else None)
             try:
                 loss, grads = _batch_loss_and_grads(
                     work, batch, positions, config.temperature,
@@ -313,16 +327,16 @@ def _run_training(
             except NumericError:
                 loss = math.nan
             step += 1
-            if not math.isfinite(loss):
-                work.params = good
+            if not (math.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())):
+                work.params.update(good)
                 return TrainResult(model=work, log=log, diverged=True)
             if trainable is not None:
                 for name, row_mask in trainable.items():
                     if row_mask is not None:
                         grads[name] = grads[name] * (~row_mask)[:, None]
+            good = {name: work.params[name].copy() for name in names}
             opt.step(work.params, grads)
             log.append((step, loss))
-            good = {k: v.copy() for k, v in work.params.items()}
             if config.max_steps is not None and step >= config.max_steps:
                 return TrainResult(model=work, log=log)
     return TrainResult(model=work, log=log)
@@ -334,7 +348,8 @@ def tune(model: Model, pairs: list[TrainingPair], config: TuneConfig) -> TrainRe
     The model must already carry the extension for ``config.mode`` (see
     extend_for_tuning). All transformer weights, token embeddings, and frozen
     rows are bit-identical before and after. Attention scaling stays off
-    during training. A NaN loss aborts with the last finite-loss parameters.
+    during training. A non-finite loss or gradient aborts with the parameters
+    of the last logged step.
     """
     if model.config.position_mode != ABSOLUTE:
         raise ConfigurationError("further tuning requires absolute-position mode")
@@ -385,11 +400,7 @@ def grad_check(
         raise ConfigurationError("grad_check needs a model extended for tuning")
     rng = np.random.default_rng(0) if rng is None else rng
 
-    seqs = pair.sequences()
-    positions = []
-    for seq in seqs:
-        u = sample_skip_bias(config.l_target, config.l_orig, rng)
-        positions.append(u + np.arange(seq.size, dtype=np.int64))
+    positions = _training_positions(model, [pair], config, rng)
 
     def loss_at(m: Model) -> float:
         loss, _ = _batch_loss_and_grads(m, [pair], positions, config.temperature)
@@ -419,11 +430,7 @@ def grad_check(
 def masked_position_gradient(model: Model, pairs: list[TrainingPair],
                              config: TuneConfig, rng: np.random.Generator) -> np.ndarray:
     """One tuning step's position-table gradient with frozen rows zeroed."""
-    positions = []
-    for pair in pairs:
-        for seq in pair.sequences():
-            u = sample_skip_bias(config.l_target, config.l_orig, rng)
-            positions.append(u + np.arange(seq.size, dtype=np.int64))
+    positions = _training_positions(model, pairs, config, rng)
     _, grads = _batch_loss_and_grads(model, pairs, positions, config.temperature)
     g = grads["pos_table"]
     if model.pos_frozen is not None:

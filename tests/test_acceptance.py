@@ -20,10 +20,12 @@ from longctx.positions import (
     EXTENSION_GRID,
     NTK_LAMBDA_TABLE,
     SE_PARAM_TABLE,
+    ExtensionSpec,
+    Strategy,
+    assign_positions,
     build_interpolated_matrix,
-    grouped_positions,
     ntk_frequencies,
-    recurrent_positions,
+    resolve_extension,
     resolve_ntk_lambda,
     resolve_se_params,
     se_remap_deltas,
@@ -156,16 +158,25 @@ def test_c05_range_safety_exhaustive():
 
         for l_orig, l_target in EXTENSION_GRID:
             s = math.ceil(l_target / l_orig)
-            pid = np.arange(l_target)
 
-            grouped = grouped_positions(pid, s)
-            assert grouped.min() >= 0 and grouped.max() < l_orig
+            def positions(strategy, mode):
+                spec = ExtensionSpec(strategy=strategy, l_orig=l_orig, l_target=l_target)
+                return assign_positions(resolve_extension(spec, mode), mode, l_target)
 
-            recurrent = recurrent_positions(pid, l_orig)
-            assert recurrent.min() >= 0 and recurrent.max() < l_orig
+            for mode in ("absolute", "rotary"):
+                grouped = positions(Strategy.GP, mode)
+                assert grouped.min() >= 0 and grouped.max() < l_orig
 
             # interpolation maps pid to the continuous position pid / s
-            assert (pid / s < l_orig).all()
+            phases = positions(Strategy.PI, "rotary")
+            assert phases.min() >= 0 and phases.max() < l_orig
+
+            recurrent = positions(Strategy.RP, "absolute")
+            assert recurrent.min() >= 0 and recurrent.max() < l_orig
+
+            # ... which in absolute mode is row pid of the s-times denser table
+            rows = positions(Strategy.PI, "absolute")
+            assert rows.min() >= 0 and rows.max() < l_orig * s
 
             for a, b in plan_chunks(l_target, l_orig):
                 assert b - a == l_orig  # chunk-local ids are 0 .. l_orig-1

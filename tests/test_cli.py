@@ -225,3 +225,18 @@ def test_inspect_dumps_positions_and_frequencies(tmp_path, capsys):
                "--l-target", 10, "--g", 2, "--w", 4, "--input-len", 10) == 0
     dump = json.loads(capsys.readouterr().out)
     assert dump["relative_positions_x0"] == [0, 1, 2, 3, 4, 4, 5, 5, 6, 6]
+
+    assert run("inspect", "--strategy", "pi", "--mode", "rotary", "--l-orig", 8,
+               "--l-target", 32, "--input-len", 20) == 0
+    positions = json.loads(capsys.readouterr().out)["positions"]
+    assert positions == [i / 4 for i in range(20)]
+    assert all(isinstance(p, float) for p in positions)  # rotary phases stay real
+
+    # input lengths outside [1, l_target] are data errors for every strategy
+    for strategy, mode in (("gp", "absolute"), ("pi", "rotary"), ("ntk", "rotary"),
+                           ("se", "rotary")):
+        for bad in (-3, 0, 100):
+            assert run("inspect", "--strategy", strategy, "--mode", mode, "--l-orig", 8,
+                       "--l-target", 32, "--input-len", bad) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:")

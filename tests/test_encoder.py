@@ -289,16 +289,19 @@ def test_se_on_absolute_model_rejected(tiny_absolute):
         encode(tiny_absolute, np.arange(4), spec)
 
 
-def test_encode_many_matches_single_calls(tiny_rotary):
+def test_encode_many_matches_single_calls(tiny_absolute, tiny_rotary):
     seqs = [np.arange(5), np.arange(23) % 64, np.array([1, 2])]
-    for strategy in (Strategy.NTK, Strategy.SE):
+    cases = [(tiny_absolute, st) for st in (Strategy.GP, Strategy.RP, Strategy.PI, Strategy.PCW)]
+    cases += [(tiny_rotary, st) for st in (Strategy.NTK, Strategy.SE, Strategy.GP, Strategy.PI,
+                                          Strategy.PCW)]
+    for model, strategy in cases:
         spec = ExtensionSpec(strategy=strategy, l_orig=8, l_target=32)
         if strategy is Strategy.SE:
             # a padded length off the group grid shifts every residue class
             assert 23 % resolve_extension(spec, "rotary").group_size != 0
-        batch = encode_many(tiny_rotary, seqs, spec, batch_size=3)
+        batch = encode_many(model, seqs, spec, batch_size=3)
         for i, s in enumerate(seqs):
-            solo = encode(tiny_rotary, s, spec)
+            solo = encode(model, s, spec)
             assert np.allclose(batch[i], solo, atol=1e-12)
 
 

@@ -168,7 +168,7 @@ def test_too_long_documents_are_recorded_not_fatal(tiny_absolute):
 
 def test_model_embedder_flags_overlong_docs(tiny_absolute):
     emb = ModelEmbedder(tiny_absolute, ExtensionSpec.none(8))
-    vecs, errors = emb.embed_docs(["one two three", " ".join(["w"] * 50)])
+    vecs, errors = emb.embed(["one two three", " ".join(["w"] * 50)])
     assert vecs[0] is not None and vecs[1] is None
     assert errors and errors[0][0] == 1
 
@@ -186,13 +186,13 @@ def test_benchmark_is_deterministic(tiny_absolute):
 def test_documents_embedded_once_per_task(tiny_absolute, monkeypatch):
     calls = []
     emb = ModelEmbedder(tiny_absolute, ExtensionSpec(strategy="rp", l_orig=8, l_target=64))
-    original = emb.embed_docs
+    original = emb.embed
 
     def counting(texts):
         calls.append(len(texts))
         return original(texts)
 
-    emb.embed_docs = counting
+    emb.embed = counting
     tasks = _bucket_tasks("passkey", (64,))
     run_benchmark(emb, None, tasks)
-    assert calls == [10]  # one pass over the shared candidates, despite 5 queries
+    assert calls == [10, 5]  # one pass over the shared candidates, then one over the queries

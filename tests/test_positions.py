@@ -6,19 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from longctx.errors import ConfigurationError, PositionError
+from longctx.errors import ConfigurationError, EmptyInputError, LengthError
 from longctx.positions import (
     EXTENSION_GRID,
     ExtensionSpec,
     SE_PARAM_TABLE,
     Strategy,
+    assign_positions,
     attention_scale,
     build_interpolated_matrix,
-    grouped_positions,
     max_se_relpos,
     ntk_frequencies,
-    pi_position_map,
-    recurrent_positions,
     resolve_extension,
     resolve_ntk_lambda,
     resolve_se_params,
@@ -27,32 +25,62 @@ from longctx.positions import (
     standard_frequencies,
 )
 
-# --- grouped / recurrent -----------------------------------------------------
+# --- per-token position assignment ---------------------------------------------
+
+
+def positions(strategy, l_orig, l_target, n, mode="absolute"):
+    spec = ExtensionSpec(strategy=strategy, l_orig=l_orig, l_target=l_target)
+    return assign_positions(resolve_extension(spec, mode), mode, n)
 
 
 def test_grouped_examples():
-    assert grouped_positions(0, 8) == 0
-    assert grouped_positions(7, 2) == 3
+    for mode in ("absolute", "rotary"):
+        assert positions(Strategy.GP, 4, 32, 1, mode)[0] == 0  # s = 8
+        assert positions(Strategy.GP, 4, 8, 8, mode)[7] == 3  # s = 2
 
 
 def test_grouped_exhaustive_range_512_to_4096():
     # independent oracle: every remapped pid must land inside the trained range
     l_orig, l_target = 512, 4096
-    s = math.ceil(l_target / l_orig)
-    out = grouped_positions(np.arange(l_target), s)
-    assert out.max() < l_orig
-    assert out.min() == 0
+    for mode in ("absolute", "rotary"):
+        out = positions(Strategy.GP, l_orig, l_target, l_target, mode)
+        assert out.max() < l_orig
+        assert out.min() == 0
 
 
 def test_recurrent_examples():
-    assert recurrent_positions(512, 512) == 0
-    assert recurrent_positions(511, 512) == 511
-    assert recurrent_positions(1025, 512) == 1
+    out = positions(Strategy.RP, 512, 2048, 1026)
+    assert out[512] == 0
+    assert out[511] == 511
+    assert out[1025] == 1
 
 
 @given(pid=st.integers(min_value=0, max_value=10**6), s=st.integers(min_value=1, max_value=64))
 def test_grouped_never_exceeds_pid(pid, s):
-    assert 0 <= grouped_positions(pid, s) <= pid
+    l_orig = pid // s + 1  # smallest window whose l_orig * s covers pid
+    out = positions(Strategy.GP, l_orig, l_orig * s, pid + 1)
+    assert 0 <= out[pid] <= pid
+
+
+def test_assignment_dtypes_and_identity_strategies():
+    for strategy in (Strategy.NONE, Strategy.TUNED_RP):
+        out = positions(strategy, 8, 8 if strategy is Strategy.NONE else 32, 8)
+        assert out.dtype == np.int64 and out.tolist() == list(range(8))
+    for strategy in (Strategy.NONE, Strategy.NTK):
+        out = positions(strategy, 8, 8 if strategy is Strategy.NONE else 32, 8, "rotary")
+        assert out.dtype == np.float64 and out.tolist() == list(range(8))
+    assert positions(Strategy.GP, 8, 32, 9, "rotary").dtype == np.float64
+
+
+def test_assignment_rejects_lengths_outside_the_window_and_pairwise_strategies():
+    for mode in ("absolute", "rotary"):
+        for n, error in ((0, EmptyInputError), (-3, EmptyInputError), (33, LengthError)):
+            with pytest.raises(error):
+                positions(Strategy.GP, 8, 32, n, mode)
+        with pytest.raises(ConfigurationError):
+            positions(Strategy.PCW, 8, 32, 5, mode)
+    with pytest.raises(ConfigurationError):
+        positions(Strategy.SE, 8, 32, 5, "rotary")
 
 
 # --- interpolation -----------------------------------------------------------
@@ -105,15 +133,17 @@ def test_tail_rows_repeat_last_anchor(rng):
         assert np.array_equal(pem.rows[k], rows[2])
 
 
-def test_pi_position_map_examples():
-    spec = ExtensionSpec(strategy=Strategy.PI, l_orig=512, l_target=4096)
-    assert spec.scale == 8
-    assert pi_position_map(5, 100, spec) == 40
-    assert pi_position_map(5, 1000, spec) == 5
-    assert pi_position_map(0, 100, spec) == 0
-    assert pi_position_map(0, 1000, spec) == 0
-    with pytest.raises(PositionError):
-        pi_position_map(4096, 4096, spec)
+def test_pi_assignment_examples():
+    # short inputs keep their original positions, long ones are compressed
+    assert positions(Strategy.PI, 512, 4096, 100)[5] == 40  # anchor row 5 * s
+    assert positions(Strategy.PI, 512, 4096, 1000)[5] == 5
+    assert positions(Strategy.PI, 512, 4096, 100)[0] == 0
+    assert positions(Strategy.PI, 512, 4096, 1000)[0] == 0
+    assert positions(Strategy.PI, 512, 4096, 100, "rotary")[5] == 5.0
+    assert positions(Strategy.PI, 512, 4096, 1000, "rotary")[5] == 5 / 8
+    assert positions(Strategy.PI, 512, 4096, 4096).max() == 4095  # last interpolated row
+    with pytest.raises(LengthError):
+        positions(Strategy.PI, 512, 4096, 4097)
 
 
 # --- frequencies -------------------------------------------------------------

@@ -151,14 +151,15 @@ def test_oracle_embedder_links_queries_to_gold_docs():
         task = build_bucket(small_config(kind), 128)
         oracle = OracleEmbedder()
         doc_ids = sorted(task.docs)
-        doc_vecs = oracle.embed_docs([task.docs[d] for d in doc_ids])
+        doc_vecs, errors = oracle.embed([task.docs[d] for d in doc_ids])
+        assert errors == []
         for qid, text in task.queries.items():
-            qv = oracle.embed_queries([text])[0]
-            scores = doc_vecs @ qv
+            qv = oracle.embed([text])[0][0]
+            scores = np.stack(doc_vecs) @ qv
             top = doc_ids[int(np.argmax(scores))]
             assert task.qrels[qid].get(top) == 1
 
 
 def test_oracle_rejects_keyless_text():
     with pytest.raises(ValidationError):
-        OracleEmbedder().embed_docs(["no key here at all"])
+        OracleEmbedder().embed(["no key here at all"])

@@ -19,6 +19,7 @@ from longctx import (
     training_pairs_from_task,
     tune,
 )
+from longctx import tuning
 from longctx.errors import ConfigurationError, ValidationError
 from longctx.synth import SyntheticTaskConfig, build_bucket
 from longctx.tuning import (
@@ -256,6 +257,40 @@ def test_nan_loss_aborts_with_last_good_state(rng):
     assert result.log == []  # no finite-loss step ever completed
     assert np.array_equal(result.model.params["pos_table"], ext.params["pos_table"],
                           equal_nan=True)
+
+
+@pytest.mark.parametrize("trainer", ["train_model", "tune"])
+@pytest.mark.parametrize("fault", ["nan_table_after_step_3", "nan_grads_at_step_4"])
+def test_mid_run_divergence_returns_last_logged_state(rng, monkeypatch, trainer, fault):
+    calls = []
+    batch_loss, adagrad_step = tuning._batch_loss_and_grads, tuning.Adagrad.step
+
+    def recording(model, pairs, positions, temperature, needed=None):
+        calls.append((pairs, positions))
+        loss, grads = batch_loss(model, pairs, positions, temperature, needed=needed)
+        if fault == "nan_grads_at_step_4" and len(calls) == 4:
+            grads["pos_table"][:] = np.nan
+        return loss, grads
+
+    def poisoning(self, params, grads):
+        adagrad_step(self, params, grads)
+        if fault == "nan_table_after_step_3" and self.t == 3:
+            params["pos_table"][:] = np.nan
+
+    monkeypatch.setattr(tuning, "_batch_loss_and_grads", recording)
+    monkeypatch.setattr(tuning.Adagrad, "step", poisoning)
+    config = tiny_tune_config(epochs=100, max_steps=10)
+    if trainer == "tune":
+        result = tune(extend_for_tuning(tiny_model(), config), random_pairs(rng, 8), config)
+    else:
+        result = train_model(tiny_model(), random_pairs(rng, 8), config)
+    assert result.diverged
+    assert [step for step, _ in result.log] == [1, 2, 3]
+    assert all(np.isfinite(v).all() for v in result.model.params.values())
+    # the returned parameters are the ones that produced the last logged loss
+    pairs, positions = calls[2]
+    loss, _ = batch_loss(result.model, pairs, positions, config.temperature)
+    assert loss == result.log[-1][1]
 
 
 def test_tune_requires_matching_extension(rng):
