@@ -367,12 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["pi_anchored", "rp_suffix"], default="pi_anchored")
     p.add_argument("--l-target", type=int, dest="l_target", required=True)
     p.add_argument("--data", required=True, help="task dir supplying contrastive triples")
-    p.add_argument("--lr", type=float, default=5e-4)
-    p.add_argument("--batch-size", type=int, dest="batch_size", default=8)
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--warmup-steps", type=int, dest="warmup_steps", default=100)
-    p.add_argument("--temperature", type=float, default=0.01)
-    p.add_argument("--negatives", type=int, default=7)
+    p.add_argument("--lr", type=float, default=TuneConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, dest="batch_size", default=TuneConfig.batch_size)
+    p.add_argument("--epochs", type=int, default=TuneConfig.epochs)
+    p.add_argument("--warmup-steps", type=int, dest="warmup_steps",
+                   default=TuneConfig.warmup_steps)
+    p.add_argument("--temperature", type=float, default=TuneConfig.temperature)
+    p.add_argument("--negatives", type=int, default=TuneConfig.n_negatives)
     p.add_argument("--max-steps", type=int, dest="max_steps")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--log", help="training log TSV path")

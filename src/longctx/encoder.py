@@ -369,6 +369,27 @@ def _merge_heads(x):
 # forward / backward over a padded batch
 
 
+def pad_batch(seqs: list[np.ndarray], positions: list[np.ndarray] | None, mode: str):
+    """Right-padded ``(tokens, mask, pos)`` arrays (B, L) for sequences of mixed length.
+
+    ``pos`` holds int64 table rows in absolute ``mode`` and float64 phases in
+    rotary mode; it is None when ``positions`` is. Padded slots hold token 0
+    and position 0 and are masked out.
+    """
+    B, L = len(seqs), max(s.size for s in seqs)
+    tokens = np.zeros((B, L), dtype=np.int64)
+    mask = np.zeros((B, L), dtype=bool)
+    pos = None
+    if positions is not None:
+        pos = np.zeros((B, L), dtype=np.int64 if mode == ABSOLUTE else np.float64)
+    for i, s in enumerate(seqs):
+        tokens[i, :s.size] = s
+        mask[i, :s.size] = True
+        if pos is not None:
+            pos[i, :s.size] = positions[i]
+    return tokens, mask, pos
+
+
 def forward_batch(
     model: Model,
     token_ids: np.ndarray,
@@ -501,22 +522,26 @@ def backward_batch(
     d_out: np.ndarray,
     *,
     needed: set[str] | None = None,
+    grads: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Analytic gradients of a scalar loss w.r.t. every parameter.
 
     ``d_out`` is the loss gradient at the final hidden states. Token and
     position gradients are scatter-added over the ids that produced them.
     ``needed`` restricts which parameter gradients are accumulated (the
-    backward chain itself always runs in full); None computes all. Only
-    per-token positions are supported: ``forward_batch`` records no cache for
-    SelfExtend, which has no backward pass.
+    backward chain itself always runs in full); None computes all. The
+    gradients are added into ``grads`` when given (it must hold every needed
+    name), so several batches can share one gradient set; otherwise into
+    fresh zeros. Only per-token positions are supported: ``forward_batch``
+    records no cache for SelfExtend, which has no backward pass.
     """
     cfg = model.config
     p = model.params
-    grads = {
-        name: np.zeros_like(arr) for name, arr in p.items()
-        if needed is None or name in needed
-    }
+    if grads is None:
+        grads = {
+            name: np.zeros_like(arr) for name, arr in p.items()
+            if needed is None or name in needed
+        }
 
     def want(name):
         return needed is None or name in needed
@@ -705,9 +730,11 @@ def encode_many(
 ) -> np.ndarray:
     """Embeddings (N, d) for a list of token sequences under one strategy.
 
-    Sequences are processed in fixed consecutive batches, so results are
-    deterministic for a given input list. Raises LengthError as soon as any
-    sequence exceeds the target window.
+    Sequences are stably sorted by length and cut into batches of at most
+    ``batch_size``, so each batch pads little; the rows come back in input
+    order. A sequence's embedding does not depend on its batch neighbours
+    (padding is masked out), so the order only changes float rounding.
+    Raises LengthError as soon as any sequence exceeds the target window.
     """
     cfg = model.config
     resolved = resolve_extension(spec, cfg.position_mode)
@@ -736,32 +763,25 @@ def encode_many(
     if resolved.strategy is Strategy.SE:
         self_extend = (resolved.group_size, resolved.window)
 
+    order = sorted(range(len(seqs)), key=lambda i: seqs[i].size)
     out = np.empty((len(seqs), cfg.hidden_size))
     for start in range(0, len(seqs), batch_size):
-        group = seqs[start:start + batch_size]
-        L = max(s.size for s in group)
-        B = len(group)
-        tokens = np.zeros((B, L), dtype=np.int64)
-        mask = np.zeros((B, L), dtype=bool)
-        scale = np.ones(B)
-        pos = None
+        rows = order[start:start + batch_size]
+        group = [seqs[i] for i in rows]
+        positions = None
         if self_extend is None:
-            pos = np.zeros((B, L), dtype=np.int64 if absolute else np.float64)
-        for bi, s in enumerate(group):
-            n = s.size
-            tokens[bi, :n] = s
-            mask[bi, :n] = True
-            if attn_scaling:
-                scale[bi] = attention_scale(n, spec.l_orig)
-            if pos is not None:
-                pos[bi, :n] = assign_positions(resolved, cfg.position_mode, n)
+            positions = [assign_positions(resolved, cfg.position_mode, s.size) for s in group]
+        tokens, mask, pos = pad_batch(group, positions, cfg.position_mode)
+        scale = np.ones(len(group))
+        if attn_scaling:
+            scale = np.array([attention_scale(s.size, spec.l_orig) for s in group])
         hidden = forward_batch(
             model, tokens, mask,
             abs_ids=pos if absolute else None, phases=None if absolute else pos,
             self_extend=self_extend, attn_scale=scale, freqs=freqs, pos_table=table,
         )
-        for bi in range(B):
-            out[start + bi] = pool_and_normalize(hidden[bi], mask[bi])
+        for bi, i in enumerate(rows):
+            out[i] = pool_and_normalize(hidden[bi], mask[bi])
     return out
 
 

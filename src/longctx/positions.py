@@ -210,9 +210,10 @@ def attention_scale(n: int, l_orig: int) -> float:
     logarithmically beyond it to keep attention entropy roughly stable.
     """
     if n < 1:
-        raise ValueError(f"sequence length must be >= 1, got {n}")
+        raise ConfigurationError(f"sequence length must be >= 1, got {n}")
     if l_orig < 2:
-        raise ValueError(f"original context must be >= 2, got {l_orig}")
+        raise ConfigurationError(
+            f"attention scaling needs an original context >= 2, got {l_orig}")
     return max(1.0, math.log(n) / math.log(l_orig))
 
 

@@ -27,6 +27,7 @@ from .encoder import (
     PosExtension,
     backward_batch,
     forward_batch,
+    pad_batch,
     pool_and_normalize,
     pool_and_normalize_backward,
 )
@@ -228,15 +229,7 @@ class TrainResult:
 
 
 def _batch_forward_cache(model: Model, seqs: list[np.ndarray], positions: list[np.ndarray]):
-    B = len(seqs)
-    L = max(s.size for s in seqs)
-    tokens = np.zeros((B, L), dtype=np.int64)
-    mask = np.zeros((B, L), dtype=bool)
-    pos = np.zeros((B, L), dtype=np.int64 if model.config.position_mode == ABSOLUTE else np.float64)
-    for i, (s, p) in enumerate(zip(seqs, positions)):
-        tokens[i, :s.size] = s
-        mask[i, :s.size] = True
-        pos[i, :s.size] = p
+    tokens, mask, pos = pad_batch(seqs, positions, model.config.position_mode)
     if model.config.position_mode == ABSOLUTE:
         hidden, cache = forward_batch(model, tokens, mask, abs_ids=pos, want_cache=True)
     else:
@@ -252,13 +245,27 @@ def _batch_loss_and_grads(model: Model, pairs: list[TrainingPair],
     ``positions`` carries one position array per flattened sequence, in pair
     order (query, positive, negatives...). ``needed`` limits which parameter
     gradients are accumulated.
-    """
-    seqs: list[np.ndarray] = []
-    for pair in pairs:
-        seqs.extend(pair.sequences())
-    hidden, cache, mask = _batch_forward_cache(model, seqs, positions)
 
-    embs = [pool_and_normalize(hidden[i], mask[i]) for i in range(len(seqs))]
+    The sequences run through the encoder in groups of one power-of-two length
+    bucket, ``(n - 1).bit_length()``, so each group pads to less than twice its
+    shortest member. Embeddings do not depend on their batch neighbours, the
+    loss is per pair and gradients add, so the grouping changes only float
+    rounding against one block padded to the longest sequence.
+    """
+    seqs = [s for pair in pairs for s in pair.sequences()]
+    buckets: dict[int, list[int]] = {}
+    for i, s in enumerate(seqs):
+        buckets.setdefault((s.size - 1).bit_length(), []).append(i)
+
+    groups = []
+    embs = [None] * len(seqs)
+    for _, rows in sorted(buckets.items()):
+        hidden, cache, mask = _batch_forward_cache(
+            model, [seqs[i] for i in rows], [positions[i] for i in rows])
+        for bi, i in enumerate(rows):
+            embs[i] = pool_and_normalize(hidden[bi], mask[bi])
+        groups.append((rows, hidden, cache, mask))
+
     d_embs = [np.zeros_like(e) for e in embs]
     total = 0.0
     row = 0
@@ -274,10 +281,12 @@ def _batch_loss_and_grads(model: Model, pairs: list[TrainingPair],
             d_embs[row + 2 + k] += dn * inv_b
         row += n_seq
 
-    d_hidden = np.zeros_like(hidden)
-    for i in range(len(seqs)):
-        d_hidden[i] = pool_and_normalize_backward(hidden[i], mask[i], d_embs[i])
-    grads = backward_batch(model, cache, d_hidden, needed=needed)
+    grads = None  # the first group allocates the gradient set, the others add into it
+    for rows, hidden, cache, mask in groups:
+        d_hidden = np.zeros_like(hidden)
+        for bi, i in enumerate(rows):
+            d_hidden[bi] = pool_and_normalize_backward(hidden[bi], mask[bi], d_embs[i])
+        grads = backward_batch(model, cache, d_hidden, needed=needed, grads=grads)
     return total, grads
 
 

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from longctx.cli import main
+from longctx.cli import build_parser, main
 from longctx.serialization import load_checkpoint, load_task_dir
+from longctx.tuning import TuneConfig
 
 
 def run(*argv):
@@ -187,6 +188,16 @@ def test_tune_replay_reproduces_loss_curve(tmp_path):
     assert logs[0] == logs[1]
 
 
+def test_tune_cli_defaults_are_the_tune_config_defaults():
+    args = build_parser().parse_args(["tune", "--model", "m.ckpt", "--l-target", "16",
+                                      "--data", "tasks", "--out", "t.ckpt"])
+    config = TuneConfig(mode=args.mode, l_orig=8, l_target=args.l_target)
+    assert args.batch_size == config.batch_size == 512
+    assert (args.lr, args.epochs, args.warmup_steps, args.temperature, args.negatives) == (
+        config.learning_rate, config.epochs, config.warmup_steps, config.temperature,
+        config.n_negatives)
+
+
 def test_tune_divergence_exits_4_after_writing_checkpoint(tmp_path):
     import numpy as np
 
@@ -240,3 +251,8 @@ def test_inspect_dumps_positions_and_frequencies(tmp_path, capsys):
                        "--l-target", 32, "--input-len", bad) == 3
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("error:")
+
+    # log-n attention scaling divides by log l_orig, which is 0 for l_orig = 1
+    assert run("inspect", "--strategy", "none", "--l-orig", 1) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("configuration error:")

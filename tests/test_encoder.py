@@ -27,7 +27,13 @@ from longctx.errors import (
     LengthError,
     PositionError,
 )
-from longctx.positions import resolve_extension, se_remap_deltas
+from longctx.positions import (
+    ABSOLUTE_STRATEGIES,
+    ROTARY_STRATEGIES,
+    resolve_extension,
+    se_remap_deltas,
+)
+from longctx.tuning import TuneConfig, extend_for_tuning
 
 # --- init --------------------------------------------------------------------
 
@@ -303,6 +309,49 @@ def test_encode_many_matches_single_calls(tiny_absolute, tiny_rotary):
         for i, s in enumerate(seqs):
             solo = encode(model, s, spec)
             assert np.allclose(batch[i], solo, atol=1e-12)
+
+
+def _invariance_model(mode, strategy):
+    model = init_model(ModelConfig(hidden_size=16, n_layers=2, n_heads=2, vocab_size=64,
+                                   original_context=8, position_mode=mode, init_seed=3))
+    if strategy in (Strategy.TUNED_PI, Strategy.TUNED_RP):
+        tune_mode = "pi_anchored" if strategy is Strategy.TUNED_PI else "rp_suffix"
+        model = extend_for_tuning(model, TuneConfig(mode=tune_mode, l_orig=8, l_target=32))
+    return model
+
+
+INVARIANCE_CASES = {
+    (mode, strategy): _invariance_model(mode, strategy)
+    for mode, allowed in (("absolute", ABSOLUTE_STRATEGIES), ("rotary", ROTARY_STRATEGIES))
+    for strategy in sorted(allowed, key=lambda s: s.value)
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(sorted(INVARIANCE_CASES, key=lambda c: (c[0], c[1].value))),
+       data=st.data())
+def test_embedding_ignores_batch_neighbours_and_batch_size(case, data):
+    mode, strategy = case
+    model = INVARIANCE_CASES[case]
+    l_target = 8 if strategy is Strategy.NONE else 32
+    spec = ExtensionSpec(strategy=strategy, l_orig=8, l_target=l_target)
+    lengths = data.draw(st.lists(st.integers(min_value=1, max_value=l_target),
+                                 min_size=1, max_size=7))
+    batch_size = data.draw(st.integers(min_value=1, max_value=len(lengths) + 1))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**31)))
+    seqs = [rng.integers(0, 64, n) for n in lengths]
+    batch = encode_many(model, seqs, spec, batch_size=batch_size)
+    for s, row in zip(seqs, batch):
+        assert np.abs(row - encode(model, s, spec)).max() <= 1e-12
+
+
+def test_attn_scaling_needs_an_original_context_of_two():
+    one = init_model(ModelConfig(hidden_size=8, n_layers=1, n_heads=2, vocab_size=16,
+                                 original_context=1, init_seed=0))
+    with pytest.raises(ConfigurationError):
+        encode_many(one, [np.array([3])], ExtensionSpec.none(1))
+    unscaled = encode_many(one, [np.array([3])], ExtensionSpec.none(1), attn_scaling=False)
+    assert np.isfinite(unscaled).all()
 
 
 def test_attn_scale_one_is_neutral(tiny_absolute):

@@ -262,6 +262,12 @@ def test_attention_scale_at_least_one(n):
     assert attention_scale(n, 512) >= 1.0
 
 
+def test_attention_scale_rejects_short_windows_with_a_typed_error():
+    for n, l_orig in ((0, 8), (-1, 8), (5, 1), (1, 1), (5, 0)):
+        with pytest.raises(ConfigurationError):
+            attention_scale(n, l_orig)
+
+
 def test_scaling_preserves_argmax(rng):
     logits = rng.normal(size=40)
     weights = np.exp(logits - logits.max())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from longctx import (
@@ -20,6 +22,13 @@ from longctx import (
     tune,
 )
 from longctx import tuning
+from longctx.encoder import (
+    backward_batch,
+    forward_batch,
+    pad_batch,
+    pool_and_normalize,
+    pool_and_normalize_backward,
+)
 from longctx.errors import ConfigurationError, ValidationError
 from longctx.synth import SyntheticTaskConfig, build_bucket
 from longctx.tuning import (
@@ -357,6 +366,72 @@ def test_frozen_rows_gradient_masked_to_zero(rng):
     g = masked_position_gradient(ext, random_pairs(rng, 2), config, rng)
     assert np.array_equal(g[ext.pos_frozen], np.zeros_like(g[ext.pos_frozen]))
     assert np.abs(g[~ext.pos_frozen]).max() > 0
+
+
+def one_block_loss_and_grads(model, pairs, positions, temperature, needed):
+    """Reference: every sequence in one block padded to the longest, one backward pass."""
+    seqs = [s for pair in pairs for s in pair.sequences()]
+    tokens, mask, pos = pad_batch(seqs, positions, model.config.position_mode)
+    key = "abs_ids" if model.config.position_mode == "absolute" else "phases"
+    hidden, cache = forward_batch(model, tokens, mask, want_cache=True, **{key: pos})
+    embs = [pool_and_normalize(hidden[i], mask[i]) for i in range(len(seqs))]
+    d_hidden = np.zeros_like(hidden)
+    inv_b = 1.0 / len(pairs)
+    total, row = 0.0, 0
+    for pair in pairs:
+        n = len(pair.sequences())
+        loss, (dq, dp, dnegs) = tuning._contrastive_loss_grads(
+            embs[row], embs[row + 1], embs[row + 2:row + n], temperature)
+        total += loss * inv_b
+        for k, d_emb in enumerate([dq, dp, *dnegs]):
+            i = row + k
+            d_hidden[i] = pool_and_normalize_backward(hidden[i], mask[i], d_emb * inv_b)
+        row += n
+    return total, backward_batch(model, cache, d_hidden, needed=needed)
+
+
+LENGTH_GROUP_MODELS = {
+    "absolute": extend_for_tuning(tiny_model(), tiny_tune_config()),
+    "rotary": tiny_model(position_mode="rotary"),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(["absolute", "rotary"]), data=st.data())
+def test_length_groups_match_one_padded_block(mode, data):
+    """Grouping by power-of-two length changes only rounding, for the loss and every gradient."""
+    model = LENGTH_GROUP_MODELS[mode]
+    config = tiny_tune_config()
+    needed = data.draw(st.sampled_from(
+        [None, {"tok_emb"}] + ([{"pos_table"}] if mode == "absolute" else [])))
+    lengths = st.integers(min_value=1, max_value=config.l_orig)  # buckets 0..3
+    negatives = st.lists(lengths, min_size=1, max_size=3)
+    shapes = data.draw(st.lists(st.tuples(lengths, lengths, negatives), min_size=1, max_size=4))
+    seed = data.draw(st.integers(min_value=0, max_value=2**31))
+    rng = np.random.default_rng(seed)
+    pairs = [TrainingPair(query=rng.integers(0, 64, q), positive=rng.integers(0, 64, p),
+                          negatives=[rng.integers(0, 64, n) for n in negs])
+             for q, p, negs in shapes]
+    positions = tuning._training_positions(model, pairs, config, np.random.default_rng(seed))
+
+    loss, grads = tuning._batch_loss_and_grads(model, pairs, positions, config.temperature, needed)
+    ref_loss, ref = one_block_loss_and_grads(model, pairs, positions, config.temperature, needed)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert set(grads) == set(ref)
+    largest = max(np.abs(g).max() for g in ref.values())
+    for name, want in ref.items():
+        # In absolute mode a key bias shifts a whole softmax row, so its exact
+        # gradient is zero and both sides hold only rounding noise.
+        bound = largest if mode == "absolute" and name.endswith("attn.bk") else np.abs(want).max()
+        assert np.abs(grads[name] - want).max() <= 1e-12 * bound, name
+
+    if mode == "absolute":
+        masked = masked_position_gradient(model, pairs, config, np.random.default_rng(seed))
+        frozen = model.pos_frozen
+        assert not masked[frozen].any()
+        want = one_block_loss_and_grads(model, pairs, positions, config.temperature,
+                                        {"pos_table"})[1]["pos_table"][~frozen]
+        assert np.abs(masked[~frozen] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_grad_check_rejects_large_models(rng):
