@@ -8,6 +8,7 @@ the same text always produces the same ids, across processes and runs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -17,8 +18,13 @@ DEFAULT_VOCAB_SIZE = 30522
 _EDGE_PUNCT = ".,;:!?\"'()[]{}<>`-*_"
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def hash_word(word: str, vocab_size: int) -> int:
-    """Stable hash of a normalized word into [0, vocab_size)."""
+    """Stable hash of a normalized word into [0, vocab_size).
+
+    Memoized: corpora repeat a small set of words many times, and the result
+    is a pure function of both arguments.
+    """
     digest = hashlib.blake2b(word.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little") % vocab_size
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from longctx import (
     pool_and_normalize,
     standard_frequencies,
 )
-from longctx.encoder import _relative_scores, _rotate_batch, forward_batch
+from longctx import encoder
+from longctx.encoder import (
+    _relative_scores,
+    _rope_tables,
+    _rotate_batch,
+    backward_batch,
+    forward_batch,
+)
 from longctx.errors import (
     ConfigurationError,
     DimensionError,
@@ -166,7 +174,8 @@ def test_relative_scores_group_one_is_plain_rope(rng, w):
     q, k = rng.normal(size=(2, 2, 3, 37, 8))
     theta = standard_frequencies(8).theta
     phases = np.arange(37, dtype=np.float64)[None]
-    qr, kr = _rotate_batch(q, phases, theta)[0], _rotate_batch(k, phases, theta)[0]
+    rot = _rope_tables(phases, theta)
+    qr, kr = _rotate_batch(q, rot), _rotate_batch(k, rot)
     plain = qr @ kr.swapaxes(-1, -2)
     got = _relative_scores(q, k, 1, w, theta)
     assert np.abs(got - plain).max() <= 1e-12 * np.abs(plain).max()
@@ -179,6 +188,106 @@ def test_self_extend_forward_refuses_a_backward_cache(tiny_rotary):
         forward_batch(tiny_rotary, tokens, mask, self_extend=(5, 1), want_cache=True)
     hidden = forward_batch(tiny_rotary, tokens, mask, self_extend=(5, 1))
     assert hidden.shape == (1, 4, 16)
+
+
+# --- tiled attention -----------------------------------------------------------
+
+
+def _untiled_attention(q, k, v, mask, *, logits=None, keep=False):
+    """Reference for encoder._attention: one softmax over the full (B, H, L, L) scores."""
+    scores = q @ k.swapaxes(-1, -2) if logits is None else logits.copy()
+    scores = scores + np.where(mask, 0.0, -np.inf)[:, None, None, :]
+    scores = np.exp(scores - scores.max(-1, keepdims=True))
+    weights = scores / scores.sum(-1, keepdims=True)
+    return weights @ v, weights
+
+
+TILE_MODELS = {
+    (mode, heads): init_model(ModelConfig(hidden_size=16, n_layers=2, n_heads=heads,
+                                          vocab_size=64, original_context=400,
+                                          position_mode=mode, init_seed=5))
+    for mode in ("absolute", "rotary") for heads in (1, 2, 4, 8)
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    path=st.sampled_from(["absolute", "rotary", "se"]),
+    heads=st.sampled_from([1, 2, 4, 8]),
+    L=st.integers(min_value=1, max_value=400),
+    B=st.integers(min_value=1, max_value=3),
+    padded=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(path="rotary", heads=2, L=256, B=3, padded=False, seed=0)  # H*L*L at the budget
+@example(path="absolute", heads=8, L=128, B=2, padded=True, seed=1)  # at the budget
+@example(path="absolute", heads=4, L=300, B=3, padded=True, seed=2)  # row slabs of 109
+@example(path="se", heads=2, L=301, B=2, padded=True, seed=3)  # row slabs of 217
+@example(path="rotary", heads=1, L=40, B=3, padded=True, seed=4)  # several sequences a tile
+def test_tiled_attention_matches_one_untiled_softmax(path, heads, L, B, padded, seed):
+    rng = np.random.default_rng(seed)
+    model = TILE_MODELS[("absolute" if path == "absolute" else "rotary", heads)]
+    lengths = rng.integers(1, L + 1, B) if padded else np.full(B, L)
+    lengths[rng.integers(B)] = L
+    tokens, mask, _ = encoder.pad_batch([rng.integers(0, 64, n) for n in lengths], None,
+                                        "absolute")
+    kwargs = {"attn_scale": rng.uniform(0.5, 2.0, B)}
+    if path == "absolute":
+        kwargs["abs_ids"] = np.tile(np.arange(L), (B, 1))
+    elif path == "rotary":
+        kwargs["phases"] = np.tile(np.arange(L) * 0.7, (B, 1))
+    else:
+        kwargs["self_extend"] = (int(rng.integers(1, 6)), int(rng.integers(0, 20)))
+
+    def run(want_cache):
+        return forward_batch(model, tokens, mask, want_cache=want_cache, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(encoder, "_attention", _untiled_attention)
+        ref = run(False)
+        ref_cache = None if path == "se" else run(True)[1]
+    assert np.abs(run(False) - ref).max() <= 1e-12
+    if ref_cache is not None:
+        for got, want in zip(run(True)[1]["layers"], ref_cache["layers"]):
+            assert np.abs(got["w"] - want["w"]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["absolute", "rotary"])
+def test_inference_forward_never_holds_a_full_score_tensor(mode):
+    B, H, L = 16, 4, 384
+    model = init_model(ModelConfig(hidden_size=64, n_layers=2, n_heads=H, vocab_size=64,
+                                   original_context=L, position_mode=mode, ffn_multiplier=2))
+    tokens = np.random.default_rng(0).integers(0, 64, (B, L))
+    mask = np.ones((B, L), dtype=bool)
+    mask[5, 300:] = False
+    pos = np.tile(np.arange(L), (B, 1))
+    kwargs = {"abs_ids": pos} if mode == "absolute" else {"phases": pos.astype(np.float64)}
+    full_scores = B * H * L * L * 8  # 75.5 MB
+    tracemalloc.start()
+    try:
+        forward_batch(model, tokens, mask, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * full_scores, f"{peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("mode", ["absolute", "rotary"])
+def test_backward_gates_each_parameter_by_its_own_name(mode, rng):
+    model = init_model(ModelConfig(hidden_size=8, n_layers=2, n_heads=2, vocab_size=32,
+                                   original_context=6, position_mode=mode, init_seed=1))
+    tokens = rng.integers(0, 32, (2, 6))
+    mask = np.ones((2, 6), dtype=bool)
+    mask[1, 4:] = False
+    pos = np.tile(np.arange(6), (2, 1))
+    kwargs = {"abs_ids": pos} if mode == "absolute" else {"phases": pos.astype(np.float64)}
+    hidden, cache = forward_batch(model, tokens, mask, want_cache=True, **kwargs)
+    d_out = rng.normal(size=hidden.shape)
+    full = backward_batch(model, cache, d_out)
+    for name in model.params:
+        alone = backward_batch(model, cache, d_out, needed={name})
+        assert list(alone) == [name]
+        assert np.array_equal(alone[name], full[name]), name
 
 
 # --- forward / pooling ---------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 
 from longctx.tokenizer import count_words, hash_word, normalize_word, tokenize
@@ -30,3 +32,13 @@ def test_hash_depends_on_vocab_size():
     word = "observatory"
     assert hash_word(word, 10) < 10
     assert hash_word(word, 30522) == hash_word(word, 30522)
+
+
+def test_memoized_ids_match_the_hash_rule_across_calls_and_vocab_sizes():
+    words = [f"word{i}" for i in range(40)] * 3
+    for vocab in (97, 30522):
+        want = [int.from_bytes(hashlib.blake2b(w.encode(), digest_size=8).digest(), "little")
+                % vocab for w in words]
+        assert [hash_word(w, vocab) for w in words] == want
+        assert [hash_word(w, vocab) for w in words] == want
+        assert tokenize(" ".join(words), vocab).tolist() == want
