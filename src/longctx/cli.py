@@ -25,6 +25,7 @@ from .errors import (
     ConfigurationError,
     LongCtxError,
     NumericError,
+    ParseError,
     ValidationError,
 )
 from .evaluation import BenchmarkTask, run_benchmark
@@ -77,7 +78,10 @@ def _load_file_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
     if not isinstance(cfg, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")
     return cfg

@@ -16,6 +16,7 @@ and forward are pure in the model.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -259,60 +260,53 @@ def _rotate_batch_backward(dy: np.ndarray, rot) -> np.ndarray:
     return dx
 
 
-# Row-tile height for the neighbour-band pass of _relative_scores; tiles span
-# tile + 2w key columns, so taller tiles waste less on the band's edges.
-_BAND_TILE = 32
+def _relative_scores(q: np.ndarray, k: np.ndarray, g: int, w: int, theta: np.ndarray):
+    """SelfExtend score source ``fill(rows, out)``: the logits of query rows ``rows``.
 
-
-def _relative_scores(q: np.ndarray, k: np.ndarray, g: int, w: int, theta: np.ndarray) -> np.ndarray:
-    """SelfExtend attention logits: q_i rotated by se_remap_deltas(i - j, g, w), dotted with k_j.
-
-    Write i = g*I + r and j = g*J + c with residues r, c in [0, g). Outside the
-    neighbour band the remapped position splits into a row phase and a key phase:
+    Logit (i, j) is q_i rotated by se_remap_deltas(i - j, g, w), dotted with
+    k_j. Write i = g*I + r and j = g*J + c with residues r, c in [0, g). Outside
+    the neighbour band the remapped position splits into a row and a key phase:
 
         j < i:  w + (|i-j| - w) // g     = (I + w + m)  - (J + [c > s])
         j > i:  -(w + (|i-j| - w) // g)  = (I - w - m') - (J + [c > g-1-s'])
 
-    with m, s = divmod(r - w, g) and m', s' = divmod(-r - w, g). So the rows of
-    one residue r take two RoPE matmuls against all keys, merged on j > i (both
-    key rotations are selections between the phases J and J + 1). The
-    band |i - j| <= w, where the position is plain i - j, is then overwritten
-    from ordinary RoPE scores in row tiles.
+    with m, s = divmod(r - w, g) and m', s' = divmod(-r - w, g). ``rows`` is a
+    residue-major tile ``start:stop:g`` (see ``_row_tiles``), so its rows share
+    r: one matmul against keys J + [c > s], one against keys J + [c > g-1-s']
+    merged on j > i, then the band |i - j| <= w (plain position i - j) is
+    overwritten from RoPE scores over columns [i_first - w, i_last + w]. The
+    rotations are built here once; a tile selects keys (cached per residue).
     """
-    B, H, L, _ = q.shape
+    L = q.shape[2]
     idx = np.arange(L)
     block = (idx // g).astype(np.float64)
+    residue = idx % g
 
     def rotate(x, phases):
         return _rotate_batch(x, _rope_tables(phases[None], theta))
 
-    key_next = rotate(k, block + 1.0)
-    key_same = rotate(k, block)
-
-    def keys_t(sigma):  # keys rotated by J + [c > sigma], transposed for the matmul
-        return np.where((idx % g > sigma)[:, None], key_next, key_same).swapaxes(-1, -2)
-
-    scores = np.empty((B, H, L, L))
-    for r in range(min(g, L)):
-        rows = slice(r, L, g)
-        strip, q_rows = scores[..., rows, :], q[..., rows, :]
-        m, s = divmod(r - w, g)
-        below = rotate(q_rows, block[rows] + (w + m))
-        np.matmul(below, keys_t(s), out=strip)
-        m, s = divmod(-r - w, g)
-        above = rotate(q_rows, block[rows] - (w + m))
-        np.copyto(strip, above @ keys_t(g - 1 - s), where=idx[rows, None] < idx[None, :])
-
+    q_below = rotate(q, block + (w + (residue - w) // g))
+    q_above = rotate(q, block - (w + (-residue - w) // g))
     plain = _rope_tables(idx[None].astype(np.float64), theta)
-    qr, kr = _rotate_batch(q, plain), _rotate_batch(k, plain)
-    tile = max(_BAND_TILE, w)
-    for i0 in range(0, L, tile):
-        i1 = min(L, i0 + tile)
-        c0, c1 = max(0, i0 - w), min(L, i1 + w)
-        band = np.abs(idx[i0:i1, None] - idx[None, c0:c1]) <= w
-        np.copyto(scores[..., i0:i1, c0:c1], qr[..., i0:i1, :] @ kr[..., c0:c1, :].swapaxes(-1, -2),
-                  where=band)
-    return scores
+    q_plain, k_plain = _rotate_batch(q, plain), _rotate_batch(k, plain)
+    k_same, k_next = rotate(k, block), rotate(k, block + 1.0)
+
+    @functools.lru_cache(maxsize=2)
+    def keys_t(sigma):  # keys rotated by J + [c > sigma], transposed for the matmul
+        return np.where((residue > sigma)[:, None], k_next, k_same).swapaxes(-1, -2)
+
+    def fill(rows, out):  # j < i lies left of column hi, j > i right of lo
+        i = idx[rows]
+        lo, hi, r = i[0], i[-1], i[0] % g
+        below, above = keys_t((r - w) % g), keys_t(g - 1 - (-r - w) % g)
+        np.matmul(q_below[:, :, rows], below[..., :hi], out=out[..., :hi])
+        np.copyto(out[..., lo + 1:], q_above[:, :, rows] @ above[..., lo + 1:],
+                  where=i[:, None] < idx[lo + 1:])
+        c0, c1 = max(0, lo - w), min(L, hi + w + 1)
+        np.copyto(out[..., c0:c1], q_plain[:, :, rows] @ k_plain[:, :, c0:c1].swapaxes(-1, -2),
+                  where=np.abs(i[:, None] - idx[c0:c1]) <= w)
+
+    return fill
 
 
 # Score-tile budget in cells: 1 MiB of float64, which stays in L2 while a tile
@@ -322,48 +316,58 @@ def _relative_scores(q: np.ndarray, k: np.ndarray, g: int, w: int, theta: np.nda
 _SCORE_TILE = 1 << 17
 
 
-def _attention(q, k, v, mask, *, logits=None, keep=False):
+def _row_tiles(L: int, g: int, rows: int):
+    """Query-row tiles ``start:stop:g`` of at most ``rows`` rows, one residue i mod g each."""
+    for r in range(min(g, L)):
+        for r0 in range(r, L, g * rows):
+            yield slice(r0, min(L, r0 + g * rows), g)
+
+
+def _attention(q, k, v, mask, *, self_extend=None, keep=False):
     """Softmax attention context (B, H, L, Dh), one score tile at a time.
 
-    ``q`` already carries the per-sequence logit scale. A tile is a batch slice
-    of whole sequences while H*L*L fits ``_SCORE_TILE`` cells, else a slab of
-    one sequence's query rows; it always spans every key, so each softmax row
-    is exact. Tile scores are ``q @ k^T``, or, when ``logits`` (B, H, L, L) is
-    given, that array's tiles (q and k are then not read), exponentiated in
-    place. -inf on padded keys is added only to tiles whose sequences have
-    any. Context rows are divided by their softmax row sums after the ``@ v``
-    matmul, which takes Dh divisions a row instead of L. With ``keep`` the
-    normalized weights (B, H, L, L) that the backward pass reads are returned
-    too; otherwise one tile buffer is reused and None is returned in their place.
+    ``q`` already carries the per-sequence logit scale. Tiles hold the query
+    rows of one residue class i mod g (``_row_tiles``; g = 1 unless
+    ``self_extend`` = (g, w, theta)): a batch slice of whole classes while
+    H*ceil(L/g)*L fits ``_SCORE_TILE`` cells, else up to that many cells of one
+    sequence's class. A tile always spans every key, so each softmax row is
+    exact. Its scores are ``q @ k^T``, or the SelfExtend logits of
+    ``_relative_scores``, exponentiated in place. -inf on padded
+    keys is added only to tiles whose sequences have any. Context rows are
+    divided by their softmax row sums after the ``@ v`` matmul (Dh divisions a
+    row instead of L). With ``keep`` the normalized weights (B, H, L, L) that the
+    backward pass reads are returned too; otherwise one tile buffer is reused
+    and None is returned in their place.
     """
     B, H, L, _ = v.shape
-    scores = logits
-    if scores is None and keep:
-        scores = np.empty((B, H, L, L))
-    seqs = max(1, _SCORE_TILE // (H * L * L))
-    rows = min(L, max(1, _SCORE_TILE // (H * L)))
-    buf = np.empty(seqs * H * rows * L) if scores is None else None
-    kt = None if logits is not None else k.swapaxes(-1, -2)
+    g = 1 if self_extend is None else self_extend[0]
+    per_class = -(-L // g)  # rows of the largest residue class
+    scores = np.empty((B, H, L, L)) if keep else None
+    seqs = max(1, _SCORE_TILE // (H * per_class * L))
+    rows = min(per_class, max(1, _SCORE_TILE // (H * L)))
+    buf = None if keep else np.empty(seqs * H * rows * L)
     key_bias = np.where(mask, 0.0, -np.inf)[:, None, None, :]
     padded = ~mask.all(axis=1)
     ctx = np.empty(v.shape)
     for b0 in range(0, B, seqs):
         b1 = min(B, b0 + seqs)
         bias = key_bias[b0:b1] if padded[b0:b1].any() else None
-        for r0 in range(0, L, rows):
-            r1 = min(L, r0 + rows)
-            if scores is None:
-                s = buf[:(b1 - b0) * H * (r1 - r0) * L].reshape(b1 - b0, H, r1 - r0, L)
-            else:
-                s = scores[b0:b1, :, r0:r1]
-            if logits is None:
-                np.matmul(q[b0:b1, :, r0:r1], kt[b0:b1], out=s)
+        if self_extend is None:
+            qb, kt = q[b0:b1], k[b0:b1].swapaxes(-1, -2)
+            fill = lambda tile, out: np.matmul(qb[:, :, tile], kt, out=out)  # noqa: E731
+        else:
+            fill = _relative_scores(q[b0:b1], k[b0:b1], *self_extend)
+        for tile in _row_tiles(L, g, rows):
+            n = len(range(L)[tile])
+            s = scores[b0:b1, :, tile] if keep else (
+                buf[:(b1 - b0) * H * n * L].reshape(b1 - b0, H, n, L))
+            fill(tile, s)
             if bias is not None:
                 s += bias
             s -= s.max(-1, keepdims=True)
             np.exp(s, out=s)
             rowsum = s.sum(-1, keepdims=True)
-            tile_ctx = ctx[b0:b1, :, r0:r1]
+            tile_ctx = ctx[b0:b1, :, tile]
             np.matmul(s, v[b0:b1], out=tile_ctx)
             tile_ctx /= rowsum
             if keep:
@@ -487,9 +491,7 @@ def forward_batch(
     Attention runs through ``_attention`` one score tile of about
     ``_SCORE_TILE`` cells at a time, so inference holds one tile, never the
     (B, H, L, L) scores; with ``want_cache`` the tiles are written into the
-    full softmax weights that ``backward_batch`` needs. SelfExtend is the
-    exception at inference: ``_relative_scores`` builds its full logits array,
-    which is then softmaxed in place tile by tile.
+    full softmax weights that ``backward_batch`` needs.
     """
     cfg = model.config
     token_ids = np.asarray(token_ids, dtype=np.int64)
@@ -527,9 +529,8 @@ def forward_batch(
 
     inv_sqrt = 1.0 / math.sqrt(cfg.head_dim)
     scale_b = (attn_scale * inv_sqrt)[:, None, None, None]
-    rot = None
-    if cfg.position_mode == ROTARY and self_extend is None:
-        rot = _rope_tables(phases, theta)
+    se = None if self_extend is None else (*self_extend, theta)
+    rot = _rope_tables(phases, theta) if cfg.position_mode == ROTARY and se is None else None
     p = model.params
 
     # Each half-block returns its new h and, with want_cache, the activations
@@ -540,13 +541,8 @@ def forward_batch(
         q = _split_heads(a @ p[f"{pre}.attn.wq"] + p[f"{pre}.attn.bq"], cfg.n_heads)
         k = _split_heads(a @ p[f"{pre}.attn.wk"] + p[f"{pre}.attn.bk"], cfg.n_heads)
         v = _split_heads(a @ p[f"{pre}.attn.wv"] + p[f"{pre}.attn.bv"], cfg.n_heads)
-        if self_extend is not None:
-            qr = kr = None
-            logits = _relative_scores(q * scale_b, k, *self_extend, theta)
-            ctx, w = _attention(None, None, v, mask, logits=logits)
-        else:
-            qr, kr = (q, k) if rot is None else (_rotate_batch(q, rot), _rotate_batch(k, rot))
-            ctx, w = _attention(qr * scale_b, kr, v, mask, keep=want_cache)
+        qr, kr = (q, k) if rot is None else (_rotate_batch(q, rot), _rotate_batch(k, rot))
+        ctx, w = _attention(qr * scale_b, kr, v, mask, self_extend=se, keep=want_cache)
         merged = _merge_heads(ctx)
         h = h + merged @ p[f"{pre}.attn.wo"] + p[f"{pre}.attn.bo"]
         if not want_cache:
@@ -805,6 +801,8 @@ def encode_many(
     (padding is masked out), so the order only changes float rounding.
     Raises LengthError as soon as any sequence exceeds the target window.
     """
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     cfg = model.config
     resolved = resolve_extension(spec, cfg.position_mode)
     _check_extension_compat(model, resolved)

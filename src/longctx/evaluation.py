@@ -183,17 +183,6 @@ class BenchmarkTask:
             raise ConfigurationError(f"unknown metric {self.metric!r}")
 
 
-def synthetic_tasks(suite: dict[int, RetrievalTask], group: str) -> list[BenchmarkTask]:
-    return [
-        BenchmarkTask(task=t, metric="acc@1", group=group, length=length)
-        for length, t in sorted(suite.items())
-    ]
-
-
-def real_task(task: RetrievalTask, name: str) -> BenchmarkTask:
-    return BenchmarkTask(task=task, metric="ndcg@10", group=name)
-
-
 @dataclass
 class EvalReport:
     """Per-bucket and per-dataset scores with their macro average."""

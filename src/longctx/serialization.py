@@ -172,21 +172,31 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Model:
+    """Read a ``save_checkpoint`` file; a truncated or corrupt one raises ParseError."""
     with open(path, "rb") as fh:
+        def read(size, part):
+            data = fh.read(size)
+            if len(data) != size:
+                raise ParseError(f"{path}: checkpoint truncated inside the {part}")
+            return data
+
         magic = fh.read(4)
         if magic != _CKPT_MAGIC:
             raise ParseError(f"{path}: not a checkpoint (bad magic {magic!r})")
-        version, blob_len = struct.unpack("<IQ", fh.read(12))
+        version, blob_len = struct.unpack("<IQ", read(12, "file header"))
         if version != _CKPT_VERSION:
             raise ParseError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
+        try:
+            header = json.loads(read(blob_len, "JSON header").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParseError(f"{path}: corrupt checkpoint JSON header ({exc})") from exc
         params: dict[str, np.ndarray] = {}
         pos_frozen = None
         for entry in header["tensors"]:
             dtype = np.dtype(entry["dtype"])
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
-            data = fh.read(count * dtype.itemsize)
+            data = read(count * dtype.itemsize, f"tensor {entry['name']}")
             arr = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
             if entry["name"] == "__pos_frozen__":
                 pos_frozen = arr.astype(bool)

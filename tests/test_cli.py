@@ -124,6 +124,32 @@ def test_eval_config_file_resolution_order(tmp_path):
     assert report["run_config"]["seed"] == 9
 
 
+def test_eval_malformed_config_file_is_code_3(tmp_path, capsys):
+    tasks = gen_small(tmp_path)
+    ckpt = init_small(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{\n  "strategy": "gp",\n  "seed": 9,,\n}\n')
+    code = run("eval", "--model", ckpt, "--config", cfg, "--synthetic", tasks / "passkey")
+    assert code == 3
+    assert f"{cfg}:3: invalid JSON" in capsys.readouterr().err
+
+
+def test_eval_truncated_checkpoint_is_code_3(tmp_path):
+    tasks = gen_small(tmp_path)
+    ckpt = init_small(tmp_path)
+    ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    assert run("eval", "--model", ckpt, "--synthetic", tasks / "passkey") == 3
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_eval_batch_size_below_one_is_code_2(tmp_path, batch_size):
+    tasks = gen_small(tmp_path)
+    ckpt = init_small(tmp_path)
+    code = run("eval", "--model", ckpt, "--strategy", "rp", "--l-target", 64,
+               "--batch-size", batch_size, "--synthetic", tasks / "passkey")
+    assert code == 2
+
+
 def test_tune_rejects_rotary_model_with_code_2(tmp_path):
     tasks = gen_small(tmp_path, lengths="8")
     ckpt = init_small(tmp_path, mode="rotary")

@@ -145,6 +145,18 @@ def test_score_depends_only_on_relative_position(d, m, n, delta, seed):
 # --- SelfExtend scores ---------------------------------------------------------
 
 
+def _full_relative_scores(q, k, g, w, theta, *, rows):
+    """(B, H, L, L) SelfExtend logits, filled from every residue-major tile of ``rows`` rows."""
+    L = q.shape[2]
+    fill = _relative_scores(q, k, g, w, theta)
+    scores = np.empty(q.shape[:2] + (L, L))
+    for tile in encoder._row_tiles(L, g, rows):
+        out = np.full(q.shape[:2] + (len(range(L)[tile]), L), np.nan)  # unwritten cells fail
+        fill(tile, out)
+        scores[..., tile, :] = out
+    return scores
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     L=st.integers(min_value=1, max_value=70),
@@ -165,7 +177,7 @@ def test_relative_scores_match_pairwise_remap(L, g, w, seed):
         [attention_score(q[0, 0, i], k[0, 0, j], rel[i, j], 0, freqs) for j in range(L)]
         for i in range(L)
     ])
-    got = _relative_scores(q, k, g, w, freqs.theta)[0, 0]
+    got = _full_relative_scores(q, k, g, w, freqs.theta, rows=3)[0, 0]
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -177,7 +189,7 @@ def test_relative_scores_group_one_is_plain_rope(rng, w):
     rot = _rope_tables(phases, theta)
     qr, kr = _rotate_batch(q, rot), _rotate_batch(k, rot)
     plain = qr @ kr.swapaxes(-1, -2)
-    got = _relative_scores(q, k, 1, w, theta)
+    got = _full_relative_scores(q, k, 1, w, theta, rows=5)
     assert np.abs(got - plain).max() <= 1e-12 * np.abs(plain).max()
 
 
@@ -193,9 +205,12 @@ def test_self_extend_forward_refuses_a_backward_cache(tiny_rotary):
 # --- tiled attention -----------------------------------------------------------
 
 
-def _untiled_attention(q, k, v, mask, *, logits=None, keep=False):
+def _untiled_attention(q, k, v, mask, *, self_extend=None, keep=False):
     """Reference for encoder._attention: one softmax over the full (B, H, L, L) scores."""
-    scores = q @ k.swapaxes(-1, -2) if logits is None else logits.copy()
+    if self_extend is None:
+        scores = q @ k.swapaxes(-1, -2)
+    else:  # one tile per residue class
+        scores = _full_relative_scores(q, k, *self_extend, rows=q.shape[2])
     scores = scores + np.where(mask, 0.0, -np.inf)[:, None, None, :]
     scores = np.exp(scores - scores.max(-1, keepdims=True))
     weights = scores / scores.sum(-1, keepdims=True)
@@ -222,8 +237,10 @@ TILE_MODELS = {
 @example(path="rotary", heads=2, L=256, B=3, padded=False, seed=0)  # H*L*L at the budget
 @example(path="absolute", heads=8, L=128, B=2, padded=True, seed=1)  # at the budget
 @example(path="absolute", heads=4, L=300, B=3, padded=True, seed=2)  # row slabs of 109
-@example(path="se", heads=2, L=301, B=2, padded=True, seed=3)  # row slabs of 217
+@example(path="se", heads=2, L=301, B=2, padded=True, seed=3)  # g=2: one slab a residue
+@example(path="se", heads=8, L=400, B=2, padded=True, seed=7)  # g=4: residues in 40, 40, 20 rows
 @example(path="rotary", heads=1, L=40, B=3, padded=True, seed=4)  # several sequences a tile
+@example(path="se", heads=1, L=40, B=3, padded=True, seed=10)  # g=5: three sequences a tile
 def test_tiled_attention_matches_one_untiled_softmax(path, heads, L, B, padded, seed):
     rng = np.random.default_rng(seed)
     model = TILE_MODELS[("absolute" if path == "absolute" else "rotary", heads)]
@@ -252,16 +269,18 @@ def test_tiled_attention_matches_one_untiled_softmax(path, heads, L, B, padded, 
             assert np.abs(got["w"] - want["w"]).max() <= 1e-12
 
 
-@pytest.mark.parametrize("mode", ["absolute", "rotary"])
-def test_inference_forward_never_holds_a_full_score_tensor(mode):
+@pytest.mark.parametrize("path", ["absolute", "rotary", "se"])
+def test_inference_forward_never_holds_a_full_score_tensor(path):
     B, H, L = 16, 4, 384
+    mode = "absolute" if path == "absolute" else "rotary"
     model = init_model(ModelConfig(hidden_size=64, n_layers=2, n_heads=H, vocab_size=64,
                                    original_context=L, position_mode=mode, ffn_multiplier=2))
     tokens = np.random.default_rng(0).integers(0, 64, (B, L))
     mask = np.ones((B, L), dtype=bool)
     mask[5, 300:] = False
     pos = np.tile(np.arange(L), (B, 1))
-    kwargs = {"abs_ids": pos} if mode == "absolute" else {"phases": pos.astype(np.float64)}
+    kwargs = {"absolute": {"abs_ids": pos}, "rotary": {"phases": pos.astype(np.float64)},
+              "se": {"self_extend": (5, 16)}}[path]
     full_scores = B * H * L * L * 8  # 75.5 MB
     tracemalloc.start()
     try:

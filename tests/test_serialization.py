@@ -154,3 +154,34 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ParseError):
         load_checkpoint(path)
+
+
+def _cut_file_header(data):
+    return data[:10]
+
+
+def _cut_json_header(data):
+    return data[:16 + int.from_bytes(data[8:16], "little") // 2]
+
+
+def _cut_tensors(data):
+    return data[:-3]
+
+
+def _garble_json_header(data):
+    return data[:16] + b"\xff" + data[17:]
+
+
+@pytest.mark.parametrize("corrupt, part", [
+    (_cut_file_header, "file header"),
+    (_cut_json_header, "JSON header"),
+    (_cut_tensors, "tensor tok_emb"),  # the last tensor in name order
+    (_garble_json_header, "JSON header"),
+], ids=["cut-file-header", "cut-json-header", "cut-tensors", "garbled-json-header"])
+def test_corrupt_checkpoint_raises_parse_error_naming_the_path(tmp_path, corrupt, part):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_model(), path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ParseError, match=part) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
