@@ -13,6 +13,7 @@ numeric failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
@@ -42,6 +43,8 @@ from .positions import (
     standard_frequencies,
 )
 from .serialization import (
+    is_json_int,
+    is_json_number,
     load_checkpoint,
     load_task_dir,
     save_checkpoint,
@@ -63,6 +66,32 @@ _EVAL_DEFAULTS = {
     "attn_scaling": True,
     "batch_size": 16,
 }
+
+
+# What a config-file value must be for each eval key: the type its flag parses.
+_EVAL_FILE_TYPES = {
+    "strategy": ("a strategy name",
+                 lambda v: isinstance(v, str) and v.lower() in {s.value for s in Strategy}),
+    "l_target": ("an integer", is_json_int),
+    "ntk_lambda": ("a number", is_json_number),
+    "g": ("an integer", is_json_int),
+    "w": ("an integer", is_json_int),
+    "seed": ("an integer", is_json_int),
+    "attn_scaling": ("true or false", lambda v: isinstance(v, bool)),
+    "batch_size": ("an integer", is_json_int),
+}
+
+
+def _check_file_types(path: str, file_keys: dict) -> None:
+    """Each known key holds its flag's type (null only where the default is null)."""
+    for key, (kind, ok) in _EVAL_FILE_TYPES.items():
+        if key not in file_keys:
+            continue
+        value = file_keys[key]
+        if not (ok(value) or (value is None and _EVAL_DEFAULTS[key] is None)):
+            raise ConfigurationError(
+                f"{path}: {key!r} must be {kind}, got {json.dumps(value)}"
+            )
 
 
 def _resolved_config(defaults: dict, args: argparse.Namespace, file_keys: dict) -> dict:
@@ -91,9 +120,18 @@ def _load_file_config(path: str | None) -> dict:
 # gen
 
 
+def _parse_lengths(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"--lengths must be comma-separated integers, got {text!r}"
+        ) from exc
+
+
 def cmd_gen(args) -> int:
     kinds = ["passkey", "needle"] if args.kind == "both" else [args.kind]
-    lengths = tuple(int(x) for x in args.lengths.split(",")) if args.lengths else DEFAULT_LENGTH_GRID
+    lengths = DEFAULT_LENGTH_GRID if args.lengths is None else _parse_lengths(args.lengths)
     out_root = Path(args.out)
     for kind in kinds:
         config = SyntheticTaskConfig(
@@ -193,6 +231,7 @@ def _print_summary(report) -> None:
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
     file_cfg = _load_file_config(args.config)
+    _check_file_types(args.config, file_cfg)
     resolved = _resolved_config(_EVAL_DEFAULTS, args, file_cfg)
     if resolved["l_target"] is None:
         resolved["l_target"] = (
@@ -399,7 +438,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameter numbers. 32 MiB is the largest mmap threshold it
+# accepts on 64-bit (DEFAULT_MMAP_THRESHOLD_MAX), the ceiling its dynamic
+# threshold climbs to; the trim threshold sits above an L=512, batch-16
+# forward pass, whose freed top of heap exceeds 64 MiB.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 128 << 20
+
+
+def _keep_freed_memory_resident() -> None:
+    """Fix glibc's mmap and trim thresholds; a no-op where there is no mallopt.
+
+    With its default dynamic thresholds glibc keeps handing each batch's
+    multi-MB activations back to the kernel, which must fault in and zero the
+    pages again for the next batch: one round of the benchmark's three evals
+    over passkey+needle buckets 128-512 took ~100,900 minor page faults, all
+    inside forward_batch, ~12% of its CPU time. With fixed thresholds freed
+    activations stay in the heap and the same round takes under 100 faults.
+    The arithmetic is untouched.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle, or no mallopt in it
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    On glibc, the first thing it does is fix the allocator's mmap and trim
+    thresholds (``_keep_freed_memory_resident``). That policy persists for the
+    rest of the calling process; ``import longctx`` alone leaves the
+    allocator at glibc's defaults.
+    """
+    _keep_freed_memory_resident()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

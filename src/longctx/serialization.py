@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -171,14 +173,61 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(arr).tobytes())
 
 
+def is_json_int(value) -> bool:
+    """An integer as JSON decodes it (``true``/``false`` are not integers)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_json_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_FIELD_CHECKS = {"int": is_json_int, "float": is_json_number, "str": lambda v: isinstance(v, str)}
+
+
+def _header_dataclass(path, cls, values, part: str):
+    """``cls(**values)`` once every key is a field of ``cls`` holding its type."""
+    if not isinstance(values, dict):
+        raise ParseError(f"{path}: checkpoint {part} must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key, value in values.items():
+        if key not in fields:
+            raise ParseError(f"{path}: unknown checkpoint {part} key {key!r}")
+        if not _FIELD_CHECKS[fields[key].type](value):
+            raise ParseError(f"{path}: checkpoint {part} key {key!r} must be "
+                             f"{fields[key].type}, got {json.dumps(value)}")
+    missing = [name for name, f in fields.items()
+               if name not in values and f.default is dataclasses.MISSING]
+    if missing:
+        raise ParseError(f"{path}: checkpoint {part} lacks {missing}")
+    return cls(**values)
+
+
+def _tensor_layout(path, entry) -> tuple[np.dtype, tuple[int, ...]]:
+    """A manifest entry's numeric dtype and non-negative integer shape."""
+    if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("dtype"), str) and isinstance(entry.get("shape"), list)
+            and all(is_json_int(n) and n >= 0 for n in entry["shape"])):
+        raise ParseError(f"{path}: bad checkpoint tensor entry {json.dumps(entry)}")
+    try:
+        dtype = np.dtype(entry["dtype"])
+    except TypeError as exc:
+        raise ParseError(f"{path}: tensor {entry['name']} has unknown dtype "
+                         f"{entry['dtype']!r}") from exc
+    if dtype.kind not in "biuf":
+        raise ParseError(f"{path}: tensor {entry['name']} has non-numeric dtype {dtype}")
+    return dtype, tuple(entry["shape"])
+
+
 def load_checkpoint(path: str | Path) -> Model:
     """Read a ``save_checkpoint`` file; a truncated or corrupt one raises ParseError."""
     with open(path, "rb") as fh:
-        def read(size, part):
-            data = fh.read(size)
-            if len(data) != size:
+        end = os.fstat(fh.fileno()).st_size
+
+        def read(size, part):  # checked first, so a garbled size never allocates
+            if size > end - fh.tell():
                 raise ParseError(f"{path}: checkpoint truncated inside the {part}")
-            return data
+            return fh.read(size)
 
         magic = fh.read(4)
         if magic != _CKPT_MAGIC:
@@ -190,22 +239,28 @@ def load_checkpoint(path: str | Path) -> Model:
             header = json.loads(read(blob_len, "JSON header").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ParseError(f"{path}: corrupt checkpoint JSON header ({exc})") from exc
+        if not isinstance(header, dict):
+            raise ParseError(f"{path}: checkpoint JSON header must be an object")
+        missing = [key for key in ("config", "extension", "tensors") if key not in header]
+        if missing:
+            raise ParseError(f"{path}: checkpoint JSON header lacks {missing}")
+        config = _header_dataclass(path, ModelConfig, header["config"], "config")
+        extension = None
+        if header["extension"] is not None:
+            extension = _header_dataclass(path, PosExtension, header["extension"], "extension")
+        if not isinstance(header["tensors"], list):
+            raise ParseError(f"{path}: checkpoint tensor manifest must be a list")
         params: dict[str, np.ndarray] = {}
         pos_frozen = None
         for entry in header["tensors"]:
-            dtype = np.dtype(entry["dtype"])
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
+            dtype, shape = _tensor_layout(path, entry)
+            count = math.prod(shape)
             data = read(count * dtype.itemsize, f"tensor {entry['name']}")
             arr = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
             if entry["name"] == "__pos_frozen__":
                 pos_frozen = arr.astype(bool)
             else:
                 params[entry["name"]] = arr
-    config = ModelConfig(**header["config"])
-    extension = None
-    if header["extension"] is not None:
-        extension = PosExtension(**header["extension"])
     return Model(config=config, params=params, pos_frozen=pos_frozen, extension=extension)
 
 

@@ -1,4 +1,9 @@
+import ctypes
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import pytest
 
@@ -282,3 +287,80 @@ def test_inspect_dumps_positions_and_frequencies(tmp_path, capsys):
     assert run("inspect", "--strategy", "none", "--l-orig", 1) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("strategy", "bogus"),
+    ("batch_size", "x"),
+    ("l_target", "abc"),
+    ("g", "5"),
+    ("attn_scaling", "no"),
+])
+def test_eval_config_value_of_the_wrong_type_is_code_2(tmp_path, capsys, key, value):
+    tasks = gen_small(tmp_path)
+    ckpt = init_small(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code = run("eval", "--model", ckpt, "--config", cfg, "--synthetic", tasks / "passkey")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert str(cfg) in err and repr(key) in err
+
+
+@pytest.mark.parametrize("lengths", ["64,abc", "", "16,,32"])
+def test_gen_bad_lengths_is_code_2(tmp_path, capsys, lengths):
+    code = run("gen", "--kind", "passkey", "--lengths", lengths, "--out", tmp_path / "tasks")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not (tmp_path / "tasks").exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the CLI pins glibc's allocator thresholds")
+def test_repeated_eval_reuses_freed_activations(tmp_path):
+    import resource
+
+    tasks = gen_small(tmp_path, lengths="512", candidates=16)
+    ckpt = tmp_path / "rotary.ckpt"
+    assert run("init", "--mode", "rotary", "--hidden-size", 64, "--layers", 2, "--heads", 4,
+               "--vocab-size", 4096, "--l-orig", 128, "--out", ckpt) == 0
+    argv = ("eval", "--model", ckpt, "--strategy", "ntk", "--l-target", 512,
+            "--synthetic", tasks / "passkey")
+    assert run(*argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert run(*argv) == 0
+    # ~16,000 with glibc's dynamic thresholds, which return each batch's activations
+    # to the kernel
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+
+def _no_libc(name):
+    raise OSError("no C library handle")
+
+
+class _LibcWithoutMallopt:  # like macOS's libc
+    def __init__(self, name):
+        pass
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, _LibcWithoutMallopt],
+                         ids=["no-libc", "no-mallopt"])
+def test_cli_runs_where_mallopt_is_missing(tmp_path, monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert run("inspect", "--strategy", "gp", "--l-orig", 8, "--l-target", 32) == 0
+    tasks = gen_small(tmp_path)
+    ckpt = init_small(tmp_path)
+    assert run("eval", "--model", ckpt, "--strategy", "rp", "--l-target", 64,
+               "--synthetic", tasks / "passkey") == 0
+
+
+def test_importing_longctx_leaves_the_allocator_alone():
+    probe = ("import ctypes\n"
+             "opened = []\n"
+             "ctypes.CDLL = lambda *a, **k: opened.append(a)\n"
+             "import longctx, longctx.cli\n"
+             "assert opened == [], opened\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr

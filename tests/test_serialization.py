@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -172,12 +174,40 @@ def _garble_json_header(data):
     return data[:16] + b"\xff" + data[17:]
 
 
+def _huge_json_length(data):
+    return data[:8] + (1 << 62).to_bytes(8, "little") + data[16:]
+
+
+def _edit_header(edit):
+    """A corruption that rewrites the JSON header, keeping the file well framed."""
+    def corrupt(data):
+        end = 16 + int.from_bytes(data[8:16], "little")
+        header = json.loads(data[16:end])
+        edit(header)
+        blob = json.dumps(header).encode("utf-8")
+        return data[:8] + len(blob).to_bytes(8, "little") + blob + data[end:]
+    return corrupt
+
+
+def _set_tensor(field, value):
+    return lambda header: header["tensors"][0].update({field: value})
+
+
 @pytest.mark.parametrize("corrupt, part", [
     (_cut_file_header, "file header"),
     (_cut_json_header, "JSON header"),
     (_cut_tensors, "tensor tok_emb"),  # the last tensor in name order
     (_garble_json_header, "JSON header"),
-], ids=["cut-file-header", "cut-json-header", "cut-tensors", "garbled-json-header"])
+    (_huge_json_length, "JSON header"),
+    (_edit_header(_set_tensor("dtype", "float99")), "unknown dtype 'float99'"),
+    (_edit_header(lambda h: h["config"].update(hidden_size="16")), "'hidden_size' must be int"),
+    (_edit_header(lambda h: h["config"].update(colour="blue")), "unknown checkpoint config key"),
+    (_edit_header(lambda h: h.pop("extension")), r"lacks \['extension'\]"),
+    (_edit_header(lambda h: h.pop("tensors")), r"lacks \['tensors'\]"),
+    (_edit_header(_set_tensor("shape", [-2, -16])), "bad checkpoint tensor entry"),
+], ids=["cut-file-header", "cut-json-header", "cut-tensors", "garbled-json-header",
+        "huge-json-length", "unknown-dtype", "string-hidden-size", "unknown-config-key",
+        "missing-extension", "missing-tensors", "negative-shape"])
 def test_corrupt_checkpoint_raises_parse_error_naming_the_path(tmp_path, corrupt, part):
     path = tmp_path / "model.ckpt"
     save_checkpoint(make_model(), path)
