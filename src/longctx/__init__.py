@@ -42,12 +42,13 @@ from .positions import (  # noqa: E402
     attention_scale,
     build_interpolated_matrix,
     ntk_frequencies,
+    plan_chunks,
     resolve_ntk_lambda,
     resolve_se_params,
     self_extend_relpos,
     standard_frequencies,
 )
-from .chunking import pcw_encode, plan_chunks  # noqa: E402
+from .chunking import pcw_encode  # noqa: E402
 from .synth import (  # noqa: E402
     OracleEmbedder,
     RetrievalTask,

@@ -1,11 +1,10 @@
-"""Parallel context windows: encode original-context chunks independently, average.
+"""Parallel context windows for a single input.
 
-Long inputs are segmented into windows of the original context length with no
-overlap, except that the final chunk slides back so it is full-length (and so
-conditionally overlaps its predecessor). Each chunk is encoded by the
-unextended model; the unit-norm chunk embeddings are averaged and the average
-renormalized. A single-chunk input returns the chunk embedding itself, so
-short inputs match the plain encoder bit for bit.
+``encoder.encode_many`` implements the ``pcw`` strategy for many inputs at
+once: each input is cut by ``positions.plan_chunks`` into original-context
+chunks, the chunks of all inputs are encoded unextended in shared batches, and
+an input's embedding is the renormalized mean of its chunk embeddings (a
+single-chunk input matches the plain encoder bit for bit).
 """
 
 from __future__ import annotations
@@ -13,26 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .encoder import Model, encode_many
-from .errors import EmptyInputError, NumericError
-from .positions import ExtensionSpec
-
-
-def plan_chunks(input_len: int, l_orig: int) -> list[tuple[int, int]]:
-    """(start, end) token ranges covering the input; every chunk is full-length.
-
-    ceil(input_len / l_orig) chunks; all but the last start at multiples of
-    l_orig, the last is the final l_orig tokens.
-    """
-    if input_len < 1:
-        raise EmptyInputError("cannot chunk an empty input")
-    if l_orig < 1:
-        raise ValueError(f"l_orig must be >= 1, got {l_orig}")
-    if input_len <= l_orig:
-        return [(0, input_len)]
-    n_chunks = -(-input_len // l_orig)
-    plan = [(i * l_orig, (i + 1) * l_orig) for i in range(n_chunks - 1)]
-    plan.append((input_len - l_orig, input_len))
-    return plan
+from .positions import ExtensionSpec, Strategy
 
 
 def pcw_encode(
@@ -42,17 +22,6 @@ def pcw_encode(
     *,
     batch_size: int = 16,
 ) -> np.ndarray:
-    """Embedding of a long input as the renormalized mean of chunk embeddings."""
-    token_ids = np.asarray(token_ids, dtype=np.int64)
-    if token_ids.size == 0:
-        raise EmptyInputError("cannot encode an empty input")
-    plan = plan_chunks(token_ids.size, l_orig)
-    chunks = [token_ids[a:b] for a, b in plan]
-    embs = encode_many(model, chunks, ExtensionSpec.none(l_orig), batch_size=batch_size)
-    if len(chunks) == 1:
-        return embs[0]
-    mean = embs.mean(axis=0)
-    norm = float(np.linalg.norm(mean))
-    if norm == 0.0:
-        raise NumericError("chunk embeddings cancelled; cannot normalize their mean")
-    return mean / norm
+    """PCW embedding of one input of any length; see ``encoder.encode_many``."""
+    spec = ExtensionSpec(Strategy.PCW, l_orig, max(l_orig, np.size(token_ids)))
+    return encode_many(model, [token_ids], spec, batch_size=batch_size)[0]

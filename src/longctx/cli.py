@@ -38,6 +38,7 @@ from .positions import (
     attention_scale,
     check_input_length,
     ntk_frequencies,
+    plan_chunks,
     resolve_extension,
     se_remap_deltas,
     standard_frequencies,
@@ -348,6 +349,8 @@ def cmd_inspect(args) -> int:
         dump["relative_positions_x0"] = se_remap_deltas(
             deltas, resolved.group_size, resolved.window
         ).tolist()
+    elif spec.strategy is Strategy.PCW:
+        dump["chunks"] = plan_chunks(n, spec.l_orig)
     else:
         dump["positions"] = assign_positions(resolved, args.mode, n).tolist()
     text = json.dumps(dump, indent=2)

@@ -41,6 +41,7 @@ from .positions import (
     build_interpolated_matrix,
     check_input_length,
     ntk_frequencies,
+    plan_chunks,
     resolve_extension,
     standard_frequencies,
 )
@@ -441,19 +442,19 @@ def _merge_heads(x):
 # forward / backward over a padded batch
 
 
-def pad_batch(seqs: list[np.ndarray], positions: list[np.ndarray] | None, mode: str):
+def pad_batch(seqs: list[np.ndarray], positions: list[np.ndarray] | None):
     """Right-padded ``(tokens, mask, pos)`` arrays (B, L) for sequences of mixed length.
 
-    ``pos`` holds int64 table rows in absolute ``mode`` and float64 phases in
-    rotary mode; it is None when ``positions`` is. Padded slots hold token 0
-    and position 0 and are masked out.
+    ``pos`` takes the dtype of the ``positions`` arrays and is None when
+    ``positions`` is. Padded slots hold token 0 and position 0 and are masked
+    out.
     """
     B, L = len(seqs), max(s.size for s in seqs)
     tokens = np.zeros((B, L), dtype=np.int64)
     mask = np.zeros((B, L), dtype=bool)
     pos = None
     if positions is not None:
-        pos = np.zeros((B, L), dtype=np.int64 if mode == ABSOLUTE else np.float64)
+        pos = np.zeros((B, L), dtype=np.result_type(*{np.asarray(p).dtype for p in positions}))
     for i, s in enumerate(seqs):
         tokens[i, :s.size] = s
         mask[i, :s.size] = True
@@ -467,8 +468,7 @@ def forward_batch(
     token_ids: np.ndarray,
     mask: np.ndarray,
     *,
-    abs_ids: np.ndarray | None = None,
-    phases: np.ndarray | None = None,
+    positions: np.ndarray | None = None,
     self_extend: tuple[int, int] | None = None,
     attn_scale: np.ndarray | None = None,
     freqs: RoPEFrequencies | None = None,
@@ -477,10 +477,10 @@ def forward_batch(
 ):
     """Hidden states (B, L, d) for a padded batch.
 
-    Exactly one of ``abs_ids`` (absolute mode) or ``phases``/``self_extend``
-    (rotary mode) applies. ``self_extend`` is SelfExtend's ``(g, w)``: every
-    query/key pair (i, j) is scored at relative position
-    ``se_remap_deltas(i - j, g, w)`` instead of through per-token phases.
+    ``positions`` are ``pad_batch``'s: table rows in absolute mode (cast to
+    int64), phases in rotary mode (cast to float64), where SelfExtend's
+    ``self_extend=(g, w)`` may replace them: every query/key pair (i, j) is
+    then scored at relative position ``se_remap_deltas(i - j, g, w)``.
     ``attn_scale`` multiplies pre-softmax logits per sequence. ``pos_table``
     overrides the model's own table (used by the plug-and-play interpolation
     strategy, which builds its table on the fly). Padded key positions are
@@ -509,28 +509,30 @@ def forward_batch(
         attn_scale = np.ones(B)
 
     h = model.params["tok_emb"][token_ids]
+    rot = se = None
     if cfg.position_mode == ABSOLUTE:
-        if abs_ids is None:
-            raise ConfigurationError("absolute-mode forward needs position ids")
+        if positions is None or self_extend is not None:
+            raise ConfigurationError("absolute-mode forward takes positions, not SelfExtend")
+        positions = np.asarray(positions, dtype=np.int64)
         table = model.params["pos_table"] if pos_table is None else pos_table
-        active = abs_ids[mask]
+        active = positions[mask]
         if active.size and (active.min() < 0 or active.max() >= table.shape[0]):
             raise PositionError(
                 f"position id {int(active.max())} outside table of length {table.shape[0]}"
             )
-        h = h + table[abs_ids]
-        theta = None
+        h = h + table[positions]
     else:
-        if phases is None and self_extend is None:
-            raise ConfigurationError("rotary-mode forward needs phases or SelfExtend's (g, w)")
         if freqs is None:
             freqs = model_frequencies(model)
-        theta = freqs.theta
+        if self_extend is not None:
+            se = (*self_extend, freqs.theta)
+        elif positions is None:
+            raise ConfigurationError("rotary-mode forward needs positions or SelfExtend's (g, w)")
+        else:
+            rot = _rope_tables(np.asarray(positions, dtype=np.float64), freqs.theta)
 
     inv_sqrt = 1.0 / math.sqrt(cfg.head_dim)
     scale_b = (attn_scale * inv_sqrt)[:, None, None, None]
-    se = None if self_extend is None else (*self_extend, theta)
-    rot = _rope_tables(phases, theta) if cfg.position_mode == ROTARY and se is None else None
     p = model.params
 
     # Each half-block returns its new h and, with want_cache, the activations
@@ -547,8 +549,7 @@ def forward_batch(
         h = h + merged @ p[f"{pre}.attn.wo"] + p[f"{pre}.attn.bo"]
         if not want_cache:
             return h, None
-        return h, {"a": a, "ln1": ln1, "q": q, "k": k, "v": v, "qr": qr, "kr": kr,
-                   "rot_q": rot, "rot_k": rot, "w": w, "merged": merged}
+        return h, {"a": a, "ln1": ln1, "v": v, "qr": qr, "kr": kr, "w": w, "merged": merged}
 
     def ffn_half(pre, h):
         a2, ln2 = _layer_norm(h, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
@@ -570,9 +571,8 @@ def forward_batch(
     if not want_cache:
         return out
     cache = {
-        "token_ids": token_ids, "mask": mask, "abs_ids": abs_ids, "phases": phases,
-        "attn_scale": attn_scale, "theta": theta, "layers": layers_cache,
-        "final_ln": final_ln, "scale_b": scale_b,
+        "token_ids": token_ids, "positions": positions, "rot": rot,
+        "layers": layers_cache, "final_ln": final_ln, "scale_b": scale_b,
     }
     return out, cache
 
@@ -659,9 +659,9 @@ def backward_batch(
         d_qr = d_scores @ c["kr"]
         d_kr = d_scores.swapaxes(-1, -2) @ c["qr"]
 
-        if cfg.position_mode == ROTARY:
-            d_q = _rotate_batch_backward(d_qr, c["rot_q"])
-            d_k = _rotate_batch_backward(d_kr, c["rot_k"])
+        if cache["rot"] is not None:
+            d_q = _rotate_batch_backward(d_qr, cache["rot"])
+            d_k = _rotate_batch_backward(d_kr, cache["rot"])
         else:
             d_q, d_k = d_qr, d_kr
 
@@ -685,7 +685,7 @@ def backward_batch(
     if want("tok_emb"):
         np.add.at(grads["tok_emb"], cache["token_ids"], dh)
     if cfg.position_mode == ABSOLUTE and want("pos_table"):
-        np.add.at(grads["pos_table"], cache["abs_ids"], dh)
+        np.add.at(grads["pos_table"], cache["positions"], dh)
     return grads
 
 
@@ -740,17 +740,9 @@ def forward(
     positions = np.asarray(positions)
     if positions.shape != token_ids.shape:
         raise DimensionError("positions must align with the token sequence")
-    mask = np.ones((1, token_ids.size), dtype=bool)
-    if model.config.position_mode == ABSOLUTE:
-        return forward_batch(
-            model, token_ids[None, :], mask,
-            abs_ids=positions.astype(np.int64)[None, :],
-            attn_scale=np.array([attn_scale]),
-        )[0]
     return forward_batch(
-        model, token_ids[None, :], mask,
-        phases=positions.astype(np.float64)[None, :],
-        attn_scale=np.array([attn_scale]), freqs=freqs,
+        model, token_ids[None, :], np.ones((1, token_ids.size), dtype=bool),
+        positions=positions[None, :], attn_scale=np.array([attn_scale]), freqs=freqs,
     )[0]
 
 
@@ -795,11 +787,14 @@ def encode_many(
 ) -> np.ndarray:
     """Embeddings (N, d) for a list of token sequences under one strategy.
 
-    Sequences are stably sorted by length and cut into batches of at most
-    ``batch_size``, so each batch pads little; the rows come back in input
-    order. A sequence's embedding does not depend on its batch neighbours
-    (padding is masked out), so the order only changes float rounding.
-    Raises LengthError as soon as any sequence exceeds the target window.
+    Each sequence is one span, or under PCW its ``plan_chunks`` chunks at
+    their original positions. All spans are stably sorted by length and cut
+    into batches of at most ``batch_size``, so each batch pads little; a
+    sequence gets the renormalized mean of its span embeddings (one span is
+    returned as is), in input order. An embedding does not depend on its
+    batch neighbours (padding is masked out), so the batching only changes
+    float rounding. Raises LengthError as soon as any sequence exceeds the
+    target window.
     """
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
@@ -814,12 +809,11 @@ def encode_many(
     if not seqs:
         return np.zeros((0, cfg.hidden_size))
 
+    plans = [[(0, s.size)] for s in seqs]
     if resolved.strategy is Strategy.PCW:
-        from .chunking import pcw_encode
-
-        return np.stack([
-            pcw_encode(model, s, spec.l_orig, batch_size=batch_size) for s in seqs
-        ])
+        resolved = resolve_extension(ExtensionSpec.none(spec.l_orig), cfg.position_mode)
+        plans = [plan_chunks(s.size, spec.l_orig) for s in seqs]
+    spans = [s[a:b] for s, plan in zip(seqs, plans) for a, b in plan]
 
     absolute = cfg.position_mode == ABSOLUTE
     table = None
@@ -830,26 +824,27 @@ def encode_many(
     if resolved.strategy is Strategy.SE:
         self_extend = (resolved.group_size, resolved.window)
 
-    order = sorted(range(len(seqs)), key=lambda i: seqs[i].size)
-    out = np.empty((len(seqs), cfg.hidden_size))
-    for start in range(0, len(seqs), batch_size):
+    order = sorted(range(len(spans)), key=lambda j: spans[j].size)
+    span_embs = np.empty((len(spans), cfg.hidden_size))
+    for start in range(0, len(spans), batch_size):
         rows = order[start:start + batch_size]
-        group = [seqs[i] for i in rows]
+        group = [spans[j] for j in rows]
         positions = None
         if self_extend is None:
             positions = [assign_positions(resolved, cfg.position_mode, s.size) for s in group]
-        tokens, mask, pos = pad_batch(group, positions, cfg.position_mode)
+        tokens, mask, pos = pad_batch(group, positions)
         scale = np.ones(len(group))
         if attn_scaling:
             scale = np.array([attention_scale(s.size, spec.l_orig) for s in group])
         hidden = forward_batch(
-            model, tokens, mask,
-            abs_ids=pos if absolute else None, phases=None if absolute else pos,
-            self_extend=self_extend, attn_scale=scale, freqs=freqs, pos_table=table,
+            model, tokens, mask, positions=pos, self_extend=self_extend,
+            attn_scale=scale, freqs=freqs, pos_table=table,
         )
-        for bi, i in enumerate(rows):
-            out[i] = pool_and_normalize(hidden[bi], mask[bi])
-    return out
+        for bi, j in enumerate(rows):
+            span_embs[j] = pool_and_normalize(hidden[bi], mask[bi])
+
+    groups = np.split(span_embs, np.cumsum([len(plan) for plan in plans])[:-1])
+    return np.stack([g[0] if len(g) == 1 else pool_and_normalize(g) for g in groups])
 
 
 def encode(

@@ -53,7 +53,7 @@ class EmbeddingIndex:
 def search(index: EmbeddingIndex, query: np.ndarray, k: int) -> list[str]:
     """Top-k ids by descending dot product; ties broken by ascending id."""
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ConfigurationError(f"k must be >= 1, got {k}")
     if len(index) == 0:
         raise EmptyInputError("cannot search an empty index")
     scores = index.vectors @ np.asarray(query, dtype=np.float64)

@@ -4,7 +4,8 @@ Grouped/recurrent position reuse, linear interpolation of learned position
 tables, NTK frequency rescaling, SelfExtend relative-position remapping, and
 the inference-time attention-logit scaling applied alongside them. Every
 function here is pure; ``assign_positions`` is the one per-token position
-rule that encoding, tuning and ``longctx inspect`` share.
+rule that encoding, tuning and ``longctx inspect`` share, and ``plan_chunks``
+the one way PCW cuts an input into original-context chunks.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def se_remap_deltas(delta: np.ndarray, g: int, w: int) -> np.ndarray:
 def max_se_relpos(l_target: int, g: int, w: int) -> int:
     """Largest remapped |relative position| reachable in an l_target window."""
     if l_target < 1:
-        raise ValueError(f"l_target must be >= 1, got {l_target}")
+        raise ConfigurationError(f"l_target must be >= 1, got {l_target}")
     return self_extend_relpos(l_target - 1, 0, g, w)
 
 
@@ -234,7 +235,13 @@ class ExtensionSpec:
     window: int | None = None
 
     def __post_init__(self):
-        self.strategy = Strategy(self.strategy)
+        try:
+            self.strategy = Strategy(self.strategy)
+        except ValueError:
+            raise ConfigurationError(
+                f"unknown strategy {self.strategy!r}; expected one of "
+                + ", ".join(st.value for st in Strategy)
+            ) from None
         if self.l_orig < 1:
             raise ConfigurationError(f"l_orig must be >= 1, got {self.l_orig}")
         if self.l_target is None:
@@ -332,6 +339,25 @@ def check_input_length(n: int, l_target: int) -> None:
         raise EmptyInputError(f"input length must be >= 1, got {n}")
     if n > l_target:
         raise LengthError(f"sequence of {n} tokens exceeds the target window {l_target}")
+
+
+def plan_chunks(input_len: int, l_orig: int) -> list[tuple[int, int]]:
+    """PCW's (start, end) token ranges covering an input; every chunk is full-length.
+
+    ceil(input_len / l_orig) chunks; all but the last start at multiples of
+    l_orig, the last is the final l_orig tokens (so it may overlap its
+    predecessor). An input within l_orig is one chunk.
+    """
+    if input_len < 1:
+        raise EmptyInputError("cannot chunk an empty input")
+    if l_orig < 1:
+        raise ConfigurationError(f"l_orig must be >= 1, got {l_orig}")
+    if input_len <= l_orig:
+        return [(0, input_len)]
+    n_chunks = -(-input_len // l_orig)
+    plan = [(i * l_orig, (i + 1) * l_orig) for i in range(n_chunks - 1)]
+    plan.append((input_len - l_orig, input_len))
+    return plan
 
 
 def assign_positions(resolved: ResolvedExtension, mode: str, n: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationError, ValidationError
+from .errors import ConfigurationError, GenerationError, ValidationError
 
 DEFAULT_LENGTH_GRID = (256, 512, 1024, 2048, 4096, 8192, 16384, 32768)
 
@@ -160,7 +160,7 @@ def word_budget(length_tokens: int) -> int:
     Clamped to a minimum of 8 words so a document always fits its key sentence.
     """
     if length_tokens < 1:
-        raise ValueError(f"length must be >= 1, got {length_tokens}")
+        raise ConfigurationError(f"length must be >= 1, got {length_tokens}")
     return max(8, (3 * length_tokens) // 4)
 
 

@@ -13,6 +13,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 DEFAULT_VOCAB_SIZE = 30522
 
 _EDGE_PUNCT = ".,;:!?\"'()[]{}<>`-*_"
@@ -36,7 +38,7 @@ def normalize_word(word: str) -> str:
 def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB_SIZE) -> np.ndarray:
     """Token ids for ``text``; one id per whitespace word (empty words dropped)."""
     if vocab_size < 1:
-        raise ValueError(f"vocab_size must be positive, got {vocab_size}")
+        raise ConfigurationError(f"vocab_size must be positive, got {vocab_size}")
     ids = [hash_word(w, vocab_size) for w in map(normalize_word, text.split()) if w]
     return np.asarray(ids, dtype=np.int64)
 

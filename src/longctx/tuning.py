@@ -228,15 +228,6 @@ class TrainResult:
         return [loss for _, loss in self.log]
 
 
-def _batch_forward_cache(model: Model, seqs: list[np.ndarray], positions: list[np.ndarray]):
-    tokens, mask, pos = pad_batch(seqs, positions, model.config.position_mode)
-    if model.config.position_mode == ABSOLUTE:
-        hidden, cache = forward_batch(model, tokens, mask, abs_ids=pos, want_cache=True)
-    else:
-        hidden, cache = forward_batch(model, tokens, mask, phases=pos, want_cache=True)
-    return hidden, cache, mask
-
-
 def _batch_loss_and_grads(model: Model, pairs: list[TrainingPair],
                           positions: list[np.ndarray], temperature: float,
                           needed: set[str] | None = None):
@@ -260,8 +251,8 @@ def _batch_loss_and_grads(model: Model, pairs: list[TrainingPair],
     groups = []
     embs = [None] * len(seqs)
     for _, rows in sorted(buckets.items()):
-        hidden, cache, mask = _batch_forward_cache(
-            model, [seqs[i] for i in rows], [positions[i] for i in rows])
+        tokens, mask, pos = pad_batch([seqs[i] for i in rows], [positions[i] for i in rows])
+        hidden, cache = forward_batch(model, tokens, mask, positions=pos, want_cache=True)
         for bi, i in enumerate(rows):
             embs[i] = pool_and_normalize(hidden[bi], mask[bi])
         groups.append((rows, hidden, cache, mask))

@@ -154,7 +154,7 @@ def test_c04_published_table_resolution():
 def test_c05_range_safety_exhaustive():
     with criterion(5, "all remapped positions stay inside the trained range on the "
                       "published grid", budget_s=30.0):
-        from longctx.chunking import plan_chunks
+        from longctx.positions import plan_chunks
 
         for l_orig, l_target in EXTENSION_GRID:
             s = math.ceil(l_target / l_orig)
@@ -201,7 +201,8 @@ def test_c05_range_safety_exhaustive():
 def test_c06_pcw_plans_and_single_chunk_equivalence():
     with criterion(6, "chunk plans follow the overlap rule; single chunks match the "
                       "plain encoder bitwise"):
-        from longctx.chunking import plan_chunks, pcw_encode
+        from longctx.chunking import pcw_encode
+        from longctx.positions import plan_chunks
 
         assert plan_chunks(1000, 512) == [(0, 512), (488, 1000)]
         for n in range(513, 4097):
@@ -435,6 +436,7 @@ def directional_runs():
     return runs, time.time() - started
 
 
+@pytest.mark.slow
 def test_c11_extension_beats_unextended_baseline(directional_runs):
     runs, train_elapsed = directional_runs
     with criterion(11, "extended toy models beat the unextended baseline at lengths "
@@ -465,6 +467,7 @@ def test_c11_extension_beats_unextended_baseline(directional_runs):
         })
 
 
+@pytest.mark.slow
 def test_c12_pi_versus_rp_direction_reported(directional_runs):
     runs, _ = directional_runs
     with criterion(12, "anchored-interpolation tuning vs suffix tuning direction "

@@ -274,9 +274,14 @@ def test_inspect_dumps_positions_and_frequencies(tmp_path, capsys):
     assert positions == [i / 4 for i in range(20)]
     assert all(isinstance(p, float) for p in positions)  # rotary phases stay real
 
+    for mode in ("absolute", "rotary"):
+        assert run("inspect", "--strategy", "pcw", "--mode", mode, "--l-orig", 8,
+                   "--l-target", 32, "--input-len", 20) == 0
+        assert json.loads(capsys.readouterr().out)["chunks"] == [[0, 8], [8, 16], [12, 20]]
+
     # input lengths outside [1, l_target] are data errors for every strategy
     for strategy, mode in (("gp", "absolute"), ("pi", "rotary"), ("ntk", "rotary"),
-                           ("se", "rotary")):
+                           ("se", "rotary"), ("pcw", "absolute")):
         for bad in (-3, 0, 100):
             assert run("inspect", "--strategy", strategy, "--mode", mode, "--l-orig", 8,
                        "--l-target", 32, "--input-len", bad) == 3

@@ -17,6 +17,7 @@ from longctx import (
     forward,
     init_model,
     model_checksum,
+    plan_chunks,
     pool_and_normalize,
     standard_frequencies,
 )
@@ -246,13 +247,12 @@ def test_tiled_attention_matches_one_untiled_softmax(path, heads, L, B, padded, 
     model = TILE_MODELS[("absolute" if path == "absolute" else "rotary", heads)]
     lengths = rng.integers(1, L + 1, B) if padded else np.full(B, L)
     lengths[rng.integers(B)] = L
-    tokens, mask, _ = encoder.pad_batch([rng.integers(0, 64, n) for n in lengths], None,
-                                        "absolute")
+    tokens, mask, _ = encoder.pad_batch([rng.integers(0, 64, n) for n in lengths], None)
     kwargs = {"attn_scale": rng.uniform(0.5, 2.0, B)}
     if path == "absolute":
-        kwargs["abs_ids"] = np.tile(np.arange(L), (B, 1))
+        kwargs["positions"] = np.tile(np.arange(L), (B, 1))
     elif path == "rotary":
-        kwargs["phases"] = np.tile(np.arange(L) * 0.7, (B, 1))
+        kwargs["positions"] = np.tile(np.arange(L) * 0.7, (B, 1))
     else:
         kwargs["self_extend"] = (int(rng.integers(1, 6)), int(rng.integers(0, 20)))
 
@@ -279,8 +279,7 @@ def test_inference_forward_never_holds_a_full_score_tensor(path):
     mask = np.ones((B, L), dtype=bool)
     mask[5, 300:] = False
     pos = np.tile(np.arange(L), (B, 1))
-    kwargs = {"absolute": {"abs_ids": pos}, "rotary": {"phases": pos.astype(np.float64)},
-              "se": {"self_extend": (5, 16)}}[path]
+    kwargs = {"se": {"self_extend": (5, 16)}}.get(path, {"positions": pos})
     full_scores = B * H * L * L * 8  # 75.5 MB
     tracemalloc.start()
     try:
@@ -299,8 +298,7 @@ def test_backward_gates_each_parameter_by_its_own_name(mode, rng):
     mask = np.ones((2, 6), dtype=bool)
     mask[1, 4:] = False
     pos = np.tile(np.arange(6), (2, 1))
-    kwargs = {"abs_ids": pos} if mode == "absolute" else {"phases": pos.astype(np.float64)}
-    hidden, cache = forward_batch(model, tokens, mask, want_cache=True, **kwargs)
+    hidden, cache = forward_batch(model, tokens, mask, positions=pos, want_cache=True)
     d_out = rng.normal(size=hidden.shape)
     full = backward_batch(model, cache, d_out)
     for name in model.params:
@@ -421,6 +419,9 @@ def test_se_on_absolute_model_rejected(tiny_absolute):
     spec = ExtensionSpec(strategy=Strategy.SE, l_orig=8, l_target=32)
     with pytest.raises(ConfigurationError):
         encode(tiny_absolute, np.arange(4), spec)
+    with pytest.raises(ConfigurationError):  # not plain attention with SelfExtend dropped
+        forward_batch(tiny_absolute, np.zeros((1, 4)), np.ones((1, 4), dtype=bool),
+                      positions=np.zeros((1, 4)), self_extend=(2, 1))
 
 
 def test_encode_many_matches_single_calls(tiny_absolute, tiny_rotary):
@@ -471,6 +472,26 @@ def test_embedding_ignores_batch_neighbours_and_batch_size(case, data):
     batch = encode_many(model, seqs, spec, batch_size=batch_size)
     for s, row in zip(seqs, batch):
         assert np.abs(row - encode(model, s, spec)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["absolute", "rotary"])
+def test_pcw_chunks_of_every_input_share_batches(mode, monkeypatch):
+    model = INVARIANCE_CASES[(mode, Strategy.PCW)]
+    spec = ExtensionSpec(strategy=Strategy.PCW, l_orig=8, l_target=32)
+    rng = np.random.default_rng(5)
+    seqs = [rng.integers(0, 64, n) for n in (1, 9, 16, 20, 30)]
+    n_chunks = sum(len(plan_chunks(s.size, 8)) for s in seqs)  # 1 + 2 + 2 + 3 + 4
+    batches = []
+    real = encoder.forward_batch
+
+    def counting(model, token_ids, mask, **kwargs):
+        batches.append(len(token_ids))
+        return real(model, token_ids, mask, **kwargs)
+
+    monkeypatch.setattr(encoder, "forward_batch", counting)
+    encode_many(model, seqs, spec, batch_size=4)
+    assert sum(batches) == n_chunks == 12
+    assert len(batches) == math.ceil(n_chunks / 4)
 
 
 def test_attn_scaling_needs_an_original_context_of_two():

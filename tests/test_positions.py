@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import longctx as lc
 from longctx.errors import ConfigurationError, EmptyInputError, LengthError
 from longctx.positions import (
     EXTENSION_GRID,
@@ -24,6 +25,7 @@ from longctx.positions import (
     self_extend_relpos,
     standard_frequencies,
 )
+from longctx.tokenizer import tokenize
 
 # --- per-token position assignment ---------------------------------------------
 
@@ -330,3 +332,20 @@ def test_resolution_fills_table_values():
 
 def test_extension_grid_is_published_pairs():
     assert EXTENSION_GRID == tuple(sorted(SE_PARAM_TABLE))
+
+
+# --- typed errors for out-of-range public arguments ------------------------------
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: ExtensionSpec(strategy="bogus", l_orig=8), "'bogus'; expected one of none, pcw,"),
+    (lambda: lc.plan_chunks(10, l_orig=0), "got 0"),
+    (lambda: max_se_relpos(0, 2, 4), "got 0"),
+    (lambda: lc.search(lc.EmbeddingIndex(ids=("a",), vectors=np.eye(1)), np.ones(1), k=0),
+     "got 0"),
+    (lambda: tokenize("a b", vocab_size=0), "got 0"),
+    (lambda: lc.word_budget(0), "got 0"),
+], ids=["strategy", "plan_chunks", "max_se_relpos", "search", "tokenize", "word_budget"])
+def test_out_of_range_public_arguments_raise_configuration_errors(call, bad):
+    with pytest.raises(ConfigurationError, match=bad):
+        call()

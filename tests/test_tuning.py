@@ -371,9 +371,8 @@ def test_frozen_rows_gradient_masked_to_zero(rng):
 def one_block_loss_and_grads(model, pairs, positions, temperature, needed):
     """Reference: every sequence in one block padded to the longest, one backward pass."""
     seqs = [s for pair in pairs for s in pair.sequences()]
-    tokens, mask, pos = pad_batch(seqs, positions, model.config.position_mode)
-    key = "abs_ids" if model.config.position_mode == "absolute" else "phases"
-    hidden, cache = forward_batch(model, tokens, mask, want_cache=True, **{key: pos})
+    tokens, mask, pos = pad_batch(seqs, positions)
+    hidden, cache = forward_batch(model, tokens, mask, positions=pos, want_cache=True)
     embs = [pool_and_normalize(hidden[i], mask[i]) for i in range(len(seqs))]
     d_hidden = np.zeros_like(hidden)
     inv_b = 1.0 / len(pairs)
