@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .positions import (
     attention_scale,
     build_interpolated_matrix,
     check_input_length,
-    ntk_frequencies,
     plan_chunks,
     resolve_extension,
     standard_frequencies,
@@ -97,6 +96,8 @@ class ModelConfig:
             raise ConfigurationError(f"unknown position mode {self.position_mode!r}")
         if self.ffn_multiplier < 1:
             raise ConfigurationError(f"ffn_multiplier must be >= 1, got {self.ffn_multiplier}")
+        if not (math.isfinite(self.rope_base) and self.rope_base > 0):
+            raise ConfigurationError(f"rope_base must be a finite number > 0, got {self.rope_base}")
 
     @property
     def head_dim(self) -> int:
@@ -189,13 +190,6 @@ def model_checksum(model: Model) -> str:
     return h.hexdigest()
 
 
-def model_frequencies(model: Model, ntk_lambda: float | None = None) -> RoPEFrequencies:
-    cfg = model.config
-    if ntk_lambda is None:
-        return standard_frequencies(cfg.head_dim, base=cfg.rope_base)
-    return ntk_frequencies(cfg.head_dim, base=cfg.rope_base, lam=ntk_lambda)
-
-
 # ---------------------------------------------------------------------------
 # rotary rotation and the attention-score primitive
 
@@ -243,22 +237,17 @@ def _rope_tables(phases: np.ndarray, theta: np.ndarray):
 
 
 def _rotate_batch(x: np.ndarray, rot) -> np.ndarray:
-    """Rotate (B,H,L,Dh) queries/keys by the ``_rope_tables`` pair ``rot``."""
+    """Rotate (B,H,L,Dh) queries/keys by the ``_rope_tables`` pair ``rot`` = (cos, sin).
+
+    ``(cos, -sin)`` rotates by the opposite angles, which is the transpose of
+    the rotation: the backward pass of RoPE.
+    """
     c, s = rot
     x1, x2 = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
     out[..., 0::2] = x1 * c - x2 * s
     out[..., 1::2] = x1 * s + x2 * c
     return out
-
-
-def _rotate_batch_backward(dy: np.ndarray, rot) -> np.ndarray:
-    c, s = rot
-    dy1, dy2 = dy[..., 0::2], dy[..., 1::2]
-    dx = np.empty_like(dy)
-    dx[..., 0::2] = dy1 * c + dy2 * s
-    dx[..., 1::2] = -dy1 * s + dy2 * c
-    return dx
 
 
 def _relative_scores(q: np.ndarray, k: np.ndarray, g: int, w: int, theta: np.ndarray):
@@ -471,8 +460,6 @@ def forward_batch(
     positions: np.ndarray | None = None,
     self_extend: tuple[int, int] | None = None,
     attn_scale: np.ndarray | None = None,
-    freqs: RoPEFrequencies | None = None,
-    pos_table: np.ndarray | None = None,
     want_cache: bool = False,
 ):
     """Hidden states (B, L, d) for a padded batch.
@@ -481,10 +468,10 @@ def forward_batch(
     int64), phases in rotary mode (cast to float64), where SelfExtend's
     ``self_extend=(g, w)`` may replace them: every query/key pair (i, j) is
     then scored at relative position ``se_remap_deltas(i - j, g, w)``.
-    ``attn_scale`` multiplies pre-softmax logits per sequence. ``pos_table``
-    overrides the model's own table (used by the plug-and-play interpolation
-    strategy, which builds its table on the fly). Padded key positions are
-    masked out of attention; padded rows still carry (ignored) values.
+    ``attn_scale`` multiplies pre-softmax logits per sequence. Every weight,
+    the position table and the RoPE base included, comes from ``model``.
+    Padded key positions are masked out of attention; padded rows still carry
+    (ignored) values.
     ``want_cache`` is rejected with ``self_extend``: there is no SelfExtend
     backward pass.
 
@@ -514,7 +501,7 @@ def forward_batch(
         if positions is None or self_extend is not None:
             raise ConfigurationError("absolute-mode forward takes positions, not SelfExtend")
         positions = np.asarray(positions, dtype=np.int64)
-        table = model.params["pos_table"] if pos_table is None else pos_table
+        table = model.params["pos_table"]
         active = positions[mask]
         if active.size and (active.min() < 0 or active.max() >= table.shape[0]):
             raise PositionError(
@@ -522,14 +509,13 @@ def forward_batch(
             )
         h = h + table[positions]
     else:
-        if freqs is None:
-            freqs = model_frequencies(model)
+        theta = standard_frequencies(cfg.head_dim, base=cfg.rope_base).theta
         if self_extend is not None:
-            se = (*self_extend, freqs.theta)
+            se = (*self_extend, theta)
         elif positions is None:
             raise ConfigurationError("rotary-mode forward needs positions or SelfExtend's (g, w)")
         else:
-            rot = _rope_tables(np.asarray(positions, dtype=np.float64), freqs.theta)
+            rot = _rope_tables(np.asarray(positions, dtype=np.float64), theta)
 
     inv_sqrt = 1.0 / math.sqrt(cfg.head_dim)
     scale_b = (attn_scale * inv_sqrt)[:, None, None, None]
@@ -598,89 +584,57 @@ def backward_batch(
     """
     cfg = model.config
     p = model.params
-    if grads is None:
-        grads = {
-            name: np.zeros_like(arr) for name, arr in p.items()
-            if needed is None or name in needed
-        }
 
     def want(name):
         return needed is None or name in needed
 
-    dh, dg, db = _layer_norm_backward(d_out, cache["final_ln"], p["final_ln.g"])
-    if want("final_ln.g"):
-        grads["final_ln.g"] += dg
-    if want("final_ln.b"):
-        grads["final_ln.b"] += db
+    if grads is None:
+        grads = {name: np.zeros_like(arr) for name, arr in p.items() if want(name)}
 
+    def linear(dy, x, w, b):  # y = x @ p[w] + p[b]; returns dL/dx
+        if want(w):
+            grads[w] += x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+        if want(b):
+            grads[b] += dy.sum(axis=(0, 1))
+        return dy @ p[w].T
+
+    def norm(dy, ln, prefix):  # layer norm with gain {prefix}.g and bias {prefix}.b
+        dx, dg, db = _layer_norm_backward(dy, ln, p[f"{prefix}.g"])
+        if want(f"{prefix}.g"):
+            grads[f"{prefix}.g"] += dg
+        if want(f"{prefix}.b"):
+            grads[f"{prefix}.b"] += db
+        return dx
+
+    rot = cache["rot"]
+    unrotate = None if rot is None else (rot[0], -rot[1])
     scale_b = cache["scale_b"]
-
+    dh = norm(d_out, cache["final_ln"], "final_ln")
     for i in reversed(range(cfg.n_layers)):
         pre = f"layers.{i}"
         c = cache["layers"][i]
 
-        # FFN block
-        d_ffn_out = dh
-        if want(f"{pre}.ffn.w2"):
-            grads[f"{pre}.ffn.w2"] += c["gact"].reshape(-1, c["gact"].shape[-1]).T @ d_ffn_out.reshape(-1, d_ffn_out.shape[-1])
-        if want(f"{pre}.ffn.b2"):
-            grads[f"{pre}.ffn.b2"] += d_ffn_out.sum(axis=(0, 1))
-        d_gact = d_ffn_out @ p[f"{pre}.ffn.w2"].T
+        d_gact = linear(dh, c["gact"], f"{pre}.ffn.w2", f"{pre}.ffn.b2")
         d_f = _gelu_backward(d_gact, c["f"], c["tanh_u"])
-        if want(f"{pre}.ffn.w1"):
-            grads[f"{pre}.ffn.w1"] += c["a2"].reshape(-1, c["a2"].shape[-1]).T @ d_f.reshape(-1, d_f.shape[-1])
-        if want(f"{pre}.ffn.b1"):
-            grads[f"{pre}.ffn.b1"] += d_f.sum(axis=(0, 1))
-        d_a2 = d_f @ p[f"{pre}.ffn.w1"].T
-        dx, dg, db = _layer_norm_backward(d_a2, c["ln2"], p[f"{pre}.ln2.g"])
-        if want(f"{pre}.ln2.g"):
-            grads[f"{pre}.ln2.g"] += dg
-        if want(f"{pre}.ln2.b"):
-            grads[f"{pre}.ln2.b"] += db
-        dh = dh + dx  # residual + layer-norm path into h_mid
+        d_a2 = linear(d_f, c["a2"], f"{pre}.ffn.w1", f"{pre}.ffn.b1")
+        dh = dh + norm(d_a2, c["ln2"], f"{pre}.ln2")  # residual + layer-norm path into h_mid
 
-        # attention block
-        d_attn_out = dh
-        if want(f"{pre}.attn.wo"):
-            grads[f"{pre}.attn.wo"] += c["merged"].reshape(-1, c["merged"].shape[-1]).T @ d_attn_out.reshape(-1, d_attn_out.shape[-1])
-        if want(f"{pre}.attn.bo"):
-            grads[f"{pre}.attn.bo"] += d_attn_out.sum(axis=(0, 1))
-        d_merged = d_attn_out @ p[f"{pre}.attn.wo"].T
-        B, L, D = d_merged.shape
-        d_ctx = d_merged.reshape(B, L, cfg.n_heads, cfg.head_dim).transpose(0, 2, 1, 3)
-
+        d_merged = linear(dh, c["merged"], f"{pre}.attn.wo", f"{pre}.attn.bo")
+        d_ctx = _split_heads(d_merged, cfg.n_heads)
         w = c["w"]
         d_w = d_ctx @ c["v"].swapaxes(-1, -2)
         d_v = w.swapaxes(-1, -2) @ d_ctx
         d_w -= (d_w * w).sum(-1, keepdims=True)
         d_w *= w
         d_w *= scale_b
-        d_scores = d_w
-        d_qr = d_scores @ c["kr"]
-        d_kr = d_scores.swapaxes(-1, -2) @ c["qr"]
-
-        if cache["rot"] is not None:
-            d_q = _rotate_batch_backward(d_qr, cache["rot"])
-            d_k = _rotate_batch_backward(d_kr, cache["rot"])
-        else:
-            d_q, d_k = d_qr, d_kr
-
-        d_q = _merge_heads(d_q)
-        d_k = _merge_heads(d_k)
-        d_v = _merge_heads(d_v)
-        a_flat = c["a"].reshape(-1, D)
-        for name, d_x in (("q", d_q), ("k", d_k), ("v", d_v)):
-            if want(f"{pre}.attn.w{name}"):
-                grads[f"{pre}.attn.w{name}"] += a_flat.T @ d_x.reshape(-1, D)
-            if want(f"{pre}.attn.b{name}"):
-                grads[f"{pre}.attn.b{name}"] += d_x.sum(axis=(0, 1))
-        d_a = d_q @ p[f"{pre}.attn.wq"].T + d_k @ p[f"{pre}.attn.wk"].T + d_v @ p[f"{pre}.attn.wv"].T
-        dx, dg, db = _layer_norm_backward(d_a, c["ln1"], p[f"{pre}.ln1.g"])
-        if want(f"{pre}.ln1.g"):
-            grads[f"{pre}.ln1.g"] += dg
-        if want(f"{pre}.ln1.b"):
-            grads[f"{pre}.ln1.b"] += db
-        dh = dh + dx
+        d_q = d_w @ c["kr"]
+        d_k = d_w.swapaxes(-1, -2) @ c["qr"]
+        if unrotate is not None:
+            d_q, d_k = _rotate_batch(d_q, unrotate), _rotate_batch(d_k, unrotate)
+        d_q = linear(_merge_heads(d_q), c["a"], f"{pre}.attn.wq", f"{pre}.attn.bq")
+        d_k = linear(_merge_heads(d_k), c["a"], f"{pre}.attn.wk", f"{pre}.attn.bk")
+        d_v = linear(_merge_heads(d_v), c["a"], f"{pre}.attn.wv", f"{pre}.attn.bv")
+        dh = dh + norm(d_q + d_k + d_v, c["ln1"], f"{pre}.ln1")
 
     if want("tok_emb"):
         np.add.at(grads["tok_emb"], cache["token_ids"], dh)
@@ -726,8 +680,6 @@ def forward(
     token_ids: np.ndarray,
     positions: np.ndarray,
     attn_scale: float = 1.0,
-    *,
-    freqs: RoPEFrequencies | None = None,
 ) -> np.ndarray:
     """Per-token hidden states for one sequence.
 
@@ -742,7 +694,7 @@ def forward(
         raise DimensionError("positions must align with the token sequence")
     return forward_batch(
         model, token_ids[None, :], np.ones((1, token_ids.size), dtype=bool),
-        positions=positions[None, :], attn_scale=np.array([attn_scale]), freqs=freqs,
+        positions=positions[None, :], attn_scale=np.array([attn_scale]),
     )[0]
 
 
@@ -815,11 +767,13 @@ def encode_many(
         plans = [plan_chunks(s.size, spec.l_orig) for s in seqs]
     spans = [s[a:b] for s, plan in zip(seqs, plans) for a, b in plan]
 
-    absolute = cfg.position_mode == ABSOLUTE
-    table = None
-    if absolute and resolved.strategy is Strategy.PI:
+    # NTK is the same RoPE model with an inflated base; plug-and-play PI the
+    # same absolute model with an interpolated table.
+    if resolved.strategy is Strategy.NTK:
+        model = Model(replace(cfg, rope_base=cfg.rope_base * resolved.ntk_lambda), model.params)
+    elif resolved.strategy is Strategy.PI and cfg.position_mode == ABSOLUTE:
         table = build_interpolated_matrix(model.params["pos_table"], resolved.scale).rows
-    freqs = None if absolute else model_frequencies(model, ntk_lambda=resolved.ntk_lambda)
+        model = Model(cfg, {**model.params, "pos_table": table})
     self_extend = None
     if resolved.strategy is Strategy.SE:
         self_extend = (resolved.group_size, resolved.window)
@@ -837,8 +791,7 @@ def encode_many(
         if attn_scaling:
             scale = np.array([attention_scale(s.size, spec.l_orig) for s in group])
         hidden = forward_batch(
-            model, tokens, mask, positions=pos, self_extend=self_extend,
-            attn_scale=scale, freqs=freqs, pos_table=table,
+            model, tokens, mask, positions=pos, self_extend=self_extend, attn_scale=scale,
         )
         for bi, j in enumerate(rows):
             span_embs[j] = pool_and_normalize(hidden[bi], mask[bi])

@@ -281,18 +281,12 @@ def _batch_loss_and_grads(model: Model, pairs: list[TrainingPair],
     return total, grads
 
 
-def _run_training(
-    model: Model,
-    pairs: list[TrainingPair],
-    config: TuneConfig,
-    *,
-    shift_positions: bool,
-    trainable: dict[str, np.ndarray | None] | None,
-) -> TrainResult:
-    """Shared loop: shuffle, batch, shift (optionally), step, watch for NaN.
+def _run_training(model: Model, pairs: list[TrainingPair], config: TuneConfig) -> TrainResult:
+    """Shared loop: shuffle, batch, shift, step, watch for NaN.
 
-    ``trainable`` maps parameter names to row masks (None = whole tensor);
-    parameters absent from it are untouched. None trains everything. A
+    What trains follows from the model. With ``pos_frozen`` set, only the
+    unfrozen ``pos_table`` rows learn, at positions shifted by a per-sequence
+    skip bias; without it, every parameter learns at identity positions. A
     non-finite loss or gradient stops the run with the parameters of the last
     logged step, restored from a copy of the trainable tensors taken before
     each optimizer step.
@@ -303,7 +297,9 @@ def _run_training(
     rng = np.random.default_rng(config.seed)
     opt = Adagrad(config.learning_rate, config.warmup_steps)
     log: list[tuple[int, float]] = []
-    names = list(work.params) if trainable is None else list(trainable)
+    frozen = work.pos_frozen
+    needed = None if frozen is None else {"pos_table"}
+    names = list(work.params if needed is None else needed)
     good: dict[str, np.ndarray] = {}
     step = 0
     max_len = config.l_orig
@@ -318,22 +314,18 @@ def _run_training(
         order = rng.permutation(len(pairs))
         for start in range(0, len(pairs), config.batch_size):
             batch = [pairs[i] for i in order[start:start + config.batch_size]]
-            positions = _training_positions(work, batch, config, rng if shift_positions else None)
+            positions = _training_positions(work, batch, config, None if frozen is None else rng)
             try:
                 loss, grads = _batch_loss_and_grads(
-                    work, batch, positions, config.temperature,
-                    needed=None if trainable is None else set(trainable),
-                )
+                    work, batch, positions, config.temperature, needed=needed)
             except NumericError:
                 loss = math.nan
             step += 1
             if not (math.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())):
                 work.params.update(good)
                 return TrainResult(model=work, log=log, diverged=True)
-            if trainable is not None:
-                for name, row_mask in trainable.items():
-                    if row_mask is not None:
-                        grads[name] = grads[name] * (~row_mask)[:, None]
+            if frozen is not None:
+                grads["pos_table"] = grads["pos_table"] * (~frozen)[:, None]
             good = {name: work.params[name].copy() for name in names}
             opt.step(work.params, grads)
             log.append((step, loss))
@@ -346,10 +338,10 @@ def tune(model: Model, pairs: list[TrainingPair], config: TuneConfig) -> TrainRe
     """Train only the learnable rows of the extended position table.
 
     The model must already carry the extension for ``config.mode`` (see
-    extend_for_tuning). All transformer weights, token embeddings, and frozen
-    rows are bit-identical before and after. Attention scaling stays off
-    during training. A non-finite loss or gradient aborts with the parameters
-    of the last logged step.
+    extend_for_tuning), frozen flags included. All transformer weights, token
+    embeddings, and frozen rows are bit-identical before and after. Attention
+    scaling stays off during training. A non-finite loss or gradient aborts
+    with the parameters of the last logged step.
     """
     if model.config.position_mode != ABSOLUTE:
         raise ConfigurationError("further tuning requires absolute-position mode")
@@ -361,8 +353,12 @@ def tune(model: Model, pairs: list[TrainingPair], config: TuneConfig) -> TrainRe
         raise ConfigurationError(
             f"extension targets {model.extension.l_target}, config targets {config.l_target}"
         )
-    trainable = {"pos_table": model.pos_frozen}
-    return _run_training(model, pairs, config, shift_positions=True, trainable=trainable)
+    if model.pos_frozen is None:
+        raise ConfigurationError(
+            "model carries an extended position table without frozen-row flags; "
+            "tuning it would overwrite the anchors"
+        )
+    return _run_training(model, pairs, config)
 
 
 def train_model(model: Model, pairs: list[TrainingPair], config: TuneConfig) -> TrainResult:
@@ -371,9 +367,9 @@ def train_model(model: Model, pairs: list[TrainingPair], config: TuneConfig) -> 
     Used to fit toy base encoders from scratch (either position mode); the
     tuning-specific position shift is off.
     """
-    if model.extension is not None:
+    if model.extension is not None or model.pos_frozen is not None:
         raise ConfigurationError("base training expects an unextended model")
-    return _run_training(model, pairs, config, shift_positions=False, trainable=None)
+    return _run_training(model, pairs, config)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,13 @@ def test_invalid_dimensions_rejected():
     assert cfg.head_dim == 16
 
 
+@pytest.mark.parametrize("base", [0.0, -10000.0, math.nan, math.inf, -math.inf])
+def test_rope_base_must_be_finite_and_positive(base):
+    with pytest.raises(ConfigurationError):
+        ModelConfig(hidden_size=8, n_layers=1, n_heads=2, vocab_size=10, original_context=4,
+                    position_mode="rotary", rope_base=base)
+
+
 def test_weights_within_init_bound():
     cfg = ModelConfig(hidden_size=16, n_layers=1, n_heads=2, vocab_size=30, original_context=4)
     model = init_model(cfg)
@@ -305,6 +312,40 @@ def test_backward_gates_each_parameter_by_its_own_name(mode, rng):
         alone = backward_batch(model, cache, d_out, needed={name})
         assert list(alone) == [name]
         assert np.array_equal(alone[name], full[name]), name
+
+
+@pytest.mark.parametrize("mode", ["absolute", "rotary"])
+def test_every_parameter_gradient_matches_finite_differences(mode):
+    """Central differences of sum(hidden * R) agree with backward_batch on every tensor."""
+    model = init_model(ModelConfig(hidden_size=16, n_layers=2, n_heads=2, vocab_size=16,
+                                   original_context=8, position_mode=mode, init_seed=7))
+    rng = np.random.default_rng(11)
+    lengths = (8, 5, 3)
+    tokens, mask, pos = encoder.pad_batch([rng.integers(0, 16, n) for n in lengths],
+                                          [np.arange(n) for n in lengths])
+    scale = np.array([1.3, 0.7, 1.1])
+    r = rng.normal(size=(len(lengths), max(lengths), 16))
+
+    def loss():
+        hidden = forward_batch(model, tokens, mask, positions=pos, attn_scale=scale)
+        return float(np.sum(hidden * r))
+
+    _, cache = forward_batch(model, tokens, mask, positions=pos, attn_scale=scale, want_cache=True)
+    grads = backward_batch(model, cache, r)
+    # One bound for all tensors: in absolute mode attn.bk has an exact gradient
+    # of zero, so a per-tensor bound would compare rounding noise.
+    bound = 1e-7 * max(np.abs(g).max() for g in grads.values())
+    eps = 1e-6
+    for name, param in model.params.items():
+        for flat in rng.choice(param.size, 4, replace=False):
+            idx = np.unravel_index(flat, param.shape)
+            orig = param[idx]
+            param[idx] = orig + eps
+            up = loss()
+            param[idx] = orig - eps
+            down = loss()
+            param[idx] = orig
+            assert abs((up - down) / (2 * eps) - grads[name][idx]) <= bound, (name, idx)
 
 
 # --- forward / pooling ---------------------------------------------------------

@@ -21,7 +21,7 @@ from longctx import (
     training_pairs_from_task,
     tune,
 )
-from longctx import tuning
+from longctx import serialization, tuning
 from longctx.encoder import (
     backward_batch,
     forward_batch,
@@ -309,6 +309,27 @@ def test_tune_requires_matching_extension(rng):
     ext = extend_for_tuning(tiny_model(), config)
     with pytest.raises(ConfigurationError):
         tune(ext, random_pairs(rng, 2), tiny_tune_config(mode=RP_SUFFIX))
+
+
+def test_tune_refuses_an_extension_without_frozen_flags(rng, tmp_path):
+    """Without frozen flags tune cannot tell anchors from learnable rows; it must not guess."""
+    config = tiny_tune_config()
+    ext = extend_for_tuning(tiny_model(), config)
+    ext.pos_frozen = None
+    serialization.save_checkpoint(ext, tmp_path / "ext.ckpt")
+    reloaded = serialization.load_checkpoint(tmp_path / "ext.ckpt")
+    assert reloaded.pos_frozen is None
+    for model in (ext, reloaded):
+        with pytest.raises(ConfigurationError):
+            tune(model, random_pairs(rng, 4), config)
+
+
+def test_train_model_refuses_frozen_flags_without_an_extension(rng):
+    config = tiny_tune_config()
+    model = extend_for_tuning(tiny_model(), config)
+    model.extension = None
+    with pytest.raises(ConfigurationError):
+        train_model(model, random_pairs(rng, 4), config)
 
 
 # --- base training -----------------------------------------------------------------
