@@ -36,12 +36,10 @@ from .errors import (  # noqa: E402
 )
 from .positions import (  # noqa: E402
     ExtensionSpec,
-    PositionEmbeddingMatrix,
     RoPEFrequencies,
     Strategy,
     attention_scale,
     build_interpolated_matrix,
-    ntk_frequencies,
     plan_chunks,
     resolve_ntk_lambda,
     resolve_se_params,

@@ -28,6 +28,7 @@ from .errors import (
     NumericError,
     ParseError,
     ValidationError,
+    check_types,
 )
 from .evaluation import BenchmarkTask, run_benchmark
 from .positions import (
@@ -37,15 +38,12 @@ from .positions import (
     assign_positions,
     attention_scale,
     check_input_length,
-    ntk_frequencies,
     plan_chunks,
     resolve_extension,
     se_remap_deltas,
     standard_frequencies,
 )
 from .serialization import (
-    is_json_int,
-    is_json_number,
     load_checkpoint,
     load_task_dir,
     save_checkpoint,
@@ -69,30 +67,30 @@ _EVAL_DEFAULTS = {
 }
 
 
-# What a config-file value must be for each eval key: the type its flag parses.
+# What a config-file value must be for each eval key: the type its flag parses
+# (null only where the default is null).
 _EVAL_FILE_TYPES = {
-    "strategy": ("a strategy name",
-                 lambda v: isinstance(v, str) and v.lower() in {s.value for s in Strategy}),
-    "l_target": ("an integer", is_json_int),
-    "ntk_lambda": ("a number", is_json_number),
-    "g": ("an integer", is_json_int),
-    "w": ("an integer", is_json_int),
-    "seed": ("an integer", is_json_int),
-    "attn_scaling": ("true or false", lambda v: isinstance(v, bool)),
-    "batch_size": ("an integer", is_json_int),
+    "strategy": "str",
+    "l_target": "int | None",
+    "ntk_lambda": "float | None",
+    "g": "int | None",
+    "w": "int | None",
+    "seed": "int",
+    "attn_scaling": "bool",
+    "batch_size": "int",
 }
 
 
 def _check_file_types(path: str, file_keys: dict) -> None:
-    """Each known key holds its flag's type (null only where the default is null)."""
-    for key, (kind, ok) in _EVAL_FILE_TYPES.items():
-        if key not in file_keys:
-            continue
-        value = file_keys[key]
-        if not (ok(value) or (value is None and _EVAL_DEFAULTS[key] is None)):
-            raise ConfigurationError(
-                f"{path}: {key!r} must be {kind}, got {json.dumps(value)}"
-            )
+    """Each known key holds its flag's type, and a strategy is a strategy name."""
+    known = {key: value for key, value in file_keys.items() if key in _EVAL_FILE_TYPES}
+    try:
+        check_types(known, _EVAL_FILE_TYPES)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+    strategy = known.get("strategy", _EVAL_DEFAULTS["strategy"])
+    if strategy.lower() not in {s.value for s in Strategy}:
+        raise ConfigurationError(f"{path}: 'strategy' must be a strategy name, got {strategy!r}")
 
 
 def _resolved_config(defaults: dict, args: argparse.Namespace, file_keys: dict) -> dict:
@@ -133,7 +131,7 @@ def _parse_lengths(text: str) -> tuple[int, ...]:
 def cmd_gen(args) -> int:
     kinds = ["passkey", "needle"] if args.kind == "both" else [args.kind]
     lengths = DEFAULT_LENGTH_GRID if args.lengths is None else _parse_lengths(args.lengths)
-    out_root = Path(args.out)
+    built = []  # every bucket is built before any is written, so a failed run writes nothing
     for kind in kinds:
         config = SyntheticTaskConfig(
             kind=kind,
@@ -143,12 +141,12 @@ def cmd_gen(args) -> int:
             seed=args.seed,
             essay_path=args.essay,
         )
-        for length in lengths:
-            task = build_bucket(config, length)
-            bucket_dir = out_root / kind / str(length)
-            write_task(task, bucket_dir)
-            print(f"wrote {task.name}: {len(task.queries)} queries, "
-                  f"{len(task.docs)} docs -> {bucket_dir}")
+        built += [(Path(args.out) / kind / str(length), build_bucket(config, length))
+                  for length in lengths]
+    for bucket_dir, task in built:
+        write_task(task, bucket_dir)
+        print(f"wrote {task.name}: {len(task.queries)} queries, "
+              f"{len(task.docs)} docs -> {bucket_dir}")
     return 0
 
 
@@ -341,8 +339,7 @@ def cmd_inspect(args) -> int:
         },
     }
     if args.mode == "rotary":
-        freqs = (ntk_frequencies(args.d_head, ROPE_BASE, resolved.ntk_lambda)
-                 if resolved.ntk_lambda else standard_frequencies(args.d_head))
+        freqs = standard_frequencies(args.d_head, resolved.rope_base(ROPE_BASE))
         dump["theta"] = freqs.theta.tolist()
     if spec.strategy is Strategy.SE:
         deltas = np.arange(n)

@@ -29,6 +29,7 @@ from .errors import (
     EmptyInputError,
     NumericError,
     PositionError,
+    check_types,
 )
 from .positions import (
     ROPE_BASE,
@@ -71,6 +72,7 @@ class ModelConfig:
     rope_base: float = ROPE_BASE
 
     def __post_init__(self):
+        check_types(vars(self), self.__annotations__)
         if self.hidden_size < 2 or self.hidden_size % 2 != 0:
             raise ConfigurationError(
                 f"hidden_size must be a positive even integer, got {self.hidden_size}"
@@ -116,6 +118,9 @@ class PosExtension:
     l_orig: int
     l_target: int
 
+    def __post_init__(self):
+        check_types(vars(self), self.__annotations__)
+
 
 @dataclass
 class Model:
@@ -133,13 +138,6 @@ class Model:
             pos_frozen=None if self.pos_frozen is None else self.pos_frozen.copy(),
             extension=self.extension,
         )
-
-    @property
-    def table_length(self) -> int:
-        """Row count of the active absolute position table."""
-        if "pos_table" not in self.params:
-            raise ConfigurationError("rotary-mode models have no position table")
-        return self.params["pos_table"].shape[0]
 
 
 def init_model(config: ModelConfig) -> Model:
@@ -770,9 +768,9 @@ def encode_many(
     # NTK is the same RoPE model with an inflated base; plug-and-play PI the
     # same absolute model with an interpolated table.
     if resolved.strategy is Strategy.NTK:
-        model = Model(replace(cfg, rope_base=cfg.rope_base * resolved.ntk_lambda), model.params)
+        model = Model(replace(cfg, rope_base=resolved.rope_base(cfg.rope_base)), model.params)
     elif resolved.strategy is Strategy.PI and cfg.position_mode == ABSOLUTE:
-        table = build_interpolated_matrix(model.params["pos_table"], resolved.scale).rows
+        table = build_interpolated_matrix(model.params["pos_table"], resolved.scale)
         model = Model(cfg, {**model.params, "pos_table": table})
     self_extend = None
     if resolved.strategy is Strategy.SE:

@@ -1,8 +1,10 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one field-type check.
 
 The CLI maps these onto exit codes: configuration problems exit with 2,
 data/validation problems with 3, numeric failures with 4.
 """
+
+import numbers
 
 
 class LongCtxError(Exception):
@@ -47,3 +49,31 @@ class EvaluationError(LongCtxError):
 
 class NumericError(LongCtxError):
     """A numeric failure (NaN loss, divergence) aborted the run."""
+
+
+# What a value must be for each annotation ``check_types`` knows. bool is an
+# int subclass in Python, so it is ruled out of int and float explicitly.
+_TYPE_RULES = {
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+}
+
+
+def check_types(values: dict, annotations: dict[str, str]) -> None:
+    """Raise ConfigurationError naming the first value its annotation rejects.
+
+    ``annotations`` maps each name in ``values`` to a type written as a
+    string, as dataclass fields under ``from __future__ import annotations``
+    carry it: ``int`` takes an integer but not a bool, ``float`` a real
+    number but not a bool, and ``X | None`` also takes None. Names annotated
+    with any other type are left to their owner's own checks.
+    """
+    for name, value in values.items():
+        annotation = annotations[name]
+        kind = annotation.removesuffix(" | None")
+        ok = _TYPE_RULES.get(kind)
+        if ok is None or ok(value) or (value is None and kind != annotation):
+            continue
+        raise ConfigurationError(f"{name!r} must be {annotation}, got {value!r}")

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, EmptyInputError, LengthError
+from .errors import ConfigurationError, DimensionError, EmptyInputError, LengthError, check_types
 
 ROPE_BASE = 10000.0
 
@@ -86,50 +86,23 @@ def standard_frequencies(dim: int, base: float = ROPE_BASE) -> RoPEFrequencies:
     return RoPEFrequencies(base=base, dim=dim, theta=theta)
 
 
-def ntk_frequencies(dim: int, base: float, lam: float) -> RoPEFrequencies:
-    """Frequencies with the rotary base inflated to base*lam.
-
-    High frequencies (small j) are compressed less than low ones, spreading
-    the interpolation pressure across dimensions.
-    """
-    if lam <= 0:
-        raise ConfigurationError(f"NTK multiplier must be positive, got {lam}")
-    return standard_frequencies(dim, base=base * lam)
-
-
 def resolve_ntk_lambda(s: int) -> float:
     """Published multiplier for scaling factor s; falls back to s+1 off-table."""
     return NTK_LAMBDA_TABLE.get(s, float(s + 1))
 
 
-@dataclass(frozen=True)
-class PositionEmbeddingMatrix:
-    """Learned position rows plus a per-row frozen flag."""
+def build_interpolated_matrix(table, s: int) -> np.ndarray:
+    """Extend an (l_orig, d) position table to l_orig*s rows by linear interpolation.
 
-    rows: np.ndarray  # (L, d) float64
-    frozen: np.ndarray  # (L,) bool, True = not trainable
-
-    def __post_init__(self):
-        if self.rows.ndim != 2:
-            raise DimensionError(f"rows must be 2-D, got shape {self.rows.shape}")
-        if self.frozen.shape != (self.rows.shape[0],):
-            raise DimensionError("frozen flags must have one entry per row")
-
-    def __len__(self) -> int:
-        return self.rows.shape[0]
-
-
-def build_interpolated_matrix(matrix, s: int) -> PositionEmbeddingMatrix:
-    """Extend a position table to l_orig*s rows by linear interpolation.
-
-    Row i*s is the original row i, copied bitwise and flagged frozen. Rows
-    between anchors i*s and (i+1)*s are the convex combination of the two
-    anchors; rows past the last anchor repeat it (there is no right anchor
-    to interpolate toward).
+    Row i*s is the original row i, copied bitwise (the anchors that
+    ``tuning.freeze_mask`` freezes). Rows between anchors i*s and (i+1)*s are
+    the convex combination of the two anchors; rows past the last anchor
+    repeat it (there is no right anchor to interpolate toward).
     """
-    rows = matrix.rows if isinstance(matrix, PositionEmbeddingMatrix) else np.asarray(matrix, dtype=np.float64)
+    rows = np.asarray(table, dtype=np.float64)
     if rows.ndim != 2:
         raise DimensionError(f"position table must be 2-D, got shape {rows.shape}")
+    check_types({"s": s}, {"s": "int"})
     if s < 1:
         raise ConfigurationError(f"scaling factor must be >= 1, got {s}")
     l_orig = rows.shape[0]
@@ -145,29 +118,20 @@ def build_interpolated_matrix(matrix, s: int) -> PositionEmbeddingMatrix:
     out[anchor] = rows  # exact copies, not recomputed blends
     tail = left >= l_orig - 1
     out[tail & ~anchor] = rows[l_orig - 1]
-
-    return PositionEmbeddingMatrix(rows=out, frozen=anchor)
+    return out
 
 
 def self_extend_relpos(i: int, j: int, g: int, w: int) -> int:
-    """Remapped relative position between query i and key j.
+    """Remapped relative position between query i and key j; see ``se_remap_deltas``."""
+    return int(se_remap_deltas(i - j, g, w))
+
+
+def se_remap_deltas(delta: np.ndarray, g: int, w: int) -> np.ndarray:
+    """SelfExtend's remap of query-key deltas i - j, elementwise.
 
     Exact within the neighbor window w; outside it, the excess distance is
     floor-grouped by g so the result never leaves the trained range.
     """
-    if g < 1:
-        raise ConfigurationError(f"group size must be >= 1, got {g}")
-    if w < 0:
-        raise ConfigurationError(f"neighbor window must be >= 0, got {w}")
-    delta = i - j
-    if abs(delta) <= w:
-        return delta
-    sign = 1 if delta > 0 else -1
-    return sign * (w + (abs(delta) - w) // g)
-
-
-def se_remap_deltas(delta: np.ndarray, g: int, w: int) -> np.ndarray:
-    """Vectorized self_extend_relpos over an array of i-j deltas."""
     if g < 1:
         raise ConfigurationError(f"group size must be >= 1, got {g}")
     if w < 0:
@@ -235,6 +199,7 @@ class ExtensionSpec:
     window: int | None = None
 
     def __post_init__(self):
+        check_types(vars(self), self.__annotations__)
         try:
             self.strategy = Strategy(self.strategy)
         except ValueError:
@@ -282,6 +247,14 @@ class ResolvedExtension:
     @property
     def strategy(self) -> Strategy:
         return self.spec.strategy
+
+    def rope_base(self, base: float) -> float:
+        """The rotary base this strategy encodes with: base * lambda under ntk, else base.
+
+        Inflating the base compresses low frequencies (large j) more than high
+        ones, spreading the interpolation pressure across dimensions.
+        """
+        return base * self.ntk_lambda if self.strategy is Strategy.NTK else base
 
 
 def resolve_extension(spec: ExtensionSpec, position_mode: str) -> ResolvedExtension:

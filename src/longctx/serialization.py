@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .encoder import Model, ModelConfig, PosExtension
-from .errors import ParseError, ValidationError
+from .errors import ConfigurationError, ParseError, ValidationError
 from .evaluation import EvalReport
 from .synth import RetrievalTask
 
@@ -173,41 +173,29 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(arr).tobytes())
 
 
-def is_json_int(value) -> bool:
-    """An integer as JSON decodes it (``true``/``false`` are not integers)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def is_json_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-_FIELD_CHECKS = {"int": is_json_int, "float": is_json_number, "str": lambda v: isinstance(v, str)}
-
-
 def _header_dataclass(path, cls, values, part: str):
-    """``cls(**values)`` once every key is a field of ``cls`` holding its type."""
+    """``cls(**values)``, with every key a field of ``cls``; its own checks become ParseError."""
     if not isinstance(values, dict):
         raise ParseError(f"{path}: checkpoint {part} must be a JSON object")
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    for key, value in values.items():
+    for key in values:
         if key not in fields:
             raise ParseError(f"{path}: unknown checkpoint {part} key {key!r}")
-        if not _FIELD_CHECKS[fields[key].type](value):
-            raise ParseError(f"{path}: checkpoint {part} key {key!r} must be "
-                             f"{fields[key].type}, got {json.dumps(value)}")
     missing = [name for name, f in fields.items()
                if name not in values and f.default is dataclasses.MISSING]
     if missing:
         raise ParseError(f"{path}: checkpoint {part} lacks {missing}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigurationError as exc:
+        raise ParseError(f"{path}: checkpoint {part}: {exc}") from exc
 
 
 def _tensor_layout(path, entry) -> tuple[np.dtype, tuple[int, ...]]:
     """A manifest entry's numeric dtype and non-negative integer shape."""
     if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
             and isinstance(entry.get("dtype"), str) and isinstance(entry.get("shape"), list)
-            and all(is_json_int(n) and n >= 0 for n in entry["shape"])):
+            and all(type(n) is int and n >= 0 for n in entry["shape"])):
         raise ParseError(f"{path}: bad checkpoint tensor entry {json.dumps(entry)}")
     try:
         dtype = np.dtype(entry["dtype"])

@@ -41,8 +41,3 @@ def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB_SIZE) -> np.ndarray:
         raise ConfigurationError(f"vocab_size must be positive, got {vocab_size}")
     ids = [hash_word(w, vocab_size) for w in map(normalize_word, text.split()) if w]
     return np.asarray(ids, dtype=np.int64)
-
-
-def count_words(text: str) -> int:
-    """Whitespace word count, the unit the generators' budgets are stated in."""
-    return len(text.split())

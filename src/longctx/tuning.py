@@ -31,7 +31,7 @@ from .encoder import (
     pool_and_normalize,
     pool_and_normalize_backward,
 )
-from .errors import ConfigurationError, NumericError, ValidationError
+from .errors import ConfigurationError, NumericError, ValidationError, check_types
 from .positions import ExtensionSpec, assign_positions, build_interpolated_matrix, resolve_extension
 from .synth import RetrievalTask
 from .tokenizer import tokenize
@@ -55,6 +55,7 @@ class TuneConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
+        check_types(vars(self), self.__annotations__)
         if self.mode not in (PI_ANCHORED, RP_SUFFIX):
             raise ConfigurationError(f"unknown tuning mode {self.mode!r}")
         if self.l_target <= self.l_orig:
@@ -92,7 +93,12 @@ class TrainingPair:
 
 
 def freeze_mask(mode: str, l_orig: int, l_target: int, s: int) -> np.ndarray:
-    """Per-row frozen flags over the extended table (True = not trainable)."""
+    """Per-row frozen flags over the extended table (True = not trainable).
+
+    Under pi_anchored these are the anchor rows i*s that
+    ``build_interpolated_matrix`` copies from the original table; under
+    rp_suffix, the original l_orig rows.
+    """
     if mode == PI_ANCHORED:
         idx = np.arange(l_orig * s)
         return idx % s == 0
@@ -176,15 +182,13 @@ def extend_for_tuning(model: Model, config: TuneConfig) -> Model:
         )
     table = model.params["pos_table"]
     if config.mode == PI_ANCHORED:
-        pem = build_interpolated_matrix(table, config.scale)
-        rows, frozen = pem.rows, pem.frozen
+        rows = build_interpolated_matrix(table, config.scale)
     else:
         suffix = table[np.arange(config.l_orig, config.l_target) % config.l_orig]
         rows = np.concatenate([table, suffix], axis=0)
-        frozen = freeze_mask(RP_SUFFIX, config.l_orig, config.l_target, config.scale)
     out = model.copy()
     out.params["pos_table"] = rows
-    out.pos_frozen = frozen
+    out.pos_frozen = freeze_mask(config.mode, config.l_orig, config.l_target, config.scale)
     out.extension = PosExtension(
         mode=config.mode, l_orig=config.l_orig, l_target=config.l_target
     )
@@ -421,17 +425,6 @@ def grad_check(
             err = abs(analytic[r, c] - fd) / max(abs(analytic[r, c]), abs(fd), 1e-6)
             worst = max(worst, err)
     return worst
-
-
-def masked_position_gradient(model: Model, pairs: list[TrainingPair],
-                             config: TuneConfig, rng: np.random.Generator) -> np.ndarray:
-    """One tuning step's position-table gradient with frozen rows zeroed."""
-    positions = _training_positions(model, pairs, config, rng)
-    _, grads = _batch_loss_and_grads(model, pairs, positions, config.temperature)
-    g = grads["pos_table"]
-    if model.pos_frozen is not None:
-        g = g * (~model.pos_frozen)[:, None]
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from longctx.positions import (
     Strategy,
     assign_positions,
     build_interpolated_matrix,
-    ntk_frequencies,
     resolve_extension,
     resolve_ntk_lambda,
     resolve_se_params,
@@ -34,9 +33,11 @@ from longctx.positions import (
 )
 from longctx.synth import OracleEmbedder, SyntheticTaskConfig, build_bucket, word_budget
 from longctx.tuning import (
+    PI_ANCHORED,
     TrainingPair,
     TuneConfig,
     extend_for_tuning,
+    freeze_mask,
     grad_check,
     train_model,
     training_pairs_from_task,
@@ -109,18 +110,20 @@ def test_c03_interpolated_table_construction():
         for l_orig in (4, 512):
             rows = rng.normal(size=(l_orig, 8))
             for s in (1, 2, 4, 8):
-                pem = build_interpolated_matrix(rows, s)
+                table = build_interpolated_matrix(rows, s)
+                frozen = freeze_mask(PI_ANCHORED, l_orig, l_orig * s, s)
                 if s == 1:
-                    assert np.array_equal(pem.rows, rows) and pem.frozen.all()
+                    assert np.array_equal(table, rows) and frozen.all()
                     continue
                 idx = np.arange(l_orig * s)
                 anchors = idx[idx % s == 0]
-                assert np.array_equal(pem.rows[anchors], rows)
+                assert np.array_equal(np.flatnonzero(frozen), anchors)
+                assert np.array_equal(table[anchors], rows)
                 non_anchor = idx[idx % s != 0]
                 left_i = non_anchor // s
                 tail = left_i >= l_orig - 1
                 assert np.array_equal(
-                    pem.rows[non_anchor[tail]],
+                    table[non_anchor[tail]],
                     np.broadcast_to(rows[l_orig - 1], (int(tail.sum()), 8)),
                 )
                 interior = non_anchor[~tail]
@@ -128,9 +131,9 @@ def test_c03_interpolated_table_construction():
                 right = rows[interior // s + 1]
                 seg = right - left
                 denom = (seg * seg).sum(axis=1)
-                f = ((pem.rows[interior] - left) * seg).sum(axis=1) / denom
+                f = ((table[interior] - left) * seg).sum(axis=1) / denom
                 assert (f >= -1e-12).all() and (f <= 1 + 1e-12).all()
-                resid = pem.rows[interior] - (left + f[:, None] * seg)
+                resid = table[interior] - (left + f[:, None] * seg)
                 assert np.abs(resid).max() <= 1e-12
 
 
@@ -187,9 +190,10 @@ def test_c05_range_safety_exhaustive():
             assert int(np.abs(remapped).max()) <= l_orig - 1
 
             # NTK leaves position ids untouched; its safety is in frequency space
-            lam = resolve_ntk_lambda(s)
+            ntk = resolve_extension(ExtensionSpec(Strategy.NTK, l_orig, l_target), "rotary")
+            assert ntk.ntk_lambda == resolve_ntk_lambda(s)
             base = standard_frequencies(16).theta
-            scaled = ntk_frequencies(16, 10000.0, lam).theta
+            scaled = standard_frequencies(16, ntk.rope_base(10000.0)).theta
             assert scaled[0] == 1.0
             assert (np.diff(scaled) < 0).all()
             assert (scaled[1:] < base[1:]).all()

@@ -313,6 +313,18 @@ def test_eval_config_value_of_the_wrong_type_is_code_2(tmp_path, capsys, key, va
     assert str(cfg) in err and repr(key) in err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["--lengths", "3"], 3),  # passkey/3 builds; needle's 8-word budget cannot hold a fact
+    (["--lengths", "64", "--essay", "/nonexistent/essay.txt"], 1),
+], ids=["needle-budget", "missing-essay"])
+def test_failed_gen_writes_nothing(tmp_path, capsys, argv, code):
+    out = tmp_path / "tasks"
+    assert run("gen", "--kind", "both", "--queries", 2, "--candidates", 4, *argv,
+               "--out", out) == code
+    assert not out.exists()
+    assert "wrote" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("lengths", ["64,abc", "", "16,,32"])
 def test_gen_bad_lengths_is_code_2(tmp_path, capsys, lengths):
     code = run("gen", "--kind", "passkey", "--lengths", lengths, "--out", tmp_path / "tasks")

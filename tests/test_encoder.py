@@ -36,9 +36,11 @@ from longctx.errors import (
     LengthError,
     PositionError,
 )
+from longctx.encoder import PosExtension
 from longctx.positions import (
     ABSOLUTE_STRATEGIES,
     ROTARY_STRATEGIES,
+    build_interpolated_matrix,
     resolve_extension,
     se_remap_deltas,
 )
@@ -75,6 +77,25 @@ def test_rope_base_must_be_finite_and_positive(base):
     with pytest.raises(ConfigurationError):
         ModelConfig(hidden_size=8, n_layers=1, n_heads=2, vocab_size=10, original_context=4,
                     position_mode="rotary", rope_base=base)
+
+
+TINY = dict(hidden_size=8, n_layers=1, n_heads=2, vocab_size=10, original_context=4)
+
+
+@pytest.mark.parametrize("field, build", [
+    ("n_layers", lambda: ModelConfig(**{**TINY, "n_layers": 1.5})),
+    ("rope_base", lambda: ModelConfig(**TINY, rope_base="1e4")),
+    ("n_layers", lambda: ModelConfig(**{**TINY, "n_layers": True})),
+    ("l_target", lambda: PosExtension("pi_anchored", 4, 8.0)),
+    ("l_orig", lambda: ExtensionSpec("pi", "128", 256)),
+    ("ntk_lambda", lambda: ExtensionSpec("ntk", 128, 256, ntk_lambda="3")),
+    ("l_target", lambda: TuneConfig(mode="pi_anchored", l_orig=4, l_target=8.5)),
+    ("s", lambda: build_interpolated_matrix(np.zeros((4, 2)), 2.5)),
+], ids=["float-int", "str-float", "bool-int", "pos-extension", "str-spec-int",
+        "str-lambda", "float-tune-int", "float-scale"])
+def test_a_field_of_the_wrong_type_raises_configuration_error_naming_it(field, build):
+    with pytest.raises(ConfigurationError, match=f"'{field}' must be"):
+        build()
 
 
 def test_weights_within_init_bound():
@@ -295,6 +316,32 @@ def test_inference_forward_never_holds_a_full_score_tensor(path):
     finally:
         tracemalloc.stop()
     assert peak < 0.6 * full_scores, f"{peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("mode, strategy", [
+    *(("absolute", st) for st in ("pcw", "gp", "rp", "pi")),
+    *(("rotary", st) for st in ("pcw", "gp", "pi", "ntk", "se")),
+])
+def test_a_long_input_never_builds_a_full_score_tensor(mode, strategy):
+    """L = 4096 at s = 32 runs on the off-table fallbacks and stays far below one
+    (1, H, L, L) score tensor (512 MiB)."""
+    l_orig, L = 128, 4096
+    model = init_model(ModelConfig(hidden_size=64, n_layers=2, n_heads=4, vocab_size=4096,
+                                   original_context=l_orig, position_mode=mode))
+    spec = ExtensionSpec(strategy, l_orig, L)
+    notes = resolve_extension(spec, mode).notes
+    assert notes == {"ntk": ("ntk lambda 33 resolved via fallback s+1",),
+                     "se": ("se params (g=37, w=16) resolved via fallback w=l_orig/8",),
+                     }.get(strategy, ())
+    tokens = np.random.default_rng(0).integers(0, 4096, L)
+    tracemalloc.start()
+    try:
+        emb = encode_many(model, [tokens], spec, batch_size=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(np.linalg.norm(emb[0]) - 1.0) < 1e-12
+    assert peak < 128 << 20, f"{peak / (1 << 20):.1f} MiB"
 
 
 @pytest.mark.parametrize("mode", ["absolute", "rotary"])

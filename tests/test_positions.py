@@ -17,7 +17,6 @@ from longctx.positions import (
     attention_scale,
     build_interpolated_matrix,
     max_se_relpos,
-    ntk_frequencies,
     resolve_extension,
     resolve_ntk_lambda,
     resolve_se_params,
@@ -26,6 +25,7 @@ from longctx.positions import (
     standard_frequencies,
 )
 from longctx.tokenizer import tokenize
+from longctx.tuning import PI_ANCHORED, freeze_mask
 
 # --- per-token position assignment ---------------------------------------------
 
@@ -90,49 +90,49 @@ def test_assignment_rejects_lengths_outside_the_window_and_pairwise_strategies()
 
 def test_interpolation_hand_case():
     a, b = np.array([1.0, -2.0, 0.5]), np.array([3.0, 4.0, -1.5])
-    pem = build_interpolated_matrix(np.stack([a, b]), 2)
+    table = build_interpolated_matrix(np.stack([a, b]), 2)
     expected = np.stack([a, (a + b) / 2, b, b])
-    assert np.allclose(pem.rows, expected, atol=0, rtol=0)
-    assert pem.frozen.tolist() == [True, False, True, False]
+    assert np.allclose(table, expected, atol=0, rtol=0)
+    assert freeze_mask(PI_ANCHORED, 2, 4, 2).tolist() == [True, False, True, False]
 
 
 def test_interpolation_identity_at_s1(rng):
     rows = rng.normal(size=(5, 4))
-    pem = build_interpolated_matrix(rows, 1)
-    assert np.array_equal(pem.rows, rows)
-    assert pem.frozen.all()
+    assert np.array_equal(build_interpolated_matrix(rows, 1), rows)
+    assert freeze_mask(PI_ANCHORED, 5, 5, 1).all()
 
 
 def test_anchor_rows_are_bitwise_copies(rng):
     rows = rng.normal(size=(16, 8))
-    pem = build_interpolated_matrix(rows, 8)
+    table = build_interpolated_matrix(rows, 8)
     for i in range(16):
-        assert np.array_equal(pem.rows[i * 8], rows[i])
+        assert np.array_equal(table[i * 8], rows[i])
 
 
 def test_interpolated_rows_are_convex_combinations(rng):
     # oracle: project each non-anchor row onto the segment between its anchors
     rows = rng.normal(size=(6, 8))
     s = 4
-    pem = build_interpolated_matrix(rows, s)
-    for k in range(len(pem)):
-        if pem.frozen[k]:
+    table = build_interpolated_matrix(rows, s)
+    frozen = freeze_mask(PI_ANCHORED, rows.shape[0], rows.shape[0] * s, s)
+    for k in range(len(table)):
+        if frozen[k]:
             continue
         i = k // s
-        left = pem.rows[i * s]
-        right = pem.rows[min((i + 1) * s, (rows.shape[0] - 1) * s)]
+        left = table[i * s]
+        right = table[min((i + 1) * s, (rows.shape[0] - 1) * s)]
         seg = right - left
         denom = float(seg @ seg)
-        f = 0.0 if denom == 0.0 else float((pem.rows[k] - left) @ seg) / denom
+        f = 0.0 if denom == 0.0 else float((table[k] - left) @ seg) / denom
         assert -1e-12 <= f <= 1 + 1e-12
-        assert np.linalg.norm(pem.rows[k] - (left + f * seg)) < 1e-12
+        assert np.linalg.norm(table[k] - (left + f * seg)) < 1e-12
 
 
 def test_tail_rows_repeat_last_anchor(rng):
     rows = rng.normal(size=(3, 4))
-    pem = build_interpolated_matrix(rows, 4)
+    table = build_interpolated_matrix(rows, 4)
     for k in range(2 * 4 + 1, 12):
-        assert np.array_equal(pem.rows[k], rows[2])
+        assert np.array_equal(table[k], rows[2])
 
 
 def test_pi_assignment_examples():
@@ -157,29 +157,46 @@ def test_standard_frequencies_shape_and_order():
     assert (np.diff(f.theta) < 0).all()
 
 
+def ntk_freqs(dim, lam):
+    """Frequencies of the rotary base that ``ntk`` with multiplier ``lam`` encodes with."""
+    spec = ExtensionSpec(Strategy.NTK, l_orig=8, l_target=8, ntk_lambda=lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # lam <= s warns; s = 1 here
+        resolved = resolve_extension(spec, "rotary")
+    return standard_frequencies(dim, resolved.rope_base(10000.0))
+
+
 def test_ntk_hand_value():
-    f = ntk_frequencies(4, 10000.0, 3.0)
+    f = ntk_freqs(4, 3.0)
     assert f.theta[0] == 1.0
     assert math.isclose(f.theta[1], 30000.0 ** -0.5, rel_tol=1e-12)
     assert math.isclose(f.theta[1], 5.7735e-3, rel_tol=1e-4)
 
 
 def test_ntk_lambda_one_is_identity():
-    assert np.array_equal(ntk_frequencies(8, 10000.0, 1.0).theta,
-                          standard_frequencies(8).theta)
+    assert np.array_equal(ntk_freqs(8, 1.0).theta, standard_frequencies(8).theta)
 
 
 @pytest.mark.parametrize("lam", [1.5, 3.0, 10.0])
 def test_ntk_compresses_low_frequencies_only(lam):
     base = standard_frequencies(16).theta
-    scaled = ntk_frequencies(16, 10000.0, lam).theta
+    scaled = ntk_freqs(16, lam).theta
     assert scaled[0] == base[0] == 1.0
     assert (scaled[1:] < base[1:]).all()
 
 
 def test_ntk_rejects_nonpositive_lambda():
     with pytest.raises(ConfigurationError):
-        ntk_frequencies(8, 10000.0, 0.0)
+        ntk_freqs(8, 0.0)
+
+
+def test_rope_base_changes_only_under_ntk():
+    for st in (Strategy.NONE, Strategy.PI, Strategy.SE):
+        resolved = resolve_extension(ExtensionSpec(st, 8, 8 if st is Strategy.NONE else 32),
+                                     "rotary")
+        assert resolved.rope_base(10000.0) == 10000.0
+    resolved = resolve_extension(ExtensionSpec(Strategy.NTK, 8, 32), "rotary")
+    assert resolved.rope_base(10000.0) == 10000.0 * 5.0  # published lambda for s = 4
 
 
 def test_resolve_ntk_lambda_table_and_fallback():
@@ -221,10 +238,16 @@ def test_wide_window_is_identity(i, j, g):
 
 
 def test_vectorized_matches_scalar(rng):
+    def remap(delta, g, w):  # the SelfExtend rule, written out for one delta
+        if abs(delta) <= w:
+            return delta
+        return (1 if delta > 0 else -1) * (w + (abs(delta) - w) // g)
+
     deltas = rng.integers(-2000, 2000, size=200)
     vec = se_remap_deltas(deltas, g=5, w=64)
-    ref = [self_extend_relpos(int(d), 0, g=5, w=64) for d in deltas]
+    ref = [remap(int(d), 5, 64) for d in deltas]
     assert vec.tolist() == ref
+    assert [self_extend_relpos(int(d), 0, g=5, w=64) for d in deltas] == ref
 
 
 def test_resolve_se_params_published_values():

@@ -36,7 +36,6 @@ from longctx.tuning import (
     RP_SUFFIX,
     TrainingPair,
     TuneConfig,
-    masked_position_gradient,
 )
 
 
@@ -382,11 +381,22 @@ def test_gradient_check_survives_temperature_doubling():
 
 
 def test_frozen_rows_gradient_masked_to_zero(rng):
-    config = tiny_tune_config()
-    ext = extend_for_tuning(tiny_model(), config)
-    g = masked_position_gradient(ext, random_pairs(rng, 2), config, rng)
-    assert np.array_equal(g[ext.pos_frozen], np.zeros_like(g[ext.pos_frozen]))
-    assert np.abs(g[~ext.pos_frozen]).max() > 0
+    """One tune step moves exactly the unfrozen rows whose replayed gradient is nonzero."""
+    pairs = random_pairs(rng, 2)
+    for mode in (PI_ANCHORED, RP_SUFFIX):
+        config = tiny_tune_config(mode=mode, max_steps=1)
+        ext = extend_for_tuning(tiny_model(), config)
+        tuned = tune(ext, pairs, config).model
+        # replay the step's draws: the batch order, then the per-sequence skip biases
+        replay = np.random.default_rng(config.seed)
+        batch = [pairs[i] for i in replay.permutation(len(pairs))[:config.batch_size]]
+        positions = tuning._training_positions(ext, batch, config, replay)
+        _, grads = tuning._batch_loss_and_grads(ext, batch, positions, config.temperature,
+                                                needed={"pos_table"})
+        moved = (tuned.params["pos_table"] != ext.params["pos_table"]).any(axis=1)
+        expected = ~ext.pos_frozen & grads["pos_table"].any(axis=1)
+        assert expected.any() and grads["pos_table"][ext.pos_frozen].any(), mode
+        assert np.array_equal(moved, expected), mode
 
 
 def one_block_loss_and_grads(model, pairs, positions, temperature, needed):
@@ -444,14 +454,6 @@ def test_length_groups_match_one_padded_block(mode, data):
         # gradient is zero and both sides hold only rounding noise.
         bound = largest if mode == "absolute" and name.endswith("attn.bk") else np.abs(want).max()
         assert np.abs(grads[name] - want).max() <= 1e-12 * bound, name
-
-    if mode == "absolute":
-        masked = masked_position_gradient(model, pairs, config, np.random.default_rng(seed))
-        frozen = model.pos_frozen
-        assert not masked[frozen].any()
-        want = one_block_loss_and_grads(model, pairs, positions, config.temperature,
-                                        {"pos_table"})[1]["pos_table"][~frozen]
-        assert np.abs(masked[~frozen] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_grad_check_rejects_large_models(rng):
