@@ -82,13 +82,17 @@ _EVAL_FILE_TYPES = {
 
 
 def _check_file_types(path: str, file_keys: dict) -> None:
-    """Each known key holds its flag's type, and a strategy is a strategy name."""
-    known = {key: value for key, value in file_keys.items() if key in _EVAL_FILE_TYPES}
+    """Every key is an eval key holding its flag's type, and a strategy is a strategy name."""
+    unknown = [key for key in file_keys if key not in _EVAL_FILE_TYPES]
+    if unknown:
+        raise ConfigurationError(
+            f"{path}: unknown key {unknown[0]!r}; expected one of " + ", ".join(_EVAL_FILE_TYPES)
+        )
     try:
-        check_types(known, _EVAL_FILE_TYPES)
+        check_types(file_keys, _EVAL_FILE_TYPES)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
-    strategy = known.get("strategy", _EVAL_DEFAULTS["strategy"])
+    strategy = file_keys.get("strategy", _EVAL_DEFAULTS["strategy"])
     if strategy.lower() not in {s.value for s in Strategy}:
         raise ConfigurationError(f"{path}: 'strategy' must be a strategy name, got {strategy!r}")
 

@@ -228,24 +228,25 @@ def attention_score(
     return float(apply_rope(q, m, freqs) @ apply_rope(k, n, freqs))
 
 
-def _rope_tables(phases: np.ndarray, theta: np.ndarray):
-    """cos/sin tables (B, 1, L, Dh/2) for rotating (B, H, L, Dh) vectors by phases (B, L)."""
+def _rope_tables(phases: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Unit complex table e^{i m theta_j} (B, 1, L, Dh/2) for rotating (B, H, L, Dh) vectors
+    by phases m (B, L)."""
     ang = phases[:, None, :, None] * theta[None, None, None, :]
-    return np.cos(ang), np.sin(ang)
+    rot = np.empty(ang.shape, dtype=np.complex128)
+    np.cos(ang, out=rot.real)
+    np.sin(ang, out=rot.imag)
+    return rot
 
 
-def _rotate_batch(x: np.ndarray, rot) -> np.ndarray:
-    """Rotate (B,H,L,Dh) queries/keys by the ``_rope_tables`` pair ``rot`` = (cos, sin).
+def _rotate_batch(x: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """Rotate (B,H,L,Dh) queries/keys by the ``_rope_tables`` table ``rot``.
 
-    ``(cos, -sin)`` rotates by the opposite angles, which is the transpose of
-    the rotation: the backward pass of RoPE.
+    Each pair (x[2j], x[2j+1]) is the complex number x[2j] + i x[2j+1], so the
+    rotation is one complex multiply (RoFormer's form of RoPE). ``x``'s last
+    axis must be contiguous. ``rot.conj()`` rotates by the opposite angles,
+    which is the transpose of the rotation: the backward pass of RoPE.
     """
-    c, s = rot
-    x1, x2 = x[..., 0::2], x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = x1 * c - x2 * s
-    out[..., 1::2] = x1 * s + x2 * c
-    return out
+    return (x.view(np.complex128) * rot).view(np.float64)
 
 
 def _relative_scores(q: np.ndarray, k: np.ndarray, g: int, w: int, theta: np.ndarray):
@@ -302,6 +303,15 @@ def _relative_scores(q: np.ndarray, k: np.ndarray, g: int, w: int, theta: np.nda
 # a core, one layer's attention at B=16, H=4, L=384 took 29.5 ms with this
 # budget, 29.9 ms with 1 << 16 and 33.2 ms with 1 << 18.
 _SCORE_TILE = 1 << 17
+
+# Padded-row budget of one ``encode_many`` batch (spans x longest span), the
+# activation-side twin of _SCORE_TILE: at d=64 a batch's (rows, d) arrays take
+# 256 KiB each and stay in L2. On a Xeon with 2 MiB of L2 a core, encoding the
+# benchmark's eval_sweep inputs (pi, ntk, pcw over 128-512 tokens) took a
+# median 1.88 s of CPU with 256 rows, 1.58 s with 512, 1.68 s with 1024 and
+# 1.97 s with 2048; peak RSS of that workload read 69.9, 69.9, 72.2 and
+# 78.8 MB (102.8 MB with batches cut by batch_size alone).
+_BATCH_ROWS = 512
 
 
 def _row_tiles(L: int, g: int, rows: int):
@@ -605,7 +615,7 @@ def backward_batch(
         return dx
 
     rot = cache["rot"]
-    unrotate = None if rot is None else (rot[0], -rot[1])
+    unrotate = None if rot is None else rot.conj()
     scale_b = cache["scale_b"]
     dh = norm(d_out, cache["final_ln"], "final_ln")
     for i in reversed(range(cfg.n_layers)):
@@ -739,12 +749,14 @@ def encode_many(
 
     Each sequence is one span, or under PCW its ``plan_chunks`` chunks at
     their original positions. All spans are stably sorted by length and cut
-    into batches of at most ``batch_size``, so each batch pads little; a
-    sequence gets the renormalized mean of its span embeddings (one span is
-    returned as is), in input order. An embedding does not depend on its
-    batch neighbours (padding is masked out), so the batching only changes
-    float rounding. Raises LengthError as soon as any sequence exceeds the
-    target window.
+    into batches of at most ``batch_size`` spans and at most ``_BATCH_ROWS``
+    padded rows (span count x longest span), so each batch pads little and
+    its activations stay small; a span longer than ``_BATCH_ROWS`` runs
+    alone. A sequence gets the renormalized mean of its span embeddings (one
+    span is returned as is), in input order. An embedding does not depend on
+    its batch neighbours (padding is masked out), so the batching only
+    changes float rounding. Raises LengthError as soon as any sequence
+    exceeds the target window.
     """
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
@@ -776,10 +788,16 @@ def encode_many(
     if resolved.strategy is Strategy.SE:
         self_extend = (resolved.group_size, resolved.window)
 
-    order = sorted(range(len(spans)), key=lambda j: spans[j].size)
+    batches, rows = [], []
+    for j in sorted(range(len(spans)), key=lambda j: spans[j].size):
+        # ascending lengths, so a batch pads every span to the one added last
+        if rows and (len(rows) == batch_size or (len(rows) + 1) * spans[j].size > _BATCH_ROWS):
+            batches.append(rows)
+            rows = []
+        rows.append(j)
+    batches.append(rows)
     span_embs = np.empty((len(spans), cfg.hidden_size))
-    for start in range(0, len(spans), batch_size):
-        rows = order[start:start + batch_size]
+    for rows in batches:
         group = [spans[j] for j in rows]
         positions = None
         if self_extend is None:

@@ -155,17 +155,24 @@ def se_params_feasible(l_orig: int, l_target: int, g: int, w: int) -> bool:
 
 
 def resolve_se_params(l_orig: int, l_target: int) -> tuple[int, int]:
-    """Published (g, w) when available, else the smallest feasible g with w = l_orig/8."""
+    """Published (g, w) when available, else the smallest feasible g with w = l_orig/8.
+
+    The farthest remapped position, w + (l_target - 1 - w) // g past the
+    window, stays within l_orig - 1 exactly when g > (l_target - 1 - w) / (l_orig - w);
+    g must also stay below max(l_target, 2).
+    """
     key = (l_orig, l_target)
     if key in SE_PARAM_TABLE:
         return SE_PARAM_TABLE[key]
+    if l_orig < 1 or l_target < 1:
+        raise ConfigurationError(f"l_orig and l_target must be >= 1, got {l_orig} and {l_target}")
     w = l_orig // 8
-    for g in range(1, max(l_target, 2)):
-        if se_params_feasible(l_orig, l_target, g, w):
-            return g, w
-    raise ConfigurationError(
-        f"no feasible SelfExtend parameters for {l_orig} -> {l_target} with window {w}"
-    )
+    g = max(1, (l_target - 1 - w) // (l_orig - w) + 1)
+    if g >= max(l_target, 2):
+        raise ConfigurationError(
+            f"no feasible SelfExtend parameters for {l_orig} -> {l_target} with window {w}"
+        )
+    return g, w
 
 
 def attention_scale(n: int, l_orig: int) -> float:

@@ -313,6 +313,18 @@ def test_eval_config_value_of_the_wrong_type_is_code_2(tmp_path, capsys, key, va
     assert str(cfg) in err and repr(key) in err
 
 
+def test_eval_unknown_config_key_is_code_2(tmp_path, capsys):
+    tasks = gen_small(tmp_path)
+    ckpt = init_small(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"batch_sise": 0}))
+    code = run("eval", "--model", ckpt, "--config", cfg, "--synthetic", tasks / "passkey")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert str(cfg) in err and "'batch_sise'" in err
+
+
 @pytest.mark.parametrize("argv, code", [
     (["--lengths", "3"], 3),  # passkey/3 builds; needle's 8-word budget cannot hold a fact
     (["--lengths", "64", "--essay", "/nonexistent/essay.txt"], 1),

@@ -138,6 +138,24 @@ def test_rotation_is_an_isometry(d, m, seed):
     assert abs(np.linalg.norm(out) - np.linalg.norm(h)) < 1e-9
 
 
+@pytest.mark.parametrize("step", [1.0, 1 / 3, 0.7], ids=["integer", "pi-third", "fractional"])
+@pytest.mark.parametrize("base", [1e4, 33e4], ids=["base", "ntk-base"])
+def test_batched_rotation_matches_the_scalar_reference(rng, step, base):
+    x = rng.normal(size=(2, 3, 12, 16))
+    phases = (np.arange(12) + np.array([[0], [700]])) * step
+    freqs = standard_frequencies(16, base=base)
+    got = _rotate_batch(x, _rope_tables(phases, freqs.theta))
+    want = np.array([[[apply_rope(x[b, h, i], phases[b, i], freqs) for i in range(12)]
+                      for h in range(3)] for b in range(2)])
+    assert np.abs(got - want).max() <= 1e-14
+
+
+def test_rotating_by_the_conjugate_table_undoes_the_rotation(rng):
+    x = rng.uniform(-1, 1, size=(2, 3, 40, 16))  # unit scale: a few ulp of 1 per multiply
+    z = _rope_tables(rng.uniform(0, 4096, (2, 40)), standard_frequencies(16).theta)
+    assert np.abs(_rotate_batch(_rotate_batch(x, z), z.conj()) - x).max() <= 1e-15
+
+
 def test_score_equals_dot_product_at_equal_positions(rng):
     q, k = rng.normal(size=6), rng.normal(size=6)
     f = standard_frequencies(6)
@@ -580,6 +598,52 @@ def test_pcw_chunks_of_every_input_share_batches(mode, monkeypatch):
     encode_many(model, seqs, spec, batch_size=4)
     assert sum(batches) == n_chunks == 12
     assert len(batches) == math.ceil(n_chunks / 4)
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANCE_CASES, key=lambda c: (c[0], c[1].value)),
+                         ids=lambda c: f"{c[0]}-{c[1].value}")
+def test_a_batch_holds_at_most_batch_size_spans_and_the_row_budget(case, monkeypatch):
+    mode, strategy = case
+    model = INVARIANCE_CASES[case]
+    l_target = 8 if strategy is Strategy.NONE else 32
+    spec = ExtensionSpec(strategy=strategy, l_orig=8, l_target=l_target)
+    rng = np.random.default_rng(9)
+    # six 1-token spans fill batches by count, 25..32 exceed the budget alone
+    lengths = [n for n in (1, 1, 1, 1, 1, 1, 3, 5, 6, 8, 8, 13, 20, 25, 32) if n <= l_target]
+    seqs = [rng.integers(0, 64, n) for n in lengths]
+    budget, batch_size, shapes = 24, 4, []
+    real = encoder.forward_batch
+
+    def recording(model, token_ids, mask, **kwargs):
+        shapes.append(token_ids.shape)
+        return real(model, token_ids, mask, **kwargs)
+
+    monkeypatch.setattr(encoder, "_BATCH_ROWS", budget)
+    monkeypatch.setattr(encoder, "forward_batch", recording)
+    batch = encode_many(model, seqs, spec, batch_size=batch_size)
+    assert shapes
+    for B, L in shapes:
+        assert B <= batch_size and B * L <= max(budget, L), (B, L)
+    for s, row in zip(seqs, batch):
+        assert np.abs(row - encode(model, s, spec)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("strategy", ["ntk", "se"])
+def test_long_inputs_at_the_default_batch_size_stay_under_a_memory_ceiling(strategy):
+    """Four L=2048 inputs at batch_size 16 peak near 19 MiB; cut by batch_size alone,
+    one batch held 4 x 2048 rows of every activation and peaked near 70 MiB."""
+    l_orig, L = 128, 2048
+    model = init_model(ModelConfig(hidden_size=64, n_layers=2, n_heads=4, vocab_size=4096,
+                                   original_context=l_orig, position_mode="rotary"))
+    seqs = list(np.random.default_rng(1).integers(0, 4096, (4, L)))
+    tracemalloc.start()
+    try:
+        embs = encode_many(model, seqs, ExtensionSpec(strategy, l_orig, L))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(np.linalg.norm(embs, axis=1), 1.0, atol=1e-12)
+    assert peak < 32 << 20, f"{peak / (1 << 20):.1f} MiB"
 
 
 def test_attn_scaling_needs_an_original_context_of_two():

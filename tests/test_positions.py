@@ -268,6 +268,28 @@ def test_resolve_se_params_degenerate_and_fallback():
     assert not (127, 512) in SE_PARAM_TABLE
 
 
+def test_fallback_se_params_are_the_smallest_feasible_group():
+    def linear_search(l_orig, l_target):  # the rule the closed form must reproduce
+        w = l_orig // 8
+        for g in range(1, max(l_target, 2)):
+            if max_se_relpos(l_target, g, w) <= l_orig - 1:
+                return g, w
+        return None
+
+    for l_orig in range(1, 40):
+        for l_target in range(1, 200):
+            if (l_orig, l_target) in SE_PARAM_TABLE:
+                continue
+            want = linear_search(l_orig, l_target)
+            if want is None:
+                with pytest.raises(ConfigurationError, match="no feasible"):
+                    resolve_se_params(l_orig, l_target)
+            else:
+                assert resolve_se_params(l_orig, l_target) == want, (l_orig, l_target)
+    with pytest.raises(ConfigurationError):
+        resolve_se_params(0, 16)
+
+
 def test_published_se_params_saturate_the_trained_range():
     for (l_orig, l_target), (g, w) in SE_PARAM_TABLE.items():
         assert max_se_relpos(l_target, g, w) == l_orig - 1
