@@ -15,13 +15,7 @@ from .encoder import Model, encode_many
 from .positions import ExtensionSpec, Strategy
 
 
-def pcw_encode(
-    model: Model,
-    token_ids: np.ndarray,
-    l_orig: int,
-    *,
-    batch_size: int = 16,
-) -> np.ndarray:
+def pcw_encode(model: Model, token_ids: np.ndarray, l_orig: int) -> np.ndarray:
     """PCW embedding of one input of any length; see ``encoder.encode_many``."""
     spec = ExtensionSpec(Strategy.PCW, l_orig, max(l_orig, np.size(token_ids)))
-    return encode_many(model, [token_ids], spec, batch_size=batch_size)[0]
+    return encode_many(model, [token_ids], spec)[0]

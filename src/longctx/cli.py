@@ -55,53 +55,40 @@ from .serialization import (
 from .synth import DEFAULT_LENGTH_GRID, SyntheticTaskConfig, build_bucket
 from .tuning import TuneConfig, extend_for_tuning, training_pairs_from_task, tune
 
-_EVAL_DEFAULTS = {
-    "strategy": "none",
-    "l_target": None,
-    "ntk_lambda": None,
-    "g": None,
-    "w": None,
-    "seed": 42,
-    "attn_scaling": True,
-    "batch_size": 16,
-}
-
-
-# What a config-file value must be for each eval key: the type its flag parses
-# (null only where the default is null).
-_EVAL_FILE_TYPES = {
-    "strategy": "str",
-    "l_target": "int | None",
-    "ntk_lambda": "float | None",
-    "g": "int | None",
-    "w": "int | None",
-    "seed": "int",
-    "attn_scaling": "bool",
-    "batch_size": "int",
+# Each eval setting's default, and the type its flag parses, which a config
+# file value must have too (null only where the default is null).
+_EVAL_SETTINGS = {
+    "strategy": ("str", "none"),
+    "l_target": ("int | None", None),
+    "ntk_lambda": ("float | None", None),
+    "g": ("int | None", None),
+    "w": ("int | None", None),
+    "seed": ("int", 42),
+    "attn_scaling": ("bool", True),
 }
 
 
 def _check_file_types(path: str, file_keys: dict) -> None:
-    """Every key is an eval key holding its flag's type, and a strategy is a strategy name."""
-    unknown = [key for key in file_keys if key not in _EVAL_FILE_TYPES]
+    """Every key is an eval setting holding its flag's type, and a strategy is a strategy name."""
+    unknown = [key for key in file_keys if key not in _EVAL_SETTINGS]
     if unknown:
         raise ConfigurationError(
-            f"{path}: unknown key {unknown[0]!r}; expected one of " + ", ".join(_EVAL_FILE_TYPES)
+            f"{path}: unknown key {unknown[0]!r}; expected one of " + ", ".join(_EVAL_SETTINGS)
         )
     try:
-        check_types(file_keys, _EVAL_FILE_TYPES)
+        check_types(file_keys, {key: kind for key, (kind, _) in _EVAL_SETTINGS.items()})
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
-    strategy = file_keys.get("strategy", _EVAL_DEFAULTS["strategy"])
+    strategy = file_keys.get("strategy", _EVAL_SETTINGS["strategy"][1])
     if strategy.lower() not in {s.value for s in Strategy}:
         raise ConfigurationError(f"{path}: 'strategy' must be a strategy name, got {strategy!r}")
 
 
-def _resolved_config(defaults: dict, args: argparse.Namespace, file_keys: dict) -> dict:
-    """CLI flag > config file > default, per key."""
+def _resolved_config(args: argparse.Namespace, file_keys: dict) -> dict:
+    """CLI flag > config file > default, per eval setting."""
     out = {}
-    for key, default in defaults.items():
-        cli_val = getattr(args, key, None)
+    for key, (_, default) in _EVAL_SETTINGS.items():
+        cli_val = getattr(args, key)
         out[key] = cli_val if cli_val is not None else file_keys.get(key, default)
     return out
 
@@ -235,7 +222,7 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
     file_cfg = _load_file_config(args.config)
     _check_file_types(args.config, file_cfg)
-    resolved = _resolved_config(_EVAL_DEFAULTS, args, file_cfg)
+    resolved = _resolved_config(args, file_cfg)
     if resolved["l_target"] is None:
         resolved["l_target"] = (
             model.extension.l_target if model.extension else model.config.original_context
@@ -258,7 +245,6 @@ def cmd_eval(args) -> int:
     report = run_benchmark(
         model, spec, tasks,
         attn_scaling=bool(resolved["attn_scaling"]),
-        batch_size=int(resolved["batch_size"]),
         seed=int(resolved["seed"]),
         run_config={**resolved, "model": str(args.model), "tool_version": __version__},
     )
@@ -402,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, help="SelfExtend group size")
     p.add_argument("--w", type=int, help="SelfExtend neighbor window")
     p.add_argument("--seed", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--no-attn-scaling", dest="attn_scaling", action="store_false", default=None)
     p.add_argument("--synthetic", nargs="*", help="synthetic task dirs (kind or bucket)")
     p.add_argument("--real", nargs="*", help="ingested dataset dirs")
@@ -415,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-target", type=int, dest="l_target", required=True)
     p.add_argument("--data", required=True, help="task dir supplying contrastive triples")
     p.add_argument("--lr", type=float, default=TuneConfig.learning_rate)
-    p.add_argument("--batch-size", type=int, dest="batch_size", default=TuneConfig.batch_size)
+    p.add_argument("--batch-size", type=int, dest="batch_size", default=TuneConfig.batch_size,
+                   help="contrastive pairs per training step")
     p.add_argument("--epochs", type=int, default=TuneConfig.epochs)
     p.add_argument("--warmup-steps", type=int, dest="warmup_steps",
                    default=TuneConfig.warmup_steps)

@@ -120,6 +120,8 @@ class PosExtension:
 
     def __post_init__(self):
         check_types(vars(self), self.__annotations__)
+        if self.mode not in ("pi_anchored", "rp_suffix") or not 1 <= self.l_orig < self.l_target:
+            raise ConfigurationError(f"{self} needs a known mode and 1 <= l_orig < l_target")
 
 
 @dataclass
@@ -140,42 +142,44 @@ class Model:
         )
 
 
+def param_layout(config: ModelConfig, extension: PosExtension | None = None) -> dict:
+    """Every parameter tensor's ``name -> (shape, init)``, in ``init_model``'s draw order.
+
+    ``init`` is "uniform", "zeros" or "ones". An ``extension`` sets the
+    position table's rows: ``l_orig * ceil(l_target / l_orig)`` under
+    pi_anchored, ``l_target`` under rp_suffix.
+    """
+    d, f = config.hidden_size, config.ffn_size
+    layout = {"tok_emb": ((config.vocab_size, d), "uniform")}
+    if config.position_mode == ABSOLUTE:
+        rows, e = config.original_context, extension
+        if e is not None:
+            rows = e.l_target if e.mode == "rp_suffix" else e.l_orig * -(-e.l_target // e.l_orig)
+        layout["pos_table"] = ((rows, d), "uniform")
+    for i in range(config.n_layers):
+        for name, shape, init in (
+            *((w, (d, d), "uniform") for w in ("attn.wq", "attn.wk", "attn.wv", "attn.wo")),
+            ("ffn.w1", (d, f), "uniform"), ("ffn.w2", (f, d), "uniform"),
+            *((b, (d,), "zeros") for b in ("attn.bq", "attn.bk", "attn.bv", "attn.bo")),
+            ("ffn.b1", (f,), "zeros"), ("ffn.b2", (d,), "zeros"),
+            ("ln1.g", (d,), "ones"), ("ln1.b", (d,), "zeros"),
+            ("ln2.g", (d,), "ones"), ("ln2.b", (d,), "zeros"),
+        ):
+            layout[f"layers.{i}.{name}"] = (shape, init)
+    layout["final_ln.g"], layout["final_ln.b"] = ((d,), "ones"), ((d,), "zeros")
+    return layout
+
+
 def init_model(config: ModelConfig) -> Model:
     """Build a model with seeded deterministic weights.
 
     Two calls with equal configs produce bit-identical parameter tensors.
     """
     rng = np.random.default_rng(config.init_seed)
-    d = config.hidden_size
-    bound = 1.0 / math.sqrt(d)
-
-    def draw(*shape):
-        return rng.uniform(-bound, bound, size=shape)
-
-    params: dict[str, np.ndarray] = {}
-    params["tok_emb"] = draw(config.vocab_size, d)
-    if config.position_mode == ABSOLUTE:
-        params["pos_table"] = draw(config.original_context, d)
-    for i in range(config.n_layers):
-        p = f"layers.{i}"
-        params[f"{p}.attn.wq"] = draw(d, d)
-        params[f"{p}.attn.wk"] = draw(d, d)
-        params[f"{p}.attn.wv"] = draw(d, d)
-        params[f"{p}.attn.wo"] = draw(d, d)
-        params[f"{p}.ffn.w1"] = draw(d, config.ffn_size)
-        params[f"{p}.ffn.w2"] = draw(config.ffn_size, d)
-        for name, shape in (
-            (f"{p}.attn.bq", (d,)), (f"{p}.attn.bk", (d,)), (f"{p}.attn.bv", (d,)),
-            (f"{p}.attn.bo", (d,)), (f"{p}.ffn.b1", (config.ffn_size,)),
-            (f"{p}.ffn.b2", (d,)),
-        ):
-            params[name] = np.zeros(shape)
-        params[f"{p}.ln1.g"] = np.ones(d)
-        params[f"{p}.ln1.b"] = np.zeros(d)
-        params[f"{p}.ln2.g"] = np.ones(d)
-        params[f"{p}.ln2.b"] = np.zeros(d)
-    params["final_ln.g"] = np.ones(d)
-    params["final_ln.b"] = np.zeros(d)
+    bound = 1.0 / math.sqrt(config.hidden_size)
+    fill = {"uniform": lambda shape: rng.uniform(-bound, bound, size=shape),
+            "zeros": np.zeros, "ones": np.ones}
+    params = {name: fill[init](shape) for name, (shape, init) in param_layout(config).items()}
     return Model(config=config, params=params)
 
 
@@ -304,13 +308,17 @@ def _relative_scores(q: np.ndarray, k: np.ndarray, g: int, w: int, theta: np.nda
 # budget, 29.9 ms with 1 << 16 and 33.2 ms with 1 << 18.
 _SCORE_TILE = 1 << 17
 
-# Padded-row budget of one ``encode_many`` batch (spans x longest span), the
+# Padded-row budget of one ``plan_batches`` batch (spans x longest span), the
 # activation-side twin of _SCORE_TILE: at d=64 a batch's (rows, d) arrays take
 # 256 KiB each and stay in L2. On a Xeon with 2 MiB of L2 a core, encoding the
 # benchmark's eval_sweep inputs (pi, ntk, pcw over 128-512 tokens) took a
 # median 1.88 s of CPU with 256 rows, 1.58 s with 512, 1.68 s with 1024 and
 # 1.97 s with 2048; peak RSS of that workload read 69.9, 69.9, 72.2 and
-# 78.8 MB (102.8 MB with batches cut by batch_size alone).
+# 78.8 MB (102.8 MB with batches cut by a count of 16 spans alone). Training
+# uses it too: on the train_tune inputs a step runs 4.4 groups of <= 504 rows
+# at padding efficiency 0.881 (power-of-two length buckets: 4.9 of <= 1,440 at
+# 0.985), and peak RSS fell from 131.3 to 125.0 MB at equal throughput (median
+# 24.0k vs 24.1k tokens/s over 10 alternating runs, OpenBLAS at 1 thread).
 _BATCH_ROWS = 512
 
 
@@ -437,6 +445,23 @@ def _merge_heads(x):
 
 # ---------------------------------------------------------------------------
 # forward / backward over a padded batch
+
+
+def plan_batches(sizes: list[int]) -> list[list[int]]:
+    """Indices of spans of ``sizes`` tokens, cut into padded batches.
+
+    Spans are stably sorted by length; a batch takes the next span unless its
+    count x longest span (its padded rows) would pass ``_BATCH_ROWS``, and a
+    span longer than that runs alone. Lengths ascend within and across
+    batches, so each batch pads every span to its last one.
+    """
+    batches: list[list[int]] = []
+    for j in sorted(range(len(sizes)), key=lambda j: sizes[j]):
+        if batches and (len(batches[-1]) + 1) * sizes[j] <= _BATCH_ROWS:
+            batches[-1].append(j)
+        else:
+            batches.append([j])
+    return batches
 
 
 def pad_batch(seqs: list[np.ndarray], positions: list[np.ndarray] | None):
@@ -743,23 +768,18 @@ def encode_many(
     spec: ExtensionSpec,
     *,
     attn_scaling: bool = True,
-    batch_size: int = 16,
 ) -> np.ndarray:
     """Embeddings (N, d) for a list of token sequences under one strategy.
 
     Each sequence is one span, or under PCW its ``plan_chunks`` chunks at
-    their original positions. All spans are stably sorted by length and cut
-    into batches of at most ``batch_size`` spans and at most ``_BATCH_ROWS``
-    padded rows (span count x longest span), so each batch pads little and
-    its activations stay small; a span longer than ``_BATCH_ROWS`` runs
-    alone. A sequence gets the renormalized mean of its span embeddings (one
-    span is returned as is), in input order. An embedding does not depend on
-    its batch neighbours (padding is masked out), so the batching only
-    changes float rounding. Raises LengthError as soon as any sequence
-    exceeds the target window.
+    their original positions. ``plan_batches`` cuts all spans into batches of
+    at most ``_BATCH_ROWS`` padded rows, so each batch pads little and its
+    activations stay small. A sequence gets the renormalized mean of its span
+    embeddings (one span is returned as is), in input order. An embedding
+    does not depend on its batch neighbours (padding is masked out), so the
+    batching only changes float rounding. Raises LengthError as soon as any
+    sequence exceeds the target window.
     """
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     cfg = model.config
     resolved = resolve_extension(spec, cfg.position_mode)
     _check_extension_compat(model, resolved)
@@ -788,16 +808,8 @@ def encode_many(
     if resolved.strategy is Strategy.SE:
         self_extend = (resolved.group_size, resolved.window)
 
-    batches, rows = [], []
-    for j in sorted(range(len(spans)), key=lambda j: spans[j].size):
-        # ascending lengths, so a batch pads every span to the one added last
-        if rows and (len(rows) == batch_size or (len(rows) + 1) * spans[j].size > _BATCH_ROWS):
-            batches.append(rows)
-            rows = []
-        rows.append(j)
-    batches.append(rows)
     span_embs = np.empty((len(spans), cfg.hidden_size))
-    for rows in batches:
+    for rows in plan_batches([s.size for s in spans]):
         group = [spans[j] for j in rows]
         positions = None
         if self_extend is None:

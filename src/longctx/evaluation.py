@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -126,13 +126,11 @@ class ModelEmbedder:
     continue around unretrievable documents.
     """
 
-    def __init__(self, model: Model, spec: ExtensionSpec, *,
-                 attn_scaling: bool = True, batch_size: int = 16):
+    def __init__(self, model: Model, spec: ExtensionSpec, *, attn_scaling: bool = True):
         resolve_extension(spec, model.config.position_mode)  # fail fast
         self.model = model
         self.spec = spec
         self.attn_scaling = attn_scaling
-        self.batch_size = batch_size
 
     def embed(self, texts: list[str]) -> tuple[list[np.ndarray | None], list[tuple[int, str]]]:
         vocab = self.model.config.vocab_size
@@ -148,21 +146,10 @@ class ModelEmbedder:
                 keep.append(i)
         out: list[np.ndarray | None] = [None] * len(texts)
         if seqs:
-            vecs = encode_many(
-                self.model, seqs, self.spec,
-                attn_scaling=self.attn_scaling, batch_size=self.batch_size,
-            )
+            vecs = encode_many(self.model, seqs, self.spec, attn_scaling=self.attn_scaling)
             for j, i in enumerate(keep):
                 out[i] = vecs[j]
         return out, errors
-
-
-def _as_embedder(model, spec, attn_scaling, batch_size):
-    if isinstance(model, Model):
-        if spec is None:
-            raise ConfigurationError("a Model needs an ExtensionSpec to run the benchmark")
-        return ModelEmbedder(model, spec, attn_scaling=attn_scaling, batch_size=batch_size)
-    return model  # any object with ModelEmbedder's embed protocol
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +188,11 @@ class EvalReport:
     run_config: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "created_utc": self.created_utc,
-            "seed": self.seed,
-            "spec": self.spec,
-            "attn_scaling": self.attn_scaling,
-            "synthetic": {
-                g: {str(l): v for l, v in buckets.items()}
-                for g, buckets in self.synthetic.items()
-            },
-            "real": self.real,
-            "task_scores": self.task_scores,
-            "average": self.average,
-            "skipped": self.skipped,
-            "notes": self.notes,
-            "run_config": self.run_config,
-        }
+        """The fields as JSON-ready data; bucket lengths become string keys."""
+        out = asdict(self)
+        out["synthetic"] = {g: {str(l): v for l, v in buckets.items()}
+                            for g, buckets in self.synthetic.items()}
+        return out
 
 
 def _spec_metadata(spec: ExtensionSpec | None, notes: list[str]) -> dict:
@@ -241,7 +216,6 @@ def run_benchmark(
     tasks: list[BenchmarkTask],
     *,
     attn_scaling: bool = True,
-    batch_size: int = 16,
     seed: int | None = None,
     run_config: dict | None = None,
 ) -> EvalReport:
@@ -252,9 +226,11 @@ def run_benchmark(
     Documents that cannot be encoded are recorded and scored unretrievable;
     the run continues.
     """
-    embedder = _as_embedder(model, spec, attn_scaling, batch_size)
-    notes: list[str] = []
-    if spec is not None and isinstance(model, Model):
+    embedder, notes = model, []
+    if isinstance(model, Model):
+        if spec is None:
+            raise ConfigurationError("a Model needs an ExtensionSpec to run the benchmark")
+        embedder = ModelEmbedder(model, spec, attn_scaling=attn_scaling)
         notes.extend(resolve_extension(spec, model.config.position_mode).notes)
         notes.append("attention scaling formula: max(1, log n / log l_orig) on logits")
 

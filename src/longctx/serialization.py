@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .encoder import Model, ModelConfig, PosExtension
+from .encoder import Model, ModelConfig, PosExtension, param_layout
 from .errors import ConfigurationError, ParseError, ValidationError
 from .evaluation import EvalReport
 from .synth import RetrievalTask
@@ -58,7 +58,12 @@ def write_task(task: RetrievalTask, out_dir: str | Path) -> None:
                 fh.write(f"{qid}\t{did}\t{task.qrels[qid][did]}\n")
 
 
-def _read_jsonl(path: Path, required: tuple[str, ...]) -> dict[str, dict]:
+def _read_jsonl(path: Path) -> dict[str, dict]:
+    """Rows of a task JSONL file by ``_id``.
+
+    Each line must be a JSON object with an ``_id`` and a string ``text``; a
+    ``title``, where present, must be a string too.
+    """
     rows: dict[str, dict] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -69,9 +74,15 @@ def _read_jsonl(path: Path, required: tuple[str, ...]) -> dict[str, dict]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            for key in required:
+            if not isinstance(obj, dict):
+                raise ParseError(f"{path}:{lineno}: expected a JSON object, got {line[:40]}")
+            for key in ("_id", "text"):
                 if key not in obj:
                     raise ParseError(f"{path}:{lineno}: missing field {key!r}")
+            for key in ("text", "title"):
+                if key in obj and not isinstance(obj[key], str):
+                    raise ParseError(f"{path}:{lineno}: field {key!r} must be a string, "
+                                     f"got {json.dumps(obj[key])[:40]}")
             rows[str(obj["_id"])] = obj
     return rows
 
@@ -103,12 +114,10 @@ def load_task(
     name: str = "task",
 ) -> RetrievalTask:
     """Parse and validate a task triplet; dangling ids abort with offenders listed."""
-    queries = {qid: str(row["text"]) for qid, row in
-               _read_jsonl(Path(queries_path), ("_id", "text")).items()}
+    queries = {qid: row["text"] for qid, row in _read_jsonl(Path(queries_path)).items()}
     docs = {}
-    for did, row in _read_jsonl(Path(corpus_path), ("_id", "text")).items():
-        title = str(row.get("title", "") or "")
-        text = str(row["text"])
+    for did, row in _read_jsonl(Path(corpus_path)).items():
+        title, text = row.get("title", ""), row["text"]
         docs[did] = f"{title} {text}".strip() if title else text
     qrels = _read_qrels(Path(qrels_path))
 
@@ -238,10 +247,20 @@ def load_checkpoint(path: str | Path) -> Model:
             extension = _header_dataclass(path, PosExtension, header["extension"], "extension")
         if not isinstance(header["tensors"], list):
             raise ParseError(f"{path}: checkpoint tensor manifest must be a list")
+        # every tensor of the config's layout once, plus frozen flags per table row
+        expected = {name: shape for name, (shape, _) in param_layout(config, extension).items()}
+        if "pos_table" in expected:
+            expected["__pos_frozen__"] = expected["pos_table"][:1]
         params: dict[str, np.ndarray] = {}
         pos_frozen = None
         for entry in header["tensors"]:
             dtype, shape = _tensor_layout(path, entry)
+            want = expected.pop(entry["name"], None)
+            if want is None:
+                raise ParseError(f"{path}: unknown or repeated checkpoint tensor {entry['name']}")
+            if shape != want:
+                raise ParseError(f"{path}: tensor {entry['name']} has shape {list(shape)}, "
+                                 f"the config and extension need {list(want)}")
             count = math.prod(shape)
             data = read(count * dtype.itemsize, f"tensor {entry['name']}")
             arr = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
@@ -249,6 +268,9 @@ def load_checkpoint(path: str | Path) -> Model:
                 pos_frozen = arr.astype(bool)
             else:
                 params[entry["name"]] = arr
+    expected.pop("__pos_frozen__", None)
+    if expected:
+        raise ParseError(f"{path}: checkpoint lacks tensors {list(expected)[:5]}")
     return Model(config=config, params=params, pos_frozen=pos_frozen, extension=extension)
 
 

@@ -28,6 +28,7 @@ from .encoder import (
     backward_batch,
     forward_batch,
     pad_batch,
+    plan_batches,
     pool_and_normalize,
     pool_and_normalize_backward,
 )
@@ -62,12 +63,14 @@ class TuneConfig:
             raise ConfigurationError(
                 f"l_target {self.l_target} must exceed l_orig {self.l_orig}"
             )
-        if self.temperature <= 0:
-            raise ConfigurationError(f"temperature must be positive, got {self.temperature}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning rate must be positive")
+        for name in ("learning_rate", "temperature"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
         if self.batch_size < 1 or self.epochs < 0 or self.warmup_steps < 0:
             raise ConfigurationError("batch_size >= 1, epochs >= 0, warmup_steps >= 0 required")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ConfigurationError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.n_negatives < 1:
             raise ConfigurationError("need at least one negative per example")
 
@@ -149,8 +152,8 @@ def contrastive_loss(
 
 
 def _contrastive_loss_grads(q, p, negs, temperature):
-    if temperature <= 0:
-        raise ConfigurationError(f"temperature must be positive, got {temperature}")
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ConfigurationError(f"temperature must be finite and positive, got {temperature}")
     cands = [p, *negs]
     logits = np.array([float(q @ c) for c in cands]) / temperature
     m = logits.max()
@@ -241,20 +244,16 @@ def _batch_loss_and_grads(model: Model, pairs: list[TrainingPair],
     order (query, positive, negatives...). ``needed`` limits which parameter
     gradients are accumulated.
 
-    The sequences run through the encoder in groups of one power-of-two length
-    bucket, ``(n - 1).bit_length()``, so each group pads to less than twice its
-    shortest member. Embeddings do not depend on their batch neighbours, the
-    loss is per pair and gradients add, so the grouping changes only float
-    rounding against one block padded to the longest sequence.
+    The sequences run through the encoder in the padded groups that
+    ``plan_batches`` cuts, as at inference. Embeddings do not depend on their
+    batch neighbours, the loss is per pair and gradients add, so the grouping
+    changes only float rounding against one block padded to the longest
+    sequence.
     """
     seqs = [s for pair in pairs for s in pair.sequences()]
-    buckets: dict[int, list[int]] = {}
-    for i, s in enumerate(seqs):
-        buckets.setdefault((s.size - 1).bit_length(), []).append(i)
-
     groups = []
     embs = [None] * len(seqs)
-    for _, rows in sorted(buckets.items()):
+    for rows in plan_batches([s.size for s in seqs]):
         tokens, mask, pos = pad_batch([seqs[i] for i in rows], [positions[i] for i in rows])
         hidden, cache = forward_batch(model, tokens, mask, positions=pos, want_cache=True)
         for bi, i in enumerate(rows):

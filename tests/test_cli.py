@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from longctx import cli
 from longctx.cli import build_parser, main
 from longctx.serialization import load_checkpoint, load_task_dir
 from longctx.tuning import TuneConfig
@@ -146,13 +147,12 @@ def test_eval_truncated_checkpoint_is_code_3(tmp_path):
     assert run("eval", "--model", ckpt, "--synthetic", tasks / "passkey") == 3
 
 
-@pytest.mark.parametrize("batch_size", [0, -1])
-def test_eval_batch_size_below_one_is_code_2(tmp_path, batch_size):
-    tasks = gen_small(tmp_path)
-    ckpt = init_small(tmp_path)
-    code = run("eval", "--model", ckpt, "--strategy", "rp", "--l-target", 64,
-               "--batch-size", batch_size, "--synthetic", tasks / "passkey")
-    assert code == 2
+def test_eval_settings_table_matches_the_eval_flags():
+    """Each eval setting flag has a config-file key with a default, and each key a flag."""
+    args = vars(build_parser().parse_args(["eval", "--model", "m.ckpt"]))
+    inputs = {"command", "func", "model", "config", "synthetic", "real", "out"}
+    assert set(args) - inputs == set(cli._EVAL_SETTINGS)
+    assert all(args[key] is None for key in cli._EVAL_SETTINGS)  # unset flags defer to the file
 
 
 def test_tune_rejects_rotary_model_with_code_2(tmp_path):
@@ -229,6 +229,21 @@ def test_tune_cli_defaults_are_the_tune_config_defaults():
         config.n_negatives)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--max-steps", -1), ("--lr", "nan"), ("--lr", "inf"), ("--temperature", "nan"),
+    ("--temperature", "inf"),
+])
+def test_tune_rejects_bad_settings_with_code_2(tmp_path, capsys, flag, value):
+    tasks = gen_small(tmp_path, lengths="8")
+    ckpt = init_small(tmp_path)
+    out = tmp_path / "t.ckpt"
+    code = run("tune", "--model", ckpt, "--l-target", 16, "--data", tasks / "passkey" / "8",
+               "--batch-size", 2, "--negatives", 2, flag, value, "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
 def test_tune_divergence_exits_4_after_writing_checkpoint(tmp_path):
     import numpy as np
 
@@ -296,7 +311,7 @@ def test_inspect_dumps_positions_and_frequencies(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("strategy", "bogus"),
-    ("batch_size", "x"),
+    ("seed", "x"),
     ("l_target", "abc"),
     ("g", "5"),
     ("attn_scaling", "no"),

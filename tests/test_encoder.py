@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -354,7 +355,7 @@ def test_a_long_input_never_builds_a_full_score_tensor(mode, strategy):
     tokens = np.random.default_rng(0).integers(0, 4096, L)
     tracemalloc.start()
     try:
-        emb = encode_many(model, [tokens], spec, batch_size=1)
+        emb = encode_many(model, [tokens], spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -540,7 +541,7 @@ def test_encode_many_matches_single_calls(tiny_absolute, tiny_rotary):
         if strategy is Strategy.SE:
             # a padded length off the group grid shifts every residue class
             assert 23 % resolve_extension(spec, "rotary").group_size != 0
-        batch = encode_many(model, seqs, spec, batch_size=3)
+        batch = encode_many(model, seqs, spec)
         for i, s in enumerate(seqs):
             solo = encode(model, s, spec)
             assert np.allclose(batch[i], solo, atol=1e-12)
@@ -572,10 +573,11 @@ def test_embedding_ignores_batch_neighbours_and_batch_size(case, data):
     spec = ExtensionSpec(strategy=strategy, l_orig=8, l_target=l_target)
     lengths = data.draw(st.lists(st.integers(min_value=1, max_value=l_target),
                                  min_size=1, max_size=7))
-    batch_size = data.draw(st.integers(min_value=1, max_value=len(lengths) + 1))
+    budget = data.draw(st.integers(min_value=1, max_value=l_target * (len(lengths) + 1)))
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**31)))
     seqs = [rng.integers(0, 64, n) for n in lengths]
-    batch = encode_many(model, seqs, spec, batch_size=batch_size)
+    with mock.patch.object(encoder, "_BATCH_ROWS", budget):
+        batch = encode_many(model, seqs, spec)
     for s, row in zip(seqs, batch):
         assert np.abs(row - encode(model, s, spec)).max() <= 1e-12
 
@@ -595,7 +597,8 @@ def test_pcw_chunks_of_every_input_share_batches(mode, monkeypatch):
         return real(model, token_ids, mask, **kwargs)
 
     monkeypatch.setattr(encoder, "forward_batch", counting)
-    encode_many(model, seqs, spec, batch_size=4)
+    monkeypatch.setattr(encoder, "_BATCH_ROWS", 4 * 8)  # four full chunks
+    encode_many(model, seqs, spec)
     assert sum(batches) == n_chunks == 12
     assert len(batches) == math.ceil(n_chunks / 4)
 
@@ -608,10 +611,10 @@ def test_a_batch_holds_at_most_batch_size_spans_and_the_row_budget(case, monkeyp
     l_target = 8 if strategy is Strategy.NONE else 32
     spec = ExtensionSpec(strategy=strategy, l_orig=8, l_target=l_target)
     rng = np.random.default_rng(9)
-    # six 1-token spans fill batches by count, 25..32 exceed the budget alone
+    # the 1- and 3-token spans fill a 7 x 3 batch, 25..32 exceed the budget alone
     lengths = [n for n in (1, 1, 1, 1, 1, 1, 3, 5, 6, 8, 8, 13, 20, 25, 32) if n <= l_target]
     seqs = [rng.integers(0, 64, n) for n in lengths]
-    budget, batch_size, shapes = 24, 4, []
+    budget, shapes = 24, []
     real = encoder.forward_batch
 
     def recording(model, token_ids, mask, **kwargs):
@@ -620,18 +623,35 @@ def test_a_batch_holds_at_most_batch_size_spans_and_the_row_budget(case, monkeyp
 
     monkeypatch.setattr(encoder, "_BATCH_ROWS", budget)
     monkeypatch.setattr(encoder, "forward_batch", recording)
-    batch = encode_many(model, seqs, spec, batch_size=batch_size)
+    batch = encode_many(model, seqs, spec)
     assert shapes
     for B, L in shapes:
-        assert B <= batch_size and B * L <= max(budget, L), (B, L)
+        assert B * L <= max(budget, L), (B, L)
     for s, row in zip(seqs, batch):
         assert np.abs(row - encode(model, s, spec)).max() <= 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(min_value=1, max_value=600), max_size=40))
+@example(sizes=[])
+@example(sizes=[512, 1, 513, 256, 256, 2])
+def test_plan_batches_cuts_length_sorted_spans_by_the_row_budget(sizes):
+    batches = encoder.plan_batches(sizes)
+    order = [j for rows in batches for j in rows]
+    # every index once, lengths non-decreasing within and across batches, ties in input order
+    assert order == sorted(range(len(sizes)), key=lambda j: sizes[j])
+    budget = encoder._BATCH_ROWS
+    for rows in batches:
+        assert len(rows) == 1 or len(rows) * sizes[rows[-1]] <= budget, rows
+    for prev, nxt in zip(batches, batches[1:]):  # a batch closes only when the next span won't fit
+        assert (len(prev) + 1) * sizes[nxt[0]] > budget
+
+
 @pytest.mark.parametrize("strategy", ["ntk", "se"])
 def test_long_inputs_at_the_default_batch_size_stay_under_a_memory_ceiling(strategy):
-    """Four L=2048 inputs at batch_size 16 peak near 19 MiB; cut by batch_size alone,
-    one batch held 4 x 2048 rows of every activation and peaked near 70 MiB."""
+    """Four L=2048 inputs, each alone in its batch under the row budget, peak near
+    19 MiB; cut by a count of 16 spans, one batch held 4 x 2048 rows of every
+    activation and peaked near 70 MiB."""
     l_orig, L = 128, 2048
     model = init_model(ModelConfig(hidden_size=64, n_layers=2, n_heads=4, vocab_size=4096,
                                    original_context=l_orig, position_mode="rotary"))

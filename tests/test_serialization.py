@@ -15,6 +15,7 @@ from longctx import (
     task_stats,
     write_task,
 )
+from longctx.encoder import param_layout
 from longctx.errors import ParseError, ValidationError
 from longctx.synth import SyntheticTaskConfig, build_bucket
 from longctx.tuning import TuneConfig
@@ -56,6 +57,24 @@ def test_malformed_jsonl_reports_line_number(tmp_path):
     (tmp_path / "corpus.jsonl").write_text('{"_id": "d1", "title": "", "text": "x"}\n')
     (tmp_path / "qrels.tsv").write_text("query-id\tdoc-id\tscore\nq1\td1\t1\n")
     with pytest.raises(ParseError, match=":2"):
+        load_task_dir(tmp_path)
+
+
+@pytest.mark.parametrize("file, line, part", [
+    ("queries.jsonl", "5", "expected a JSON object"),
+    ("queries.jsonl", "null", "expected a JSON object"),
+    ("queries.jsonl", "[]", "expected a JSON object"),
+    ("queries.jsonl", '{"_id": "q2", "text": null}', "field 'text' must be a string"),
+    ("corpus.jsonl", '{"_id": "d2", "text": ["x"]}', "field 'text' must be a string"),
+    ("corpus.jsonl", '{"_id": "d2", "title": 7, "text": "x"}', "field 'title' must be a string"),
+], ids=["number", "null", "list", "null-text", "list-text", "number-title"])
+def test_a_task_line_of_the_wrong_shape_is_a_parse_error_naming_it(tmp_path, file, line, part):
+    (tmp_path / "queries.jsonl").write_text('{"_id": "q1", "text": "ok"}\n')
+    (tmp_path / "corpus.jsonl").write_text('{"_id": "d1", "title": "", "text": "x"}\n')
+    (tmp_path / "qrels.tsv").write_text("query-id\tdoc-id\tscore\nq1\td1\t1\n")
+    with open(tmp_path / file, "a") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(ParseError, match=f"{file}:2: {part}"):
         load_task_dir(tmp_path)
 
 
@@ -215,3 +234,38 @@ def test_corrupt_checkpoint_raises_parse_error_naming_the_path(tmp_path, corrupt
     with pytest.raises(ParseError, match=part) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
+
+
+def _pi_extended():
+    return extend_for_tuning(make_model(), TuneConfig(mode="pi_anchored", l_orig=8, l_target=16))
+
+
+@pytest.mark.parametrize("edit, part", [
+    (lambda m: m.params.pop("layers.0.attn.wq"), r"lacks tensors \['layers.0.attn.wq'\]"),
+    (lambda m: m.params.update(tok_emb=m.params["tok_emb"][:-1]),
+     r"tensor tok_emb has shape \[31, 16\], the config and extension need \[32, 16\]"),
+    (lambda m: m.params.update(extra=np.zeros(2)), "unknown or repeated checkpoint tensor extra"),
+    (lambda m: setattr(m, "pos_frozen", m.pos_frozen[:-1]),
+     r"tensor __pos_frozen__ has shape \[15\], the config and extension need \[16\]"),
+    (lambda m: m.params.update(pos_table=m.params["pos_table"][:8]),
+     r"tensor pos_table has shape \[8, 16\], the config and extension need \[16, 16\]"),
+], ids=["missing-wq", "short-tok-emb", "unknown-name", "short-frozen-flags",
+        "unextended-table"])
+def test_checkpoint_tensors_must_match_the_config_and_extension(tmp_path, edit, part):
+    model = _pi_extended()
+    edit(model)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    with pytest.raises(ParseError, match=part) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("mode, rows", [("pi_anchored", 16), ("rp_suffix", 13)])
+def test_an_extended_table_has_the_rows_the_layout_expects(tmp_path, mode, rows):
+    ext = extend_for_tuning(make_model(), TuneConfig(mode=mode, l_orig=8, l_target=13))
+    assert ext.params["pos_table"].shape == param_layout(ext.config, ext.extension)[
+        "pos_table"][0] == (rows, 16)
+    assert ext.pos_frozen.shape == (rows,)
+    save_checkpoint(ext, tmp_path / "ext.ckpt")
+    assert model_checksum(load_checkpoint(tmp_path / "ext.ckpt")) == model_checksum(ext)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from longctx import (
     training_pairs_from_task,
     tune,
 )
-from longctx import serialization, tuning
+from longctx import encoder, serialization, tuning
 from longctx.encoder import (
     backward_batch,
     forward_batch,
@@ -139,8 +140,9 @@ def test_loss_nonnegative_and_permutation_invariant(rng):
 
 def test_loss_rejects_bad_temperature(rng):
     v = rng.normal(size=4)
-    with pytest.raises(ConfigurationError):
-        contrastive_loss(v, v, [v], 0.0)
+    for temperature in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            contrastive_loss(v, v, [v], temperature)
 
 
 # --- table extension ---------------------------------------------------------------
@@ -429,14 +431,16 @@ LENGTH_GROUP_MODELS = {
 @settings(max_examples=40, deadline=None)
 @given(mode=st.sampled_from(["absolute", "rotary"]), data=st.data())
 def test_length_groups_match_one_padded_block(mode, data):
-    """Grouping by power-of-two length changes only rounding, for the loss and every gradient."""
+    """Cutting by the row budget changes only rounding, for the loss and every gradient."""
     model = LENGTH_GROUP_MODELS[mode]
     config = tiny_tune_config()
     needed = data.draw(st.sampled_from(
         [None, {"tok_emb"}] + ([{"pos_table"}] if mode == "absolute" else [])))
-    lengths = st.integers(min_value=1, max_value=config.l_orig)  # buckets 0..3
+    lengths = st.integers(min_value=1, max_value=config.l_orig)
     negatives = st.lists(lengths, min_size=1, max_size=3)
     shapes = data.draw(st.lists(st.tuples(lengths, lengths, negatives), min_size=1, max_size=4))
+    # at most 20 sequences of <= 8 tokens: a budget up to 40 rows cuts them into 1..20 groups
+    budget = data.draw(st.integers(min_value=1, max_value=40))
     seed = data.draw(st.integers(min_value=0, max_value=2**31))
     rng = np.random.default_rng(seed)
     pairs = [TrainingPair(query=rng.integers(0, 64, q), positive=rng.integers(0, 64, p),
@@ -444,7 +448,9 @@ def test_length_groups_match_one_padded_block(mode, data):
              for q, p, negs in shapes]
     positions = tuning._training_positions(model, pairs, config, np.random.default_rng(seed))
 
-    loss, grads = tuning._batch_loss_and_grads(model, pairs, positions, config.temperature, needed)
+    with mock.patch.object(encoder, "_BATCH_ROWS", budget):
+        loss, grads = tuning._batch_loss_and_grads(
+            model, pairs, positions, config.temperature, needed)
     ref_loss, ref = one_block_loss_and_grads(model, pairs, positions, config.temperature, needed)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     assert set(grads) == set(ref)
@@ -454,6 +460,28 @@ def test_length_groups_match_one_padded_block(mode, data):
         # gradient is zero and both sides hold only rounding noise.
         bound = largest if mode == "absolute" and name.endswith("attn.bk") else np.abs(want).max()
         assert np.abs(grads[name] - want).max() <= 1e-12 * bound, name
+
+
+@pytest.mark.parametrize("trainer", ["train_model", "tune"])
+def test_a_training_step_cuts_its_sequences_by_the_row_budget(rng, monkeypatch, trainer):
+    budget, shapes = 12, []
+    forward = tuning.forward_batch
+
+    def recording(model, token_ids, mask, **kwargs):
+        shapes.append(token_ids.shape)
+        return forward(model, token_ids, mask, **kwargs)
+
+    monkeypatch.setattr(encoder, "_BATCH_ROWS", budget)
+    monkeypatch.setattr(tuning, "forward_batch", recording)
+    config = tiny_tune_config(max_steps=1)
+    model = tiny_model()
+    if trainer == "tune":
+        model = extend_for_tuning(model, config)
+    result = getattr(tuning, trainer)(model, random_pairs(rng, 4), config)
+    assert len(result.log) == 1
+    assert sum(B for B, _ in shapes) == 4 * 4  # query, positive and two negatives a pair
+    for B, L in shapes:
+        assert B * L <= max(budget, L), (B, L)
 
 
 def test_grad_check_rejects_large_models(rng):
