@@ -17,6 +17,7 @@ from .encoder import (  # noqa: E402
     encode,
     encode_many,
     forward,
+    freeze_mask,
     init_model,
     model_checksum,
     pool_and_normalize,
@@ -72,7 +73,6 @@ from .tuning import (  # noqa: E402
     TuneConfig,
     contrastive_loss,
     extend_for_tuning,
-    freeze_mask,
     grad_check,
     sample_skip_bias,
     train_model,

@@ -261,8 +261,6 @@ def cmd_eval(args) -> int:
 
 def cmd_tune(args) -> int:
     model = load_checkpoint(args.model)
-    if model.config.position_mode != "absolute":
-        raise ConfigurationError("further tuning requires absolute-position mode")
     config = TuneConfig(
         mode=args.mode,
         l_orig=model.config.original_context,

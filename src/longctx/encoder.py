@@ -51,6 +51,8 @@ from .positions import se_remap_deltas  # noqa: F401
 
 ABSOLUTE = "absolute"
 ROTARY = "rotary"
+PI_ANCHORED = "pi_anchored"
+RP_SUFFIX = "rp_suffix"
 
 _LN_EPS = 1e-12
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -112,16 +114,42 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class PosExtension:
-    """Marker for a position table that was extended (and possibly tuned)."""
+    """An extended position table; the one owner of its geometry and frozen rows.
 
-    mode: str  # "pi_anchored" | "rp_suffix"
+    pi_anchored interpolates the l_orig original rows by ``scale`` to
+    ``rows = l_orig * scale``; rp_suffix repeats them to ``rows = l_target``.
+    """
+
+    mode: str  # PI_ANCHORED | RP_SUFFIX
     l_orig: int
     l_target: int
 
     def __post_init__(self):
         check_types(vars(self), self.__annotations__)
-        if self.mode not in ("pi_anchored", "rp_suffix") or not 1 <= self.l_orig < self.l_target:
+        if self.mode not in (PI_ANCHORED, RP_SUFFIX) or not 1 <= self.l_orig < self.l_target:
             raise ConfigurationError(f"{self} needs a known mode and 1 <= l_orig < l_target")
+
+    @property
+    def scale(self) -> int:
+        return -(-self.l_target // self.l_orig)
+
+    @property
+    def rows(self) -> int:
+        return self.l_orig * self.scale if self.mode == PI_ANCHORED else self.l_target
+
+
+def freeze_mask(mode: str, l_orig: int, l_target: int) -> np.ndarray:
+    """Frozen flags (True = not trainable) per row of ``PosExtension(mode, l_orig, l_target)``.
+
+    Under pi_anchored, the anchors i*s that ``build_interpolated_matrix`` copies
+    from the original table; under rp_suffix, the original l_orig rows; at
+    l_target == l_orig (s = 1), every row.
+    """
+    if l_target == l_orig and mode in (PI_ANCHORED, RP_SUFFIX):
+        return np.ones(l_orig, dtype=bool)
+    ext = PosExtension(mode, l_orig, l_target)
+    idx = np.arange(ext.rows)
+    return idx % ext.scale == 0 if mode == PI_ANCHORED else idx < l_orig
 
 
 @dataclass
@@ -130,14 +158,18 @@ class Model:
 
     config: ModelConfig
     params: dict[str, np.ndarray]
-    pos_frozen: np.ndarray | None = None  # per-row flags for the position table
     extension: PosExtension | None = None
+
+    @property
+    def pos_frozen(self) -> np.ndarray | None:
+        """The extension's frozen flags per position-table row; None without one."""
+        e = self.extension
+        return None if e is None else freeze_mask(e.mode, e.l_orig, e.l_target)
 
     def copy(self) -> "Model":
         return Model(
             config=self.config,
             params={k: v.copy() for k, v in self.params.items()},
-            pos_frozen=None if self.pos_frozen is None else self.pos_frozen.copy(),
             extension=self.extension,
         )
 
@@ -146,15 +178,12 @@ def param_layout(config: ModelConfig, extension: PosExtension | None = None) -> 
     """Every parameter tensor's ``name -> (shape, init)``, in ``init_model``'s draw order.
 
     ``init`` is "uniform", "zeros" or "ones". An ``extension`` sets the
-    position table's rows: ``l_orig * ceil(l_target / l_orig)`` under
-    pi_anchored, ``l_target`` under rp_suffix.
+    position table's rows (``PosExtension.rows``).
     """
     d, f = config.hidden_size, config.ffn_size
     layout = {"tok_emb": ((config.vocab_size, d), "uniform")}
     if config.position_mode == ABSOLUTE:
-        rows, e = config.original_context, extension
-        if e is not None:
-            rows = e.l_target if e.mode == "rp_suffix" else e.l_orig * -(-e.l_target // e.l_orig)
+        rows = config.original_context if extension is None else extension.rows
         layout["pos_table"] = ((rows, d), "uniform")
     for i in range(config.n_layers):
         for name, shape, init in (
@@ -742,19 +771,14 @@ def _check_extension_compat(model: Model, resolved: ResolvedExtension) -> None:
             f"spec l_orig {spec.l_orig} does not match the model's original "
             f"context {model.config.original_context}"
         )
-    tuned = spec.strategy in (Strategy.TUNED_PI, Strategy.TUNED_RP)
-    if tuned:
-        want = "pi_anchored" if spec.strategy is Strategy.TUNED_PI else "rp_suffix"
-        if model.extension is None:
-            raise ConfigurationError(
-                f"strategy {spec.strategy.value} needs a model with an installed "
-                "position extension"
-            )
-        if model.extension.mode != want or model.extension.l_target < spec.l_target:
-            raise ConfigurationError(
-                f"model extension {model.extension} incompatible with {spec.strategy.value} "
-                f"to {spec.l_target}"
-            )
+    if spec.strategy in (Strategy.TUNED_PI, Strategy.TUNED_RP):
+        # tuned_pi reads short inputs off the anchors i * spec.scale, so the scales must agree
+        e, pi = model.extension, spec.strategy is Strategy.TUNED_PI
+        mode, at_scale = (PI_ANCHORED, f" at scale {spec.scale}") if pi else (RP_SUFFIX, "")
+        if (e is None or e.mode != mode or e.l_target < spec.l_target
+                or (pi and e.scale != spec.scale)):
+            raise ConfigurationError(f"strategy {spec.strategy.value} to {spec.l_target} needs "
+                                     f"a {mode} extension that long{at_scale}, got {e}")
     elif model.extension is not None:
         raise ConfigurationError(
             "model carries an extended position table; evaluate it with "

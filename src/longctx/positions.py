@@ -95,7 +95,7 @@ def build_interpolated_matrix(table, s: int) -> np.ndarray:
     """Extend an (l_orig, d) position table to l_orig*s rows by linear interpolation.
 
     Row i*s is the original row i, copied bitwise (the anchors that
-    ``tuning.freeze_mask`` freezes). Rows between anchors i*s and (i+1)*s are
+    ``encoder.freeze_mask`` freezes). Rows between anchors i*s and (i+1)*s are
     the convex combination of the two anchors; rows past the last anchor
     repeat it (there is no right anchor to interpolate toward).
     """
@@ -224,8 +224,9 @@ class ExtensionSpec:
             raise ConfigurationError(
                 f"l_target {self.l_target} must be >= l_orig {self.l_orig}"
             )
-        if self.ntk_lambda is not None and self.ntk_lambda <= 0:
-            raise ConfigurationError(f"NTK multiplier must be positive, got {self.ntk_lambda}")
+        lam = self.ntk_lambda
+        if lam is not None and not (math.isfinite(lam) and lam > 0):
+            raise ConfigurationError(f"NTK multiplier must be finite and positive, got {lam}")
         if self.group_size is not None and self.group_size < 1:
             raise ConfigurationError(f"group size must be >= 1, got {self.group_size}")
         if self.window is not None and self.window < 0:

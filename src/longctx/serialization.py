@@ -61,8 +61,8 @@ def write_task(task: RetrievalTask, out_dir: str | Path) -> None:
 def _read_jsonl(path: Path) -> dict[str, dict]:
     """Rows of a task JSONL file by ``_id``.
 
-    Each line must be a JSON object with an ``_id`` and a string ``text``; a
-    ``title``, where present, must be a string too.
+    Each line must be a JSON object with an ``_id`` not seen before and a
+    string ``text``; a ``title``, where present, must be a string too.
     """
     rows: dict[str, dict] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -83,7 +83,10 @@ def _read_jsonl(path: Path) -> dict[str, dict]:
                 if key in obj and not isinstance(obj[key], str):
                     raise ParseError(f"{path}:{lineno}: field {key!r} must be a string, "
                                      f"got {json.dumps(obj[key])[:40]}")
-            rows[str(obj["_id"])] = obj
+            rid = str(obj["_id"])
+            if rid in rows:
+                raise ParseError(f"{path}:{lineno}: repeated _id {rid!r}")
+            rows[rid] = obj
     return rows
 
 
@@ -102,7 +105,9 @@ def _read_qrels(path: Path) -> dict[str, dict[str, int]]:
                 rel = int(score)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-integer score {score!r}") from exc
-            qrels.setdefault(qid, {})[did] = rel
+            if did in qrels.setdefault(qid, {}):
+                raise ParseError(f"{path}:{lineno}: repeated judgment for {qid!r} {did!r}")
+            qrels[qid][did] = rel
     return qrels
 
 
@@ -158,9 +163,8 @@ def task_stats(task: RetrievalTask) -> dict:
 
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
-    names = sorted(model.params)
-    tensors = [(name, model.params[name]) for name in names]
-    if model.pos_frozen is not None:
+    tensors = [(name, model.params[name]) for name in sorted(model.params)]
+    if model.extension is not None:
         tensors.append(("__pos_frozen__", model.pos_frozen.astype(np.uint8)))
     header = {
         "format_version": _CKPT_VERSION,
@@ -217,7 +221,11 @@ def _tensor_layout(path, entry) -> tuple[np.dtype, tuple[int, ...]]:
 
 
 def load_checkpoint(path: str | Path) -> Model:
-    """Read a ``save_checkpoint`` file; a truncated or corrupt one raises ParseError."""
+    """Read a ``save_checkpoint`` file; a truncated or corrupt one raises ParseError.
+
+    The ``__pos_frozen__`` flags may be absent; where present they must equal
+    the extension's ``freeze_mask``.
+    """
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
 
@@ -247,12 +255,11 @@ def load_checkpoint(path: str | Path) -> Model:
             extension = _header_dataclass(path, PosExtension, header["extension"], "extension")
         if not isinstance(header["tensors"], list):
             raise ParseError(f"{path}: checkpoint tensor manifest must be a list")
-        # every tensor of the config's layout once, plus frozen flags per table row
+        # every tensor of the config's layout once, plus (optionally) the extension's flags
         expected = {name: shape for name, (shape, _) in param_layout(config, extension).items()}
-        if "pos_table" in expected:
-            expected["__pos_frozen__"] = expected["pos_table"][:1]
+        if extension is not None:
+            expected["__pos_frozen__"] = (extension.rows,)
         params: dict[str, np.ndarray] = {}
-        pos_frozen = None
         for entry in header["tensors"]:
             dtype, shape = _tensor_layout(path, entry)
             want = expected.pop(entry["name"], None)
@@ -263,15 +270,15 @@ def load_checkpoint(path: str | Path) -> Model:
                                  f"the config and extension need {list(want)}")
             count = math.prod(shape)
             data = read(count * dtype.itemsize, f"tensor {entry['name']}")
-            arr = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
-            if entry["name"] == "__pos_frozen__":
-                pos_frozen = arr.astype(bool)
-            else:
-                params[entry["name"]] = arr
+            params[entry["name"]] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
     expected.pop("__pos_frozen__", None)
     if expected:
         raise ParseError(f"{path}: checkpoint lacks tensors {list(expected)[:5]}")
-    return Model(config=config, params=params, pos_frozen=pos_frozen, extension=extension)
+    frozen = params.pop("__pos_frozen__", None)
+    model = Model(config=config, params=params, extension=extension)
+    if frozen is not None and not np.array_equal(frozen, model.pos_frozen):
+        raise ParseError(f"{path}: __pos_frozen__ differs from the frozen rows of {extension}")
+    return model
 
 
 # ---------------------------------------------------------------------------

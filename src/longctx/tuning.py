@@ -23,6 +23,8 @@ import numpy as np
 
 from .encoder import (
     ABSOLUTE,
+    PI_ANCHORED,
+    RP_SUFFIX,
     Model,
     PosExtension,
     backward_batch,
@@ -36,9 +38,6 @@ from .errors import ConfigurationError, NumericError, ValidationError, check_typ
 from .positions import ExtensionSpec, assign_positions, build_interpolated_matrix, resolve_extension
 from .synth import RetrievalTask
 from .tokenizer import tokenize
-
-PI_ANCHORED = "pi_anchored"
-RP_SUFFIX = "rp_suffix"
 
 
 @dataclass(frozen=True)
@@ -57,12 +56,7 @@ class TuneConfig:
 
     def __post_init__(self):
         check_types(vars(self), self.__annotations__)
-        if self.mode not in (PI_ANCHORED, RP_SUFFIX):
-            raise ConfigurationError(f"unknown tuning mode {self.mode!r}")
-        if self.l_target <= self.l_orig:
-            raise ConfigurationError(
-                f"l_target {self.l_target} must exceed l_orig {self.l_orig}"
-            )
+        self.extension  # constructing it checks the mode and 1 <= l_orig < l_target
         for name in ("learning_rate", "temperature"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -75,8 +69,9 @@ class TuneConfig:
             raise ConfigurationError("need at least one negative per example")
 
     @property
-    def scale(self) -> int:
-        return math.ceil(self.l_target / self.l_orig)
+    def extension(self) -> PosExtension:
+        """The extended table this config tunes."""
+        return PosExtension(self.mode, self.l_orig, self.l_target)
 
 
 @dataclass
@@ -93,21 +88,6 @@ class TrainingPair:
 
     def sequences(self) -> list[np.ndarray]:
         return [self.query, self.positive, *self.negatives]
-
-
-def freeze_mask(mode: str, l_orig: int, l_target: int, s: int) -> np.ndarray:
-    """Per-row frozen flags over the extended table (True = not trainable).
-
-    Under pi_anchored these are the anchor rows i*s that
-    ``build_interpolated_matrix`` copies from the original table; under
-    rp_suffix, the original l_orig rows.
-    """
-    if mode == PI_ANCHORED:
-        idx = np.arange(l_orig * s)
-        return idx % s == 0
-    if mode == RP_SUFFIX:
-        return np.arange(l_target) < l_orig
-    raise ConfigurationError(f"unknown tuning mode {mode!r}")
 
 
 def sample_skip_bias(l_target: int, l_orig: int, rng: np.random.Generator) -> int:
@@ -173,7 +153,7 @@ def _contrastive_loss_grads(q, p, negs, temperature):
 
 
 def extend_for_tuning(model: Model, config: TuneConfig) -> Model:
-    """Install the extended position table and its frozen flags on a copy."""
+    """Install ``config.extension`` and its position table on a copy."""
     if model.config.position_mode != ABSOLUTE:
         raise ConfigurationError("further tuning requires absolute-position mode")
     if model.extension is not None:
@@ -183,18 +163,14 @@ def extend_for_tuning(model: Model, config: TuneConfig) -> Model:
             f"tune l_orig {config.l_orig} does not match the model's original "
             f"context {model.config.original_context}"
         )
-    table = model.params["pos_table"]
-    if config.mode == PI_ANCHORED:
-        rows = build_interpolated_matrix(table, config.scale)
-    else:
-        suffix = table[np.arange(config.l_orig, config.l_target) % config.l_orig]
-        rows = np.concatenate([table, suffix], axis=0)
+    ext, table = config.extension, model.params["pos_table"]
+    if ext.mode == PI_ANCHORED:
+        rows = build_interpolated_matrix(table, ext.scale)
+    elif ext.mode == RP_SUFFIX:  # the original rows, then recurrent copies of them
+        rows = table[np.arange(ext.rows) % ext.l_orig]
     out = model.copy()
     out.params["pos_table"] = rows
-    out.pos_frozen = freeze_mask(config.mode, config.l_orig, config.l_target, config.scale)
-    out.extension = PosExtension(
-        mode=config.mode, l_orig=config.l_orig, l_target=config.l_target
-    )
+    out.extension = ext
     return out
 
 
@@ -287,12 +263,12 @@ def _batch_loss_and_grads(model: Model, pairs: list[TrainingPair],
 def _run_training(model: Model, pairs: list[TrainingPair], config: TuneConfig) -> TrainResult:
     """Shared loop: shuffle, batch, shift, step, watch for NaN.
 
-    What trains follows from the model. With ``pos_frozen`` set, only the
-    unfrozen ``pos_table`` rows learn, at positions shifted by a per-sequence
-    skip bias; without it, every parameter learns at identity positions. A
-    non-finite loss or gradient stops the run with the parameters of the last
-    logged step, restored from a copy of the trainable tensors taken before
-    each optimizer step.
+    What trains follows from the model. With an extension, only the
+    ``pos_table`` rows its ``pos_frozen`` leaves free learn, at positions
+    shifted by a per-sequence skip bias; without one, every parameter learns
+    at identity positions. A non-finite loss or gradient stops the run with
+    the parameters of the last logged step, restored from a copy of the
+    trainable tensors taken before each optimizer step.
     """
     if config.epochs == 0 or config.max_steps == 0 or not pairs:
         return TrainResult(model=model.copy())
@@ -340,26 +316,18 @@ def _run_training(model: Model, pairs: list[TrainingPair], config: TuneConfig) -
 def tune(model: Model, pairs: list[TrainingPair], config: TuneConfig) -> TrainResult:
     """Train only the learnable rows of the extended position table.
 
-    The model must already carry the extension for ``config.mode`` (see
-    extend_for_tuning), frozen flags included. All transformer weights, token
-    embeddings, and frozen rows are bit-identical before and after. Attention
+    The model must already carry ``config.extension`` (see extend_for_tuning),
+    which fixes the frozen rows. All transformer weights, token embeddings,
+    and frozen rows are bit-identical before and after. Attention
     scaling stays off during training. A non-finite loss or gradient aborts
     with the parameters of the last logged step.
     """
     if model.config.position_mode != ABSOLUTE:
         raise ConfigurationError("further tuning requires absolute-position mode")
-    if model.extension is None or model.extension.mode != config.mode:
+    if model.extension != config.extension:
         raise ConfigurationError(
-            f"model must carry a {config.mode} extension; call extend_for_tuning first"
-        )
-    if model.extension.l_target != config.l_target:
-        raise ConfigurationError(
-            f"extension targets {model.extension.l_target}, config targets {config.l_target}"
-        )
-    if model.pos_frozen is None:
-        raise ConfigurationError(
-            "model carries an extended position table without frozen-row flags; "
-            "tuning it would overwrite the anchors"
+            f"model must carry {config.extension}, not {model.extension}; "
+            "call extend_for_tuning first"
         )
     return _run_training(model, pairs, config)
 
@@ -370,7 +338,7 @@ def train_model(model: Model, pairs: list[TrainingPair], config: TuneConfig) -> 
     Used to fit toy base encoders from scratch (either position mode); the
     tuning-specific position shift is off.
     """
-    if model.extension is not None or model.pos_frozen is not None:
+    if model.extension is not None:
         raise ConfigurationError("base training expects an unextended model")
     return _run_training(model, pairs, config)
 
@@ -395,7 +363,7 @@ def grad_check(
     cfg = model.config
     if cfg.hidden_size > 32 or cfg.n_layers > 2:
         raise ConfigurationError("grad_check is for tiny models (d <= 32, <= 2 layers)")
-    if model.extension is None or model.pos_frozen is None:
+    if model.extension is None:
         raise ConfigurationError("grad_check needs a model extended for tuning")
     rng = np.random.default_rng(0) if rng is None else rng
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import longctx as lc
+from longctx.encoder import freeze_mask
 from longctx.evaluation import BenchmarkTask, ndcg_at_10, run_benchmark
 from longctx.positions import (
     EXTENSION_GRID,
@@ -37,7 +38,6 @@ from longctx.tuning import (
     TrainingPair,
     TuneConfig,
     extend_for_tuning,
-    freeze_mask,
     grad_check,
     train_model,
     training_pairs_from_task,
@@ -111,7 +111,7 @@ def test_c03_interpolated_table_construction():
             rows = rng.normal(size=(l_orig, 8))
             for s in (1, 2, 4, 8):
                 table = build_interpolated_matrix(rows, s)
-                frozen = freeze_mask(PI_ANCHORED, l_orig, l_orig * s, s)
+                frozen = freeze_mask(PI_ANCHORED, l_orig, l_orig * s)
                 if s == 1:
                     assert np.array_equal(table, rows) and frozen.all()
                     continue

@@ -163,6 +163,17 @@ def test_tune_rejects_rotary_model_with_code_2(tmp_path):
     assert code == 2
 
 
+def test_tune_rejects_a_task_with_a_repeated_id_with_code_3(tmp_path, capsys):
+    tasks = gen_small(tmp_path, lengths="8")
+    corpus = tasks / "passkey" / "8" / "corpus.jsonl"
+    lines = corpus.read_text().splitlines()
+    corpus.write_text("\n".join([*lines, lines[0]]) + "\n")
+    code = run("tune", "--model", init_small(tmp_path), "--l-target", 16, "--data",
+               tasks / "passkey" / "8", "--out", tmp_path / "t.ckpt")
+    assert code == 3
+    assert f"corpus.jsonl:{len(lines) + 1}: repeated _id" in capsys.readouterr().err
+
+
 def test_tune_writes_checkpoint_and_log(tmp_path):
     tasks = gen_small(tmp_path, lengths="8")
     ckpt = init_small(tmp_path)
@@ -264,6 +275,13 @@ def test_tune_divergence_exits_4_after_writing_checkpoint(tmp_path):
                "--negatives", 2, "--temperature", 0.5, "--out", out)
     assert code == 4
     assert out.exists()  # last good state was still written
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_inspect_rejects_a_non_finite_ntk_lambda_with_code_2(capsys, lam):
+    assert run("inspect", "--strategy", "ntk", "--mode", "rotary", "--l-orig", 8,
+               "--l-target", 16, "--ntk-lambda", lam) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_inspect_dumps_positions_and_frequencies(tmp_path, capsys):

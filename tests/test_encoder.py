@@ -522,6 +522,21 @@ def test_tuned_strategies_need_installed_extension(tiny_absolute):
         encode(tiny_absolute, np.arange(4), spec)
 
 
+def test_tuned_pi_needs_the_table_scale_so_short_inputs_keep_their_anchors():
+    model = init_model(ModelConfig(hidden_size=16, n_layers=1, n_heads=2, vocab_size=64,
+                                   original_context=8))
+    ext = extend_for_tuning(model, TuneConfig(mode="pi_anchored", l_orig=8, l_target=32))
+    ext.params["pos_table"][~ext.pos_frozen] += 1.0  # stand-in for tuned rows
+    x = np.arange(6)
+    base = encode(model, x, ExtensionSpec.none(8))
+    for l_target in (25, 32):  # scale 4, the table's
+        spec = ExtensionSpec(strategy=Strategy.TUNED_PI, l_orig=8, l_target=l_target)
+        assert np.array_equal(encode(ext, x, spec), base)
+    spec = ExtensionSpec(strategy=Strategy.TUNED_PI, l_orig=8, l_target=16)  # scale 2
+    with pytest.raises(ConfigurationError, match="at scale 2"):
+        encode(ext, x, spec)
+
+
 def test_se_on_absolute_model_rejected(tiny_absolute):
     spec = ExtensionSpec(strategy=Strategy.SE, l_orig=8, l_target=32)
     with pytest.raises(ConfigurationError):

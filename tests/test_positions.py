@@ -25,7 +25,7 @@ from longctx.positions import (
     standard_frequencies,
 )
 from longctx.tokenizer import tokenize
-from longctx.tuning import PI_ANCHORED, freeze_mask
+from longctx.encoder import PI_ANCHORED, freeze_mask
 
 # --- per-token position assignment ---------------------------------------------
 
@@ -93,13 +93,13 @@ def test_interpolation_hand_case():
     table = build_interpolated_matrix(np.stack([a, b]), 2)
     expected = np.stack([a, (a + b) / 2, b, b])
     assert np.allclose(table, expected, atol=0, rtol=0)
-    assert freeze_mask(PI_ANCHORED, 2, 4, 2).tolist() == [True, False, True, False]
+    assert freeze_mask(PI_ANCHORED, 2, 4).tolist() == [True, False, True, False]
 
 
 def test_interpolation_identity_at_s1(rng):
     rows = rng.normal(size=(5, 4))
     assert np.array_equal(build_interpolated_matrix(rows, 1), rows)
-    assert freeze_mask(PI_ANCHORED, 5, 5, 1).all()
+    assert freeze_mask(PI_ANCHORED, 5, 5).all()
 
 
 def test_anchor_rows_are_bitwise_copies(rng):
@@ -114,7 +114,7 @@ def test_interpolated_rows_are_convex_combinations(rng):
     rows = rng.normal(size=(6, 8))
     s = 4
     table = build_interpolated_matrix(rows, s)
-    frozen = freeze_mask(PI_ANCHORED, rows.shape[0], rows.shape[0] * s, s)
+    frozen = freeze_mask(PI_ANCHORED, rows.shape[0], rows.shape[0] * s)
     for k in range(len(table)):
         if frozen[k]:
             continue
@@ -333,6 +333,12 @@ def test_scale_is_recomputed():
     assert spec.scale == 8
     spec = ExtensionSpec(strategy=Strategy.GP, l_orig=512, l_target=1000)
     assert spec.scale == 2  # ceil, not floor
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_ntk_lambda_must_be_finite_and_positive(lam):
+    with pytest.raises(ConfigurationError, match="NTK multiplier must be finite and positive"):
+        ExtensionSpec(strategy=Strategy.NTK, l_orig=8, l_target=16, ntk_lambda=lam)
 
 
 def test_none_cannot_extend():

@@ -13,12 +13,13 @@ from longctx import (
     model_checksum,
     save_checkpoint,
     task_stats,
+    tune,
     write_task,
 )
 from longctx.encoder import param_layout
 from longctx.errors import ParseError, ValidationError
 from longctx.synth import SyntheticTaskConfig, build_bucket
-from longctx.tuning import TuneConfig
+from longctx.tuning import TrainingPair, TuneConfig
 
 
 def small_task():
@@ -67,7 +68,10 @@ def test_malformed_jsonl_reports_line_number(tmp_path):
     ("queries.jsonl", '{"_id": "q2", "text": null}', "field 'text' must be a string"),
     ("corpus.jsonl", '{"_id": "d2", "text": ["x"]}', "field 'text' must be a string"),
     ("corpus.jsonl", '{"_id": "d2", "title": 7, "text": "x"}', "field 'title' must be a string"),
-], ids=["number", "null", "list", "null-text", "list-text", "number-title"])
+    ("queries.jsonl", '{"_id": "q1", "text": "again"}', "repeated _id 'q1'"),
+    ("corpus.jsonl", '{"_id": "d1", "title": "", "text": "second doc"}', "repeated _id 'd1'"),
+], ids=["number", "null", "list", "null-text", "list-text", "number-title", "repeated-query-id",
+        "repeated-doc-id"])
 def test_a_task_line_of_the_wrong_shape_is_a_parse_error_naming_it(tmp_path, file, line, part):
     (tmp_path / "queries.jsonl").write_text('{"_id": "q1", "text": "ok"}\n')
     (tmp_path / "corpus.jsonl").write_text('{"_id": "d1", "title": "", "text": "x"}\n')
@@ -75,6 +79,14 @@ def test_a_task_line_of_the_wrong_shape_is_a_parse_error_naming_it(tmp_path, fil
     with open(tmp_path / file, "a") as fh:
         fh.write(line + "\n")
     with pytest.raises(ParseError, match=f"{file}:2: {part}"):
+        load_task_dir(tmp_path)
+
+
+def test_a_repeated_qrels_pair_is_a_parse_error_naming_it(tmp_path):
+    (tmp_path / "queries.jsonl").write_text('{"_id": "q1", "text": "ok"}\n')
+    (tmp_path / "corpus.jsonl").write_text('{"_id": "d1", "title": "", "text": "x"}\n')
+    (tmp_path / "qrels.tsv").write_text("query-id\tdoc-id\tscore\nq1\td1\t1\nq1\td1\t0\n")
+    with pytest.raises(ParseError, match="qrels.tsv:3: repeated judgment for 'q1' 'd1'"):
         load_task_dir(tmp_path)
 
 
@@ -236,29 +248,79 @@ def test_corrupt_checkpoint_raises_parse_error_naming_the_path(tmp_path, corrupt
     assert str(path) in str(info.value)
 
 
-def _pi_extended():
-    return extend_for_tuning(make_model(), TuneConfig(mode="pi_anchored", l_orig=8, l_target=16))
+def _pi_extended(**kw):
+    config = TuneConfig(mode="pi_anchored", l_orig=8, l_target=16, **kw)
+    return extend_for_tuning(make_model(), config), config
 
 
-@pytest.mark.parametrize("edit, part", [
-    (lambda m: m.params.pop("layers.0.attn.wq"), r"lacks tensors \['layers.0.attn.wq'\]"),
-    (lambda m: m.params.update(tok_emb=m.params["tok_emb"][:-1]),
+def _rewrite_frozen_flags(change):
+    """A corruption that replaces the trailing ``__pos_frozen__`` tensor by ``change(flags)``.
+
+    Where ``change`` returns None, the tensor is dropped from the file.
+    """
+    def corrupt(data):
+        end = 16 + int.from_bytes(data[8:16], "little")
+        header = json.loads(data[16:end])
+        entry = header["tensors"][-1]
+        assert entry["name"] == "__pos_frozen__"
+        n = entry["shape"][0]
+        flags = change(np.frombuffer(data[len(data) - n:], dtype=np.uint8))
+        if flags is None:
+            header["tensors"].pop()
+        else:
+            entry["shape"] = list(flags.shape)
+        tail = b"" if flags is None else flags.astype(np.uint8).tobytes()
+        blob = json.dumps(header).encode("utf-8")
+        return data[:8] + len(blob).to_bytes(8, "little") + blob + data[end:len(data) - n] + tail
+    return corrupt
+
+
+@pytest.mark.parametrize("edit, corrupt, part", [
+    (lambda m: m.params.pop("layers.0.attn.wq"), None, r"lacks tensors \['layers.0.attn.wq'\]"),
+    (lambda m: m.params.update(tok_emb=m.params["tok_emb"][:-1]), None,
      r"tensor tok_emb has shape \[31, 16\], the config and extension need \[32, 16\]"),
-    (lambda m: m.params.update(extra=np.zeros(2)), "unknown or repeated checkpoint tensor extra"),
-    (lambda m: setattr(m, "pos_frozen", m.pos_frozen[:-1]),
+    (lambda m: m.params.update(extra=np.zeros(2)), None,
+     "unknown or repeated checkpoint tensor extra"),
+    (None, _rewrite_frozen_flags(lambda flags: flags[:-1]),
      r"tensor __pos_frozen__ has shape \[15\], the config and extension need \[16\]"),
-    (lambda m: m.params.update(pos_table=m.params["pos_table"][:8]),
+    (None, _rewrite_frozen_flags(lambda flags: 1 - flags),
+     r"__pos_frozen__ differs from the frozen rows of PosExtension\(mode='pi_anchored'"),
+    (lambda m: m.params.update(pos_table=m.params["pos_table"][:8]), None,
      r"tensor pos_table has shape \[8, 16\], the config and extension need \[16, 16\]"),
 ], ids=["missing-wq", "short-tok-emb", "unknown-name", "short-frozen-flags",
-        "unextended-table"])
-def test_checkpoint_tensors_must_match_the_config_and_extension(tmp_path, edit, part):
-    model = _pi_extended()
-    edit(model)
+        "wrong-frozen-flags", "unextended-table"])
+def test_checkpoint_tensors_must_match_the_config_and_extension(tmp_path, edit, corrupt, part):
+    model, _ = _pi_extended()
+    if edit is not None:
+        edit(model)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
+    if corrupt is not None:
+        path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(ParseError, match=part) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
+
+
+def test_an_extended_checkpoint_without_frozen_flags_loads_and_tunes_around_its_anchors(
+        tmp_path):
+    ext, config = _pi_extended(learning_rate=0.01, batch_size=2, max_steps=5, warmup_steps=1,
+                               temperature=0.5, n_negatives=2)
+    path = tmp_path / "ext.ckpt"
+    save_checkpoint(ext, path)
+    path.write_bytes(_rewrite_frozen_flags(lambda flags: None)(path.read_bytes()))
+    loaded = load_checkpoint(path)
+    anchors = np.arange(8) * 2
+    assert np.array_equal(np.flatnonzero(loaded.pos_frozen), anchors)
+
+    rng = np.random.default_rng(3)
+    pairs = [TrainingPair(query=rng.integers(0, 32, 5), positive=rng.integers(0, 32, 7),
+                          negatives=[rng.integers(0, 32, 6) for _ in range(2)])
+             for _ in range(4)]
+    result = tune(loaded, pairs, config)
+    before, after = ext.params["pos_table"], result.model.params["pos_table"]
+    assert len(result.log) == 5 and not np.array_equal(before, after)
+    assert np.array_equal(before[anchors], after[anchors])
 
 
 @pytest.mark.parametrize("mode, rows", [("pi_anchored", 16), ("rp_suffix", 13)])

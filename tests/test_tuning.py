@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -71,21 +73,43 @@ def random_pairs(rng, n, vocab=64, max_len=8, negatives=2):
 
 
 def test_freeze_mask_pi_interleaves_anchors():
-    mask = freeze_mask(PI_ANCHORED, 4, 8, 2)
+    mask = freeze_mask(PI_ANCHORED, 4, 8)
     assert np.flatnonzero(mask).tolist() == [0, 2, 4, 6]
     assert np.flatnonzero(~mask).tolist() == [1, 3, 5, 7]
 
 
 def test_freeze_mask_rp_freezes_prefix():
-    mask = freeze_mask(RP_SUFFIX, 4, 8, 2)
+    mask = freeze_mask(RP_SUFFIX, 4, 8)
     assert np.flatnonzero(mask).tolist() == [0, 1, 2, 3]
     assert np.flatnonzero(~mask).tolist() == [4, 5, 6, 7]
 
 
 @pytest.mark.parametrize("l_orig,s", [(4, 2), (8, 4), (16, 8)])
 def test_pi_frozen_count_equals_l_orig(l_orig, s):
-    mask = freeze_mask(PI_ANCHORED, l_orig, l_orig * s, s)
+    mask = freeze_mask(PI_ANCHORED, l_orig, l_orig * s)
     assert int(mask.sum()) == l_orig
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from([PI_ANCHORED, RP_SUFFIX]), l_orig=st.integers(1, 12),
+       extra=st.integers(1, 40))
+def test_frozen_flags_are_the_rows_copied_from_the_original_table(mode, l_orig, extra):
+    """The extension alone fixes the table's rows and which of them are frozen originals."""
+    l_target = l_orig + extra
+    model = tiny_model(hidden_size=4, n_layers=1, vocab_size=8, original_context=l_orig)
+    ext = extend_for_tuning(model, tiny_tune_config(mode=mode, l_orig=l_orig, l_target=l_target))
+    table, orig = ext.params["pos_table"], model.params["pos_table"]
+    assert table.shape == encoder.param_layout(ext.config, ext.extension)["pos_table"][0]
+    # anchor i*s holds row i under pi; row i holds row i under rp
+    copies = np.arange(l_orig) * (math.ceil(l_target / l_orig) if mode == PI_ANCHORED else 1)
+    assert np.array_equal(table[copies], orig)
+    assert np.array_equal(np.flatnonzero(ext.pos_frozen), copies)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ext.ckpt"
+        serialization.save_checkpoint(ext, path)
+        loaded = serialization.load_checkpoint(path)
+    assert loaded.extension == ext.extension
+    assert np.array_equal(loaded.pos_frozen, ext.pos_frozen)
 
 
 # --- skip bias ------------------------------------------------------------------
@@ -310,27 +334,6 @@ def test_tune_requires_matching_extension(rng):
     ext = extend_for_tuning(tiny_model(), config)
     with pytest.raises(ConfigurationError):
         tune(ext, random_pairs(rng, 2), tiny_tune_config(mode=RP_SUFFIX))
-
-
-def test_tune_refuses_an_extension_without_frozen_flags(rng, tmp_path):
-    """Without frozen flags tune cannot tell anchors from learnable rows; it must not guess."""
-    config = tiny_tune_config()
-    ext = extend_for_tuning(tiny_model(), config)
-    ext.pos_frozen = None
-    serialization.save_checkpoint(ext, tmp_path / "ext.ckpt")
-    reloaded = serialization.load_checkpoint(tmp_path / "ext.ckpt")
-    assert reloaded.pos_frozen is None
-    for model in (ext, reloaded):
-        with pytest.raises(ConfigurationError):
-            tune(model, random_pairs(rng, 4), config)
-
-
-def test_train_model_refuses_frozen_flags_without_an_extension(rng):
-    config = tiny_tune_config()
-    model = extend_for_tuning(tiny_model(), config)
-    model.extension = None
-    with pytest.raises(ConfigurationError):
-        train_model(model, random_pairs(rng, 4), config)
 
 
 # --- base training -----------------------------------------------------------------
