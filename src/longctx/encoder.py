@@ -16,7 +16,6 @@ and forward are pure in the model.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass, replace
@@ -178,8 +177,12 @@ def param_layout(config: ModelConfig, extension: PosExtension | None = None) -> 
     """Every parameter tensor's ``name -> (shape, init)``, in ``init_model``'s draw order.
 
     ``init`` is "uniform", "zeros" or "ones". An ``extension`` sets the
-    position table's rows (``PosExtension.rows``).
+    position table's rows (``PosExtension.rows``), so only an absolute-mode
+    config, which has that table, takes one.
     """
+    if extension is not None and config.position_mode != ABSOLUTE:
+        raise ConfigurationError(f"a {config.position_mode} model has no position table "
+                                 f"to extend, got {extension}")
     d, f = config.hidden_size, config.ffn_size
     layout = {"tok_emb": ((config.vocab_size, d), "uniform")}
     if config.position_mode == ABSOLUTE:
@@ -282,51 +285,136 @@ def _rotate_batch(x: np.ndarray, rot: np.ndarray) -> np.ndarray:
     return (x.view(np.complex128) * rot).view(np.float64)
 
 
-def _relative_scores(q: np.ndarray, k: np.ndarray, g: int, w: int, theta: np.ndarray):
+@dataclass(frozen=True)
+class _SelfExtend:
+    """SelfExtend's state for one ``forward_batch`` of L-token rows: (g, w) and the
+    rotation tables and masks that every layer and batch slice share.
+
+    ``queries`` (2, 1, 1, L, Dh/2) rotates query i by w + (i - w)//g (below)
+    and by i (plain). Residue class r's below and above keys turn key j by
+    (j + o)//g for its two ``offsets[r]`` o, read from ``table``, whose row
+    p - ``p0`` holds e^{i p theta}. Taken in the order ``first``, first + 1,
+    ... (mod g), each class's offsets are one less than the last one's.
+    ``above_mask`` and ``band_mask`` flag, at row t of a chunk of at most
+    ``_SE_CHUNK_ROWS`` rows and column j - i_0 + min(w, L - 1) (i_0 the
+    chunk's first query), the pairs with j > i + w and with |i - j| <= w.
+    """
+
+    g: int
+    w: int
+    first: int
+    queries: np.ndarray
+    offsets: np.ndarray
+    table: np.ndarray
+    p0: int
+    above_mask: np.ndarray
+    band_mask: np.ndarray
+
+
+def _self_extend_tables(L: int, g: int, w: int, theta: np.ndarray) -> _SelfExtend:
+    """The ``_SelfExtend`` of L-token rows, from one table of e^{i p theta}.
+
+    Query i = g*I + r of residue class r scores key j < i - w at relative
+    position w + (i - j - w)//g = below_i - (j + o_b)//g, with
+    o_b = g - 1 - (r - w) mod g. Its score at j > i + w,
+    -(w + (j - i - w)//g) = below_i + D_r - (j + s)//g with s = (-r - w) mod g,
+    differs from below_i by D_r = ceil((r + w)/g) - floor((r - w)/g) - 2w for the
+    whole class, so it too is a dot with the below query: against key j turned
+    by (j + o_a)//g, o_a = s - g*D_r.
+    """
+    i, r = np.arange(L), np.arange(min(g, L))
+    wc = min(w, L - 1)  # at w >= L - 1 every pair is in the band and no class key is read
+    o_b = g - 1 - (r - wc) % g
+    o_a = (-r - wc) % g - g * ((r + wc + g - 1) // g - (r - wc) // g - 2 * wc)
+    offsets = np.stack([o_b, o_a], axis=1)
+    p0 = min(0, int(offsets.min()) // g)
+    p1 = max(L - 1, (L - 1 + int(offsets.max())) // g)
+    table = _rope_tables(np.arange(p0, p1 + 1.0)[None], theta)[0, 0]
+    queries = table[np.stack([wc + (i - wc) // g, i]) - p0][:, None, None]
+    rows = min(-(-L // g), _SE_CHUNK_ROWS)
+    width = wc + min(g * (rows - 1) + w, L - 1) + 1
+    x = np.arange(-wc, width - wc) - g * np.arange(rows)[:, None]  # j - i per chunk cell
+    return _SelfExtend(g, w, wc % g, queries, offsets, table, p0, x > w, np.abs(x) <= w)
+
+
+def _relative_scores(q: np.ndarray, k: np.ndarray, se: _SelfExtend):
     """SelfExtend score source ``fill(rows, out)``: the logits of query rows ``rows``.
 
     Logit (i, j) is q_i rotated by se_remap_deltas(i - j, g, w), dotted with
-    k_j. Write i = g*I + r and j = g*J + c with residues r, c in [0, g). Outside
-    the neighbour band the remapped position splits into a row and a key phase:
+    k_j: the plain RoPE score i - j in the band |i - j| <= w, and outside it the
+    below-rotated q_i dotted with key j turned by one of residue class r's two
+    key rotations (``_self_extend_tables``): "below" for j < i - w, "above"
+    for j > i + w. ``rows`` is a residue-major tile ``i_0:i_1:g`` (see
+    ``_row_tiles``), so its rows share r. It is scored in chunks of at most
+    ``_SE_CHUNK_ROWS`` rows, which keeps each chunk's near region
+    [i_first - w, i_last + w], about g*rows + 2w keys, a small share of L. Per
+    chunk, one full-width matmul scores every key against a split key matrix,
+    below-turned keys left of i_last - w and above-turned keys from there on,
+    which is exact outside the near region. Then the band's plain RoPE scores
+    and the above scores of keys left of the split are merged in under the
+    masks of ``se``, each through one matmul over its columns only.
 
-        j < i:  w + (|i-j| - w) // g     = (I + w + m)  - (J + [c > s])
-        j > i:  -(w + (|i-j| - w) // g)  = (I - w - m') - (J + [c > g-1-s'])
-
-    with m, s = divmod(r - w, g) and m', s' = divmod(-r - w, g). ``rows`` is a
-    residue-major tile ``start:stop:g`` (see ``_row_tiles``), so its rows share
-    r: one matmul against keys J + [c > s], one against keys J + [c > g-1-s']
-    merged on j > i, then the band |i - j| <= w (plain position i - j) is
-    overwritten from RoPE scores over columns [i_first - w, i_last + w]. The
-    rotations are built here once; a tile selects keys (cached per residue).
+    The rotations of q and the plain keys are made once per call, a class's
+    turned keys once per class: in ``_attention``'s class order (``se.first``
+    on) only the 1/g of them whose turn drops by one are redone. The split
+    matrix moves its split by copying keys as a class's chunks advance, and
+    starts again from the above keys for an earlier chunk, so tiles may come
+    in any order.
     """
-    L = q.shape[2]
-    idx = np.arange(L)
-    block = (idx // g).astype(np.float64)
-    residue = idx % g
+    B, H, L, Dh = q.shape
+    g, w = se.g, se.w
+    q_below, q_plain = _rotate_batch(q, se.queries)
+    k_plain = _rotate_batch(k, se.queries[1]).swapaxes(-1, -2)
+    cap, off = se.band_mask.shape[0], min(w, L - 1)
+    buf = np.empty((B, H, cap, min(L, g * (cap - 1) + 2 * w + 1)))
+    split = np.empty(k.shape)  # below-turned keys left of column ``at``, above-turned from it
+    split_t = split.swapaxes(-1, -2)
+    last, below, above, at = None, None, None, 0
 
-    def rotate(x, phases):
-        return _rotate_batch(x, _rope_tables(phases[None], theta))
+    def turned(r, v, rows=slice(None)):  # k's rows turned by (j + o)//g, o = offsets[r, v]
+        j = np.arange(L)[rows]
+        return _rotate_batch(k[..., rows, :], se.table[(j + se.offsets[r, v]) // g - se.p0])
 
-    q_below = rotate(q, block + (w + (residue - w) // g))
-    q_above = rotate(q, block - (w + (-residue - w) // g))
-    plain = _rope_tables(idx[None].astype(np.float64), theta)
-    q_plain, k_plain = _rotate_batch(q, plain), _rotate_batch(k, plain)
-    k_same, k_next = rotate(k, block), rotate(k, block + 1.0)
+    def use_class(r):  # class r's below and above keys, and a split at 0
+        nonlocal last, below, above, at
+        if last is not None and (se.offsets[r] == se.offsets[last] - 1).all():
+            for keys, v in ((below, 0), (above, 1)):  # only keys with (j + o) mod g = 0 turn
+                j0 = -se.offsets[last, v] % g
+                keys[..., j0::g, :] = turned(r, v, slice(j0, None, g))
+        else:
+            below, above = turned(r, 0), turned(r, 1)
+        split[...], last, at = above, r, 0
 
-    @functools.lru_cache(maxsize=2)
-    def keys_t(sigma):  # keys rotated by J + [c > sigma], transposed for the matmul
-        return np.where((residue > sigma)[:, None], k_next, k_same).swapaxes(-1, -2)
-
-    def fill(rows, out):  # j < i lies left of column hi, j > i right of lo
-        i = idx[rows]
-        lo, hi, r = i[0], i[-1], i[0] % g
-        below, above = keys_t((r - w) % g), keys_t(g - 1 - (-r - w) % g)
-        np.matmul(q_below[:, :, rows], below[..., :hi], out=out[..., :hi])
-        np.copyto(out[..., lo + 1:], q_above[:, :, rows] @ above[..., lo + 1:],
-                  where=i[:, None] < idx[lo + 1:])
-        c0, c1 = max(0, lo - w), min(L, hi + w + 1)
-        np.copyto(out[..., c0:c1], q_plain[:, :, rows] @ k_plain[:, :, c0:c1].swapaxes(-1, -2),
-                  where=np.abs(i[:, None] - idx[c0:c1]) <= w)
+    def fill(tile, out):
+        nonlocal at
+        n = len(range(L)[tile])
+        chunk = -(-n // -(-n // cap))
+        for t0 in range(0, n, chunk):  # chunks of equal size, at most _SE_CHUNK_ROWS rows
+            m, lo = min(chunk, n - t0), tile.start + g * t0
+            hi = lo + g * (m - 1)
+            rows, o = slice(lo, hi + 1, g), out[..., t0:t0 + m, :]
+            if hi <= w and lo + w >= L - 1:  # every key in the band
+                np.matmul(q_plain[:, :, rows], k_plain, out=o)
+                continue
+            if last != lo % g:
+                use_class(lo % g)
+            s, a0 = max(0, hi - w), lo + w + 1  # no j < i - w right of s, no j > i + w left of a0
+            if at > min(s, a0):  # a chunk left of the last one: move the split back to 0
+                split[..., :at, :], at = above[..., :at, :], 0
+            q_rows = q_below[:, :, rows]
+            fixed = min(m, -(-(s - a0) // g))  # rows with keys j > i + w left of s
+            if fixed > 0:  # their above scores, read before the split moves past them
+                fix = buf[:, :, :fixed, :s - a0]
+                np.matmul(q_rows[:, :, :fixed], split_t[..., a0:s], out=fix)
+            split[..., at:s, :], at = below[..., at:s, :], s
+            np.matmul(q_rows, split_t, out=o)
+            if fixed > 0:
+                np.copyto(o[..., :fixed, a0:s], fix,
+                          where=se.above_mask[:fixed, a0 - lo + off:s - lo + off])
+            c0, c1 = max(0, lo - w), min(L, hi + w + 1)
+            band = buf[:, :, :m, :c1 - c0]
+            np.matmul(q_plain[:, :, rows], k_plain[..., c0:c1], out=band)
+            np.copyto(o[..., c0:c1], band, where=se.band_mask[:m, c0 - lo + off:c1 - lo + off])
 
     return fill
 
@@ -336,6 +424,15 @@ def _relative_scores(q: np.ndarray, k: np.ndarray, g: int, w: int, theta: np.nda
 # a core, one layer's attention at B=16, H=4, L=384 took 29.5 ms with this
 # budget, 29.9 ms with 1 << 16 and 33.2 ms with 1 << 18.
 _SCORE_TILE = 1 << 17
+
+# Row cap of a SelfExtend score chunk (``_relative_scores``). A chunk's near
+# region, scored twice more through the masked band and above merges, spans
+# g*(rows - 1) + 2w + 1 keys, while each chunk pays for three matmuls and two
+# copies. On a Xeon with 2 MiB of L2 a core, one layer's SelfExtend attention
+# on the eval_se benchmark's shapes (g=5, w=16, H=4: B=1 at L=381, B=2 at
+# L=191) took a median 7.22 / 5.01 ms of CPU with 16 rows, 7.10 / 4.94 ms with
+# 32 and 7.40 / 5.41 ms with 40 (30 runs each, OpenBLAS at 1 thread).
+_SE_CHUNK_ROWS = 32
 
 # Padded-row budget of one ``plan_batches`` batch (spans x longest span), the
 # activation-side twin of _SCORE_TILE: at d=64 a batch's (rows, d) arrays take
@@ -351,9 +448,10 @@ _SCORE_TILE = 1 << 17
 _BATCH_ROWS = 512
 
 
-def _row_tiles(L: int, g: int, rows: int):
-    """Query-row tiles ``start:stop:g`` of at most ``rows`` rows, one residue i mod g each."""
-    for r in range(min(g, L)):
+def _row_tiles(L: int, g: int, rows: int, first: int = 0):
+    """Query-row tiles ``start:stop:g`` of at most ``rows`` rows, one residue i mod g each,
+    the residues in the order ``first``, first + 1, ... (mod g)."""
+    for r in sorted(range(min(g, L)), key=lambda r: (r - first) % g):
         for r0 in range(r, L, g * rows):
             yield slice(r0, min(L, r0 + g * rows), g)
 
@@ -363,11 +461,13 @@ def _attention(q, k, v, mask, *, self_extend=None, keep=False):
 
     ``q`` already carries the per-sequence logit scale. Tiles hold the query
     rows of one residue class i mod g (``_row_tiles``; g = 1 unless
-    ``self_extend`` = (g, w, theta)): a batch slice of whole classes while
-    H*ceil(L/g)*L fits ``_SCORE_TILE`` cells, else up to that many cells of one
-    sequence's class. A tile always spans every key, so each softmax row is
-    exact. Its scores are ``q @ k^T``, or the SelfExtend logits of
-    ``_relative_scores``, exponentiated in place. -inf on padded
+    ``self_extend``, the forward pass's ``_SelfExtend``, sets it): a batch
+    slice of whole classes while H*ceil(L/g)*L fits ``_SCORE_TILE`` cells,
+    else up to that many cells of one sequence's class. A tile always spans
+    every key, so each softmax row is exact. Its scores are ``q @ k^T``, or
+    the SelfExtend logits of ``_relative_scores``, which scores a tile in
+    chunks of at most ``_SE_CHUNK_ROWS`` rows against rotation tables built
+    once per forward pass; both are exponentiated in place. -inf on padded
     keys is added only to tiles whose sequences have any. Context rows are
     divided by their softmax row sums after the ``@ v`` matmul (Dh divisions a
     row instead of L). With ``keep`` the normalized weights (B, H, L, L) that the
@@ -375,7 +475,7 @@ def _attention(q, k, v, mask, *, self_extend=None, keep=False):
     and None is returned in their place.
     """
     B, H, L, _ = v.shape
-    g = 1 if self_extend is None else self_extend[0]
+    g = 1 if self_extend is None else self_extend.g
     per_class = -(-L // g)  # rows of the largest residue class
     scores = np.empty((B, H, L, L)) if keep else None
     seqs = max(1, _SCORE_TILE // (H * per_class * L))
@@ -391,8 +491,8 @@ def _attention(q, k, v, mask, *, self_extend=None, keep=False):
             qb, kt = q[b0:b1], k[b0:b1].swapaxes(-1, -2)
             fill = lambda tile, out: np.matmul(qb[:, :, tile], kt, out=out)  # noqa: E731
         else:
-            fill = _relative_scores(q[b0:b1], k[b0:b1], *self_extend)
-        for tile in _row_tiles(L, g, rows):
+            fill = _relative_scores(q[b0:b1], k[b0:b1], self_extend)
+        for tile in _row_tiles(L, g, rows, 0 if self_extend is None else self_extend.first):
             n = len(range(L)[tile])
             s = scores[b0:b1, :, tile] if keep else (
                 buf[:(b1 - b0) * H * n * L].reshape(b1 - b0, H, n, L))
@@ -573,7 +673,7 @@ def forward_batch(
     else:
         theta = standard_frequencies(cfg.head_dim, base=cfg.rope_base).theta
         if self_extend is not None:
-            se = (*self_extend, theta)
+            se = _self_extend_tables(L, *self_extend, theta)
         elif positions is None:
             raise ConfigurationError("rotary-mode forward needs positions or SelfExtend's (g, w)")
         else:

@@ -91,12 +91,16 @@ def _read_jsonl(path: Path) -> dict[str, dict]:
 
 
 def _read_qrels(path: Path) -> dict[str, dict[str, int]]:
+    """Judgments by query and document id; line 1 must be ``QRELS_HEADER``."""
     qrels: dict[str, dict[str, int]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        header = fh.readline().rstrip("\r\n")
+        if header != QRELS_HEADER:
+            raise ParseError(f"{path}:1: expected the header {QRELS_HEADER!r}, got {header[:40]!r}")
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
-            if lineno == 1 or not line.strip():
-                continue  # header
+            if not line.strip():
+                continue
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ParseError(f"{path}:{lineno}: expected 3 tab-separated columns")
@@ -163,6 +167,8 @@ def task_stats(task: RetrievalTask) -> dict:
 
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
+    """Write ``model``; a model whose config and extension have no layout is refused first."""
+    param_layout(model.config, model.extension)
     tensors = [(name, model.params[name]) for name in sorted(model.params)]
     if model.extension is not None:
         tensors.append(("__pos_frozen__", model.pos_frozen.astype(np.uint8)))
@@ -256,7 +262,11 @@ def load_checkpoint(path: str | Path) -> Model:
         if not isinstance(header["tensors"], list):
             raise ParseError(f"{path}: checkpoint tensor manifest must be a list")
         # every tensor of the config's layout once, plus (optionally) the extension's flags
-        expected = {name: shape for name, (shape, _) in param_layout(config, extension).items()}
+        try:
+            layout = param_layout(config, extension)
+        except ConfigurationError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+        expected = {name: shape for name, (shape, _) in layout.items()}
         if extension is not None:
             expected["__pos_frozen__"] = (extension.rows,)
         params: dict[str, np.ndarray] = {}

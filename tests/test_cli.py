@@ -174,6 +174,18 @@ def test_tune_rejects_a_task_with_a_repeated_id_with_code_3(tmp_path, capsys):
     assert f"corpus.jsonl:{len(lines) + 1}: repeated _id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "tune"])
+def test_a_header_less_qrels_file_is_code_3(tmp_path, capsys, command):
+    tasks = gen_small(tmp_path, lengths="8")
+    qrels = tasks / "passkey" / "8" / "qrels.tsv"
+    qrels.write_text("".join(qrels.read_text().splitlines(keepends=True)[1:]))
+    args = {"eval": ("--strategy", "none", "--synthetic", tasks / "passkey"),
+            "tune": ("--l-target", 16, "--data", tasks / "passkey" / "8",
+                     "--out", tmp_path / "t.ckpt")}[command]
+    assert run(command, "--model", init_small(tmp_path), *args) == 3
+    assert "qrels.tsv:1: expected the header" in capsys.readouterr().err
+
+
 def test_tune_writes_checkpoint_and_log(tmp_path):
     tasks = gen_small(tmp_path, lengths="8")
     ckpt = init_small(tmp_path)

@@ -196,7 +196,7 @@ def test_score_depends_only_on_relative_position(d, m, n, delta, seed):
 def _full_relative_scores(q, k, g, w, theta, *, rows):
     """(B, H, L, L) SelfExtend logits, filled from every residue-major tile of ``rows`` rows."""
     L = q.shape[2]
-    fill = _relative_scores(q, k, g, w, theta)
+    fill = _relative_scores(q, k, encoder._self_extend_tables(L, g, w, theta))
     scores = np.empty(q.shape[:2] + (L, L))
     for tile in encoder._row_tiles(L, g, rows):
         out = np.full(q.shape[:2] + (len(range(L)[tile]), L), np.nan)  # unwritten cells fail
@@ -205,17 +205,28 @@ def _full_relative_scores(q, k, g, w, theta, *, rows):
     return scores
 
 
+@st.composite
+def _length_and_tile_rows(draw):
+    L = draw(st.integers(min_value=1, max_value=70))
+    return L, draw(st.integers(min_value=1, max_value=L))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    L=st.integers(min_value=1, max_value=70),
+    L_rows=_length_and_tile_rows(),
     g=st.integers(min_value=1, max_value=9),
     w=st.integers(min_value=0, max_value=40),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-@example(L=12, g=3, w=12, seed=0)  # L <= w: the band covers every pair
-@example(L=4, g=9, w=1, seed=0)  # L < g: some residue classes are empty
-@example(L=1, g=1, w=0, seed=0)
-def test_relative_scores_match_pairwise_remap(L, g, w, seed):
+@example(L_rows=(12, 3), g=3, w=12, seed=0)  # L <= w: the band covers every pair
+@example(L_rows=(4, 3), g=9, w=1, seed=0)  # L < g: some residue classes are empty
+@example(L_rows=(1, 1), g=1, w=0, seed=0)
+@example(L_rows=(70, 70), g=1, w=3, seed=0)  # a 70-row tile in three chunks, far keys both sides
+@example(L_rows=(70, 1), g=2, w=2, seed=0)  # one-row tiles
+def test_relative_scores_match_pairwise_remap(L_rows, g, w, seed):
+    """Tiles of 1..L rows, so the far-left and far-right keys of a chunk and every clip of
+    its near region meet the scalar oracle."""
+    L, rows = L_rows
     rng = np.random.default_rng(seed)
     q, k = rng.normal(size=(2, 1, 1, L, 4))
     freqs = standard_frequencies(4)
@@ -225,8 +236,21 @@ def test_relative_scores_match_pairwise_remap(L, g, w, seed):
         [attention_score(q[0, 0, i], k[0, 0, j], rel[i, j], 0, freqs) for j in range(L)]
         for i in range(L)
     ])
-    got = _full_relative_scores(q, k, g, w, freqs.theta, rows=3)[0, 0]
+    got = _full_relative_scores(q, k, g, w, freqs.theta, rows=rows)[0, 0]
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_relative_scores_fill_tiles_in_any_order(rng):
+    """A tile's scores do not depend on which tiles were filled before it."""
+    q, k = rng.normal(size=(2, 2, 3, 90, 8))
+    theta = standard_frequencies(8).theta
+    fill = _relative_scores(q, k, encoder._self_extend_tables(90, 3, 4, theta))
+    tiles = list(encoder._row_tiles(90, 3, 7))
+    want = _full_relative_scores(q, k, 3, 4, theta, rows=7)
+    for i in rng.permutation(len(tiles)).tolist() + [len(tiles) - 1, 0, 0]:
+        out = np.empty((2, 3, len(range(90)[tiles[i]]), 90))
+        fill(tiles[i], out)
+        assert np.array_equal(out, want[:, :, tiles[i]])
 
 
 @pytest.mark.parametrize("w", [0, 3, 50])
@@ -253,12 +277,29 @@ def test_self_extend_forward_refuses_a_backward_cache(tiny_rotary):
 # --- tiled attention -----------------------------------------------------------
 
 
+def _pairwise_se_logits(q, k, g, w, theta):
+    """(B, H, L, L) SelfExtend logits, each pair's built from se_remap_deltas(i - j, g, w) alone.
+
+    As complex numbers (x[2f] + i x[2f+1]) a RoPE logit at relative position m is
+    Re(sum_f q_f conj(k_f) e^{i m theta_f}); O(L^2 Dh), shared with no encoder code.
+    """
+    L = q.shape[2]
+    idx = np.arange(L)
+    rel = se_remap_deltas(idx[:, None] - idx[None, :], g, w)
+    qc, kc = q.view(np.complex128), k.view(np.complex128).conj()
+    logits = np.zeros(q.shape[:2] + (L, L))
+    for f, th in enumerate(theta):
+        logits += (qc[..., :, None, f] * kc[..., None, :, f] * np.exp(1j * th * rel)).real
+    return logits
+
+
 def _untiled_attention(q, k, v, mask, *, self_extend=None, keep=False):
     """Reference for encoder._attention: one softmax over the full (B, H, L, L) scores."""
     if self_extend is None:
         scores = q @ k.swapaxes(-1, -2)
-    else:  # one tile per residue class
-        scores = _full_relative_scores(q, k, *self_extend, rows=q.shape[2])
+    else:
+        theta = standard_frequencies(q.shape[-1]).theta  # TILE_MODELS keep the default base
+        scores = _pairwise_se_logits(q, k, self_extend.g, self_extend.w, theta)
     scores = scores + np.where(mask, 0.0, -np.inf)[:, None, None, :]
     scores = np.exp(scores - scores.max(-1, keepdims=True))
     weights = scores / scores.sum(-1, keepdims=True)
@@ -281,15 +322,23 @@ TILE_MODELS = {
     B=st.integers(min_value=1, max_value=3),
     padded=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31),
+    se=st.just(None),  # SelfExtend's (g, w) come from the seed unless an example pins them
 )
-@example(path="rotary", heads=2, L=256, B=3, padded=False, seed=0)  # H*L*L at the budget
-@example(path="absolute", heads=8, L=128, B=2, padded=True, seed=1)  # at the budget
-@example(path="absolute", heads=4, L=300, B=3, padded=True, seed=2)  # row slabs of 109
-@example(path="se", heads=2, L=301, B=2, padded=True, seed=3)  # g=2: one slab a residue
-@example(path="se", heads=8, L=400, B=2, padded=True, seed=7)  # g=4: residues in 40, 40, 20 rows
-@example(path="rotary", heads=1, L=40, B=3, padded=True, seed=4)  # several sequences a tile
-@example(path="se", heads=1, L=40, B=3, padded=True, seed=10)  # g=5: three sequences a tile
-def test_tiled_attention_matches_one_untiled_softmax(path, heads, L, B, padded, seed):
+@example(path="rotary", heads=2, L=256, B=3, padded=False, seed=0, se=None)  # H*L*L at budget
+@example(path="absolute", heads=8, L=128, B=2, padded=True, seed=1, se=None)  # at the budget
+@example(path="absolute", heads=4, L=300, B=3, padded=True, seed=2, se=None)  # slabs of 109 rows
+@example(path="se", heads=2, L=301, B=2, padded=True, seed=3, se=None)  # g=2: a slab a residue
+# g=4: residues in 40, 40, 20 rows
+@example(path="se", heads=8, L=400, B=2, padded=True, seed=7, se=None)
+@example(path="rotary", heads=1, L=40, B=3, padded=True, seed=4, se=None)  # sequences share a tile
+# g=5, w=4: three sequences of 40, 39 and 11 tokens in each tile
+@example(path="se", heads=1, L=40, B=3, padded=True, seed=10, se=None)
+# one 20-row chunk a residue, its near region [i - 10, i + 10] clipped at both ends
+@example(path="se", heads=2, L=40, B=1, padded=False, seed=11, se=(2, 10))
+@example(path="se", heads=4, L=12, B=2, padded=True, seed=12, se=(3, 15))  # w >= L: all band
+@example(path="se", heads=2, L=4, B=2, padded=True, seed=13, se=(5, 1))  # g >= L
+@example(path="se", heads=2, L=7, B=1, padded=False, seed=14, se=(5, 1))  # one-row tiles
+def test_tiled_attention_matches_one_untiled_softmax(path, heads, L, B, padded, seed, se):
     rng = np.random.default_rng(seed)
     model = TILE_MODELS[("absolute" if path == "absolute" else "rotary", heads)]
     lengths = rng.integers(1, L + 1, B) if padded else np.full(B, L)
@@ -301,7 +350,7 @@ def test_tiled_attention_matches_one_untiled_softmax(path, heads, L, B, padded, 
     elif path == "rotary":
         kwargs["positions"] = np.tile(np.arange(L) * 0.7, (B, 1))
     else:
-        kwargs["self_extend"] = (int(rng.integers(1, 6)), int(rng.integers(0, 20)))
+        kwargs["self_extend"] = se or (int(rng.integers(1, 6)), int(rng.integers(0, 20)))
 
     def run(want_cache):
         return forward_batch(model, tokens, mask, want_cache=want_cache, **kwargs)
@@ -314,6 +363,28 @@ def test_tiled_attention_matches_one_untiled_softmax(path, heads, L, B, padded, 
     if ref_cache is not None:
         for got, want in zip(run(True)[1]["layers"], ref_cache["layers"]):
             assert np.abs(got["w"] - want["w"]).max() <= 1e-12
+
+
+def test_self_extend_builds_its_rotation_tables_once_per_forward(monkeypatch):
+    """As many cos/sin tables with 3 layers as with 1, and with 3 batch slices as with 1."""
+    builds, scored = [], []
+    rope_tables, relative_scores = encoder._rope_tables, encoder._relative_scores
+    monkeypatch.setattr(encoder, "_rope_tables", lambda *a: builds.append(1) or rope_tables(*a))
+    monkeypatch.setattr(encoder, "_relative_scores",
+                        lambda *a: scored.append(1) or relative_scores(*a))
+
+    def count(n_layers, B):
+        model = init_model(ModelConfig(hidden_size=16, n_layers=n_layers, n_heads=2,
+                                       vocab_size=32, original_context=64, position_mode="rotary"))
+        tokens = np.random.default_rng(0).integers(0, 32, (B, 256))
+        builds.clear(), scored.clear()
+        forward_batch(model, tokens, np.ones((B, 256), dtype=bool), self_extend=(2, 4))
+        return len(builds), len(scored)
+
+    one, _ = count(1, 1)
+    assert count(3, 1) == (one, 3)
+    assert count(1, 5) == (one, 3)  # two sequences of 2 * 128 * 256 cells a slice
+    assert count(3, 5) == (one, 9)
 
 
 @pytest.mark.parametrize("path", ["absolute", "rotary", "se"])

@@ -16,8 +16,8 @@ from longctx import (
     tune,
     write_task,
 )
-from longctx.encoder import param_layout
-from longctx.errors import ParseError, ValidationError
+from longctx.encoder import Model, PosExtension, param_layout
+from longctx.errors import ConfigurationError, ParseError, ValidationError
 from longctx.synth import SyntheticTaskConfig, build_bucket
 from longctx.tuning import TrainingPair, TuneConfig
 
@@ -87,6 +87,19 @@ def test_a_repeated_qrels_pair_is_a_parse_error_naming_it(tmp_path):
     (tmp_path / "corpus.jsonl").write_text('{"_id": "d1", "title": "", "text": "x"}\n')
     (tmp_path / "qrels.tsv").write_text("query-id\tdoc-id\tscore\nq1\td1\t1\nq1\td1\t0\n")
     with pytest.raises(ParseError, match="qrels.tsv:3: repeated judgment for 'q1' 'd1'"):
+        load_task_dir(tmp_path)
+
+
+@pytest.mark.parametrize("qrels", ["q1\td1\t1\nq1\td2\t0\nq2\td2\t1\n", "",
+                                   "query-id\tdoc-id\n"], ids=["no-header", "empty", "short"])
+def test_a_qrels_file_must_open_with_its_header(tmp_path, qrels):
+    """A header-less file would lose its first judgment: q1 would keep only d2 at score 0."""
+    (tmp_path / "queries.jsonl").write_text(
+        '{"_id": "q1", "text": "a"}\n{"_id": "q2", "text": "b"}\n')
+    (tmp_path / "corpus.jsonl").write_text(
+        '{"_id": "d1", "title": "", "text": "x"}\n{"_id": "d2", "title": "", "text": "y"}\n')
+    (tmp_path / "qrels.tsv").write_text(qrels)
+    with pytest.raises(ParseError, match="qrels.tsv:1: expected the header"):
         load_task_dir(tmp_path)
 
 
@@ -331,3 +344,25 @@ def test_an_extended_table_has_the_rows_the_layout_expects(tmp_path, mode, rows)
     assert ext.pos_frozen.shape == (rows,)
     save_checkpoint(ext, tmp_path / "ext.ckpt")
     assert model_checksum(load_checkpoint(tmp_path / "ext.ckpt")) == model_checksum(ext)
+
+
+def test_a_rotary_model_has_no_position_table_to_extend(tmp_path):
+    """Refused by the layout: before save_checkpoint writes a byte, and at load naming the file."""
+    model, extension = make_model("rotary"), PosExtension("pi_anchored", 8, 16)
+    with pytest.raises(ConfigurationError, match="rotary model has no position table"):
+        param_layout(model.config, extension)
+    with pytest.raises(ConfigurationError, match="rotary model has no position table"):
+        save_checkpoint(Model(model.config, model.params, extension), tmp_path / "ext.ckpt")
+    assert not (tmp_path / "ext.ckpt").exists()
+
+    path = tmp_path / "rotary.ckpt"
+    save_checkpoint(model, path)
+    data = path.read_bytes()
+    end = 16 + int.from_bytes(data[8:16], "little")
+    header = json.loads(data[16:end])
+    header["extension"] = {"mode": "pi_anchored", "l_orig": 8, "l_target": 16}
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:8] + len(blob).to_bytes(8, "little") + blob + data[end:])
+    with pytest.raises(ParseError, match="rotary model has no position table") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
