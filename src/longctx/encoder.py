@@ -293,16 +293,14 @@ class _SelfExtend:
     ``queries`` (2, 1, 1, L, Dh/2) rotates query i by w + (i - w)//g (below)
     and by i (plain). Residue class r's below and above keys turn key j by
     (j + o)//g for its two ``offsets[r]`` o, read from ``table``, whose row
-    p - ``p0`` holds e^{i p theta}. Taken in the order ``first``, first + 1,
-    ... (mod g), each class's offsets are one less than the last one's.
-    ``above_mask`` and ``band_mask`` flag, at row t of a chunk of at most
-    ``_SE_CHUNK_ROWS`` rows and column j - i_0 + min(w, L - 1) (i_0 the
-    chunk's first query), the pairs with j > i + w and with |i - j| <= w.
+    p - ``p0`` holds e^{i p theta}. ``above_mask`` and ``band_mask`` flag, at
+    row t of a chunk of at most ``_SE_CHUNK_ROWS`` rows and column
+    j - i_0 + min(w, L - 1) (i_0 the chunk's first query), the pairs with
+    j > i + w and with |i - j| <= w.
     """
 
     g: int
     w: int
-    first: int
     queries: np.ndarray
     offsets: np.ndarray
     table: np.ndarray
@@ -334,7 +332,7 @@ def _self_extend_tables(L: int, g: int, w: int, theta: np.ndarray) -> _SelfExten
     rows = min(-(-L // g), _SE_CHUNK_ROWS)
     width = wc + min(g * (rows - 1) + w, L - 1) + 1
     x = np.arange(-wc, width - wc) - g * np.arange(rows)[:, None]  # j - i per chunk cell
-    return _SelfExtend(g, w, wc % g, queries, offsets, table, p0, x > w, np.abs(x) <= w)
+    return _SelfExtend(g, w, queries, offsets, table, p0, x > w, np.abs(x) <= w)
 
 
 def _relative_scores(q: np.ndarray, k: np.ndarray, se: _SelfExtend):
@@ -355,11 +353,9 @@ def _relative_scores(q: np.ndarray, k: np.ndarray, se: _SelfExtend):
     masks of ``se``, each through one matmul over its columns only.
 
     The rotations of q and the plain keys are made once per call, a class's
-    turned keys once per class: in ``_attention``'s class order (``se.first``
-    on) only the 1/g of them whose turn drops by one are redone. The split
-    matrix moves its split by copying keys as a class's chunks advance, and
-    starts again from the above keys for an earlier chunk, so tiles may come
-    in any order.
+    two turned key sets once per class. The split matrix moves its split by
+    copying keys as a class's chunks advance, and starts again from the above
+    keys for an earlier chunk, so tiles may come in any order.
     """
     B, H, L, Dh = q.shape
     g, w = se.g, se.w
@@ -371,18 +367,10 @@ def _relative_scores(q: np.ndarray, k: np.ndarray, se: _SelfExtend):
     split_t = split.swapaxes(-1, -2)
     last, below, above, at = None, None, None, 0
 
-    def turned(r, v, rows=slice(None)):  # k's rows turned by (j + o)//g, o = offsets[r, v]
-        j = np.arange(L)[rows]
-        return _rotate_batch(k[..., rows, :], se.table[(j + se.offsets[r, v]) // g - se.p0])
-
-    def use_class(r):  # class r's below and above keys, and a split at 0
+    def use_class(r):  # class r's below and above keys, k turned by (j + o)//g, and a split at 0
         nonlocal last, below, above, at
-        if last is not None and (se.offsets[r] == se.offsets[last] - 1).all():
-            for keys, v in ((below, 0), (above, 1)):  # only keys with (j + o) mod g = 0 turn
-                j0 = -se.offsets[last, v] % g
-                keys[..., j0::g, :] = turned(r, v, slice(j0, None, g))
-        else:
-            below, above = turned(r, 0), turned(r, 1)
+        below, above = (_rotate_batch(k, se.table[(np.arange(L) + o) // g - se.p0])
+                        for o in se.offsets[r])
         split[...], last, at = above, r, 0
 
     def fill(tile, out):
@@ -448,10 +436,9 @@ _SE_CHUNK_ROWS = 32
 _BATCH_ROWS = 512
 
 
-def _row_tiles(L: int, g: int, rows: int, first: int = 0):
-    """Query-row tiles ``start:stop:g`` of at most ``rows`` rows, one residue i mod g each,
-    the residues in the order ``first``, first + 1, ... (mod g)."""
-    for r in sorted(range(min(g, L)), key=lambda r: (r - first) % g):
+def _row_tiles(L: int, g: int, rows: int):
+    """Query-row tiles ``start:stop:g`` of at most ``rows`` rows, one residue i mod g each."""
+    for r in range(min(g, L)):
         for r0 in range(r, L, g * rows):
             yield slice(r0, min(L, r0 + g * rows), g)
 
@@ -492,7 +479,7 @@ def _attention(q, k, v, mask, *, self_extend=None, keep=False):
             fill = lambda tile, out: np.matmul(qb[:, :, tile], kt, out=out)  # noqa: E731
         else:
             fill = _relative_scores(q[b0:b1], k[b0:b1], self_extend)
-        for tile in _row_tiles(L, g, rows, 0 if self_extend is None else self_extend.first):
+        for tile in _row_tiles(L, g, rows):
             n = len(range(L)[tile])
             s = scores[b0:b1, :, tile] if keep else (
                 buf[:(b1 - b0) * H * n * L].reshape(b1 - b0, H, n, L))

@@ -2,7 +2,8 @@
 
 Tasks use BEIR-style files so user-supplied datasets drop in unchanged:
 queries.jsonl {"_id", "text"}, corpus.jsonl {"_id", "title", "text"}, and a
-tab-separated qrels.tsv (query-id, doc-id, score) with a header row.
+tab-separated qrels.tsv (query-id, doc-id, score) with a header row; BEIR's own
+header spelling, ``corpus-id`` for ``doc-id``, is read too.
 
 Checkpoints are a versioned binary dump: magic, header length, a canonical
 JSON header (config, extension, tensor manifest), then raw little-endian
@@ -31,6 +32,8 @@ QUERIES_FILE = "queries.jsonl"
 CORPUS_FILE = "corpus.jsonl"
 QRELS_FILE = "qrels.tsv"
 QRELS_HEADER = "query-id\tdoc-id\tscore"
+# Headers a qrels file may open with: the one written here and BEIR's.
+QRELS_HEADERS = (QRELS_HEADER, "query-id\tcorpus-id\tscore")
 
 _CKPT_MAGIC = b"LCX1"
 _CKPT_VERSION = 1
@@ -91,12 +94,13 @@ def _read_jsonl(path: Path) -> dict[str, dict]:
 
 
 def _read_qrels(path: Path) -> dict[str, dict[str, int]]:
-    """Judgments by query and document id; line 1 must be ``QRELS_HEADER``."""
+    """Judgments by query and document id; line 1 must be one of ``QRELS_HEADERS``."""
     qrels: dict[str, dict[str, int]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\r\n")
-        if header != QRELS_HEADER:
-            raise ParseError(f"{path}:1: expected the header {QRELS_HEADER!r}, got {header[:40]!r}")
+        if header not in QRELS_HEADERS:
+            expected = " or ".join(repr(h) for h in QRELS_HEADERS)
+            raise ParseError(f"{path}:1: expected the header {expected}, got {header[:40]!r}")
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line.strip():

@@ -103,6 +103,15 @@ def test_a_qrels_file_must_open_with_its_header(tmp_path, qrels):
         load_task_dir(tmp_path)
 
 
+def test_a_beir_qrels_header_loads(tmp_path):
+    """BEIR spells the second column ``corpus-id``; such files load as they are."""
+    (tmp_path / "queries.jsonl").write_text('{"_id": "q1", "text": "a"}\n')
+    (tmp_path / "corpus.jsonl").write_text(
+        '{"_id": "d1", "title": "", "text": "x"}\n{"_id": "d2", "title": "", "text": "y"}\n')
+    (tmp_path / "qrels.tsv").write_text("query-id\tcorpus-id\tscore\nq1\td1\t1\nq1\td2\t0\n")
+    assert load_task_dir(tmp_path).qrels == {"q1": {"d1": 1, "d2": 0}}
+
+
 def test_dangling_qrel_ids_listed(tmp_path):
     (tmp_path / "queries.jsonl").write_text('{"_id": "q1", "text": "ok"}\n')
     (tmp_path / "corpus.jsonl").write_text('{"_id": "d1", "title": "", "text": "x"}\n')
