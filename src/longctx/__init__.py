@@ -16,10 +16,8 @@ from .encoder import (  # noqa: E402
     attention_score,
     encode,
     encode_many,
-    forward,
     freeze_mask,
     init_model,
-    model_checksum,
     pool_and_normalize,
 )
 from .errors import (  # noqa: E402
@@ -44,7 +42,6 @@ from .positions import (  # noqa: E402
     plan_chunks,
     resolve_ntk_lambda,
     resolve_se_params,
-    self_extend_relpos,
     standard_frequencies,
 )
 from .chunking import pcw_encode  # noqa: E402
@@ -53,7 +50,6 @@ from .synth import (  # noqa: E402
     RetrievalTask,
     SyntheticTaskConfig,
     build_bucket,
-    build_suite,
     gen_needle,
     gen_passkey,
     word_budget,
@@ -71,7 +67,6 @@ from .evaluation import (  # noqa: E402
 from .tuning import (  # noqa: E402
     TrainingPair,
     TuneConfig,
-    contrastive_loss,
     extend_for_tuning,
     grad_check,
     sample_skip_bias,

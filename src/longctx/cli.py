@@ -29,6 +29,7 @@ from .errors import (
     ParseError,
     ValidationError,
     check_types,
+    read_text,
 )
 from .evaluation import BenchmarkTask, run_benchmark
 from .positions import (
@@ -96,11 +97,10 @@ def _resolved_config(args: argparse.Namespace, file_keys: dict) -> dict:
 def _load_file_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+    try:
+        cfg = json.loads(read_text(path, ParseError))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
     if not isinstance(cfg, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")
     return cfg

@@ -11,12 +11,11 @@ built from equal configs are bit-identical.
 The forward pass can record a cache from which ``backward_batch`` produces
 exact analytic gradients for every parameter (checked against finite
 differences in the test suite). Models are immutable during inference; encode
-and forward are pure in the model.
+and forward_batch are pure in the model.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 
@@ -215,15 +214,6 @@ def init_model(config: ModelConfig) -> Model:
     return Model(config=config, params=params)
 
 
-def model_checksum(model: Model) -> str:
-    """sha256 over all parameter bytes in sorted name order."""
-    h = hashlib.sha256()
-    for name in sorted(model.params):
-        h.update(name.encode())
-        h.update(model.params[name].tobytes())
-    return h.hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # rotary rotation and the attention-score primitive
 
@@ -353,9 +343,9 @@ def _relative_scores(q: np.ndarray, k: np.ndarray, se: _SelfExtend):
     masks of ``se``, each through one matmul over its columns only.
 
     The rotations of q and the plain keys are made once per call, a class's
-    two turned key sets once per class. The split matrix moves its split by
-    copying keys as a class's chunks advance, and starts again from the above
-    keys for an earlier chunk, so tiles may come in any order.
+    two turned key sets once per class. ``fill`` takes a class's tiles in
+    ``_row_tiles`` order, the order ``_attention`` uses, so the split matrix
+    only moves its split right, copying keys as a class's chunks advance.
     """
     B, H, L, Dh = q.shape
     g, w = se.g, se.w
@@ -387,8 +377,6 @@ def _relative_scores(q: np.ndarray, k: np.ndarray, se: _SelfExtend):
             if last != lo % g:
                 use_class(lo % g)
             s, a0 = max(0, hi - w), lo + w + 1  # no j < i - w right of s, no j > i + w left of a0
-            if at > min(s, a0):  # a chunk left of the last one: move the split back to 0
-                split[..., :at, :], at = above[..., :at, :], 0
             q_rows = q_below[:, :, rows]
             fixed = min(m, -(-(s - a0) // g))  # rows with keys j > i + w left of s
             if fixed > 0:  # their above scores, read before the split moves past them
@@ -793,7 +781,7 @@ def backward_batch(
 
 
 # ---------------------------------------------------------------------------
-# pooling and the single-sequence surface
+# pooling
 
 
 def pool_and_normalize(hidden: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -822,29 +810,6 @@ def pool_and_normalize_backward(hidden, mask, d_emb):
     d_h = np.zeros_like(hidden)
     d_h[mask] = d_v / int(mask.sum())
     return d_h
-
-
-def forward(
-    model: Model,
-    token_ids: np.ndarray,
-    positions: np.ndarray,
-    attn_scale: float = 1.0,
-) -> np.ndarray:
-    """Per-token hidden states for one sequence.
-
-    ``positions`` are integer row indices in absolute mode and real-valued
-    phases in rotary mode.
-    """
-    token_ids = np.asarray(token_ids, dtype=np.int64)
-    if token_ids.ndim != 1 or token_ids.size == 0:
-        raise EmptyInputError("token sequence must be non-empty and 1-D")
-    positions = np.asarray(positions)
-    if positions.shape != token_ids.shape:
-        raise DimensionError("positions must align with the token sequence")
-    return forward_batch(
-        model, token_ids[None, :], np.ones((1, token_ids.size), dtype=bool),
-        positions=positions[None, :], attn_scale=np.array([attn_scale]),
-    )[0]
 
 
 # ---------------------------------------------------------------------------

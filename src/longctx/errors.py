@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and the one field-type check.
+"""Exception types shared across the toolkit, the one field-type check, and the
+one reader of UTF-8 text files, which raises them for bytes that are not UTF-8.
 
 The CLI maps these onto exit codes: configuration problems exit with 2,
 data/validation problems with 3, numeric failures with 4.
@@ -40,7 +41,7 @@ class ValidationError(LongCtxError):
 
 
 class ParseError(ValidationError):
-    """A task file line could not be parsed."""
+    """A task, config or checkpoint file could not be parsed."""
 
 
 class EvaluationError(LongCtxError):
@@ -77,3 +78,13 @@ def check_types(values: dict, annotations: dict[str, str]) -> None:
         if ok is None or ok(value) or (value is None and kind != annotation):
             continue
         raise ConfigurationError(f"{name!r} must be {annotation}, got {value!r}")
+
+
+def read_text(path, error: type[LongCtxError]) -> str:
+    """A UTF-8 text file's contents, newlines as "\\n"; bytes that are not UTF-8
+    raise ``error`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc

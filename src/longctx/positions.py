@@ -34,9 +34,6 @@ SE_PARAM_TABLE = {
     (4096, 32768): (9, 512),
 }
 
-# published (l_orig, l_target) pairs; exhaustive range checks iterate these
-EXTENSION_GRID = tuple(sorted(SE_PARAM_TABLE))
-
 
 class Strategy(str, Enum):
     NONE = "none"
@@ -121,11 +118,6 @@ def build_interpolated_matrix(table, s: int) -> np.ndarray:
     return out
 
 
-def self_extend_relpos(i: int, j: int, g: int, w: int) -> int:
-    """Remapped relative position between query i and key j; see ``se_remap_deltas``."""
-    return int(se_remap_deltas(i - j, g, w))
-
-
 def se_remap_deltas(delta: np.ndarray, g: int, w: int) -> np.ndarray:
     """SelfExtend's remap of query-key deltas i - j, elementwise.
 
@@ -146,12 +138,7 @@ def max_se_relpos(l_target: int, g: int, w: int) -> int:
     """Largest remapped |relative position| reachable in an l_target window."""
     if l_target < 1:
         raise ConfigurationError(f"l_target must be >= 1, got {l_target}")
-    return self_extend_relpos(l_target - 1, 0, g, w)
-
-
-def se_params_feasible(l_orig: int, l_target: int, g: int, w: int) -> bool:
-    """True when every remapped relative position stays within [-(l_orig-1), l_orig-1]."""
-    return max_se_relpos(l_target, g, w) <= l_orig - 1
+    return int(se_remap_deltas(l_target - 1, g, w))
 
 
 def resolve_se_params(l_orig: int, l_target: int) -> tuple[int, int]:
@@ -301,11 +288,12 @@ def resolve_extension(spec: ExtensionSpec, position_mode: str) -> ResolvedExtens
             notes.append(f"se params (g={group_size}, w={window}) resolved via {source}")
         else:
             group_size, window = spec.group_size, spec.window
-        if not se_params_feasible(spec.l_orig, spec.l_target, group_size, window):
+        farthest = max_se_relpos(spec.l_target, group_size, window)
+        if farthest > spec.l_orig - 1:  # every remapped position must stay within l_orig - 1
             raise ConfigurationError(
                 f"SelfExtend (g={group_size}, w={window}) infeasible for "
                 f"{spec.l_orig} -> {spec.l_target}: max remapped relative position "
-                f"{max_se_relpos(spec.l_target, group_size, window)} exceeds {spec.l_orig - 1}"
+                f"{farthest} exceeds {spec.l_orig - 1}"
             )
 
     return ResolvedExtension(

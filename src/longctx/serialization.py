@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .encoder import Model, ModelConfig, PosExtension, param_layout
-from .errors import ConfigurationError, ParseError, ValidationError
+from .errors import ConfigurationError, ParseError, ValidationError, read_text
 from .evaluation import EvalReport
 from .synth import RetrievalTask
 
@@ -68,54 +68,51 @@ def _read_jsonl(path: Path) -> dict[str, dict]:
     string ``text``; a ``title``, where present, must be a string too.
     """
     rows: dict[str, dict] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(f"{path}:{lineno}: expected a JSON object, got {line[:40]}")
-            for key in ("_id", "text"):
-                if key not in obj:
-                    raise ParseError(f"{path}:{lineno}: missing field {key!r}")
-            for key in ("text", "title"):
-                if key in obj and not isinstance(obj[key], str):
-                    raise ParseError(f"{path}:{lineno}: field {key!r} must be a string, "
-                                     f"got {json.dumps(obj[key])[:40]}")
-            rid = str(obj["_id"])
-            if rid in rows:
-                raise ParseError(f"{path}:{lineno}: repeated _id {rid!r}")
-            rows[rid] = obj
+    for lineno, line in enumerate(read_text(path, ParseError).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}:{lineno}: expected a JSON object, got {line[:40]}")
+        for key in ("_id", "text"):
+            if key not in obj:
+                raise ParseError(f"{path}:{lineno}: missing field {key!r}")
+        for key in ("text", "title"):
+            if key in obj and not isinstance(obj[key], str):
+                raise ParseError(f"{path}:{lineno}: field {key!r} must be a string, "
+                                 f"got {json.dumps(obj[key])[:40]}")
+        rid = str(obj["_id"])
+        if rid in rows:
+            raise ParseError(f"{path}:{lineno}: repeated _id {rid!r}")
+        rows[rid] = obj
     return rows
 
 
 def _read_qrels(path: Path) -> dict[str, dict[str, int]]:
     """Judgments by query and document id; line 1 must be one of ``QRELS_HEADERS``."""
     qrels: dict[str, dict[str, int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\r\n")
-        if header not in QRELS_HEADERS:
-            expected = " or ".join(repr(h) for h in QRELS_HEADERS)
-            raise ParseError(f"{path}:1: expected the header {expected}, got {header[:40]!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated columns")
-            qid, did, score = parts
-            try:
-                rel = int(score)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-integer score {score!r}") from exc
-            if did in qrels.setdefault(qid, {}):
-                raise ParseError(f"{path}:{lineno}: repeated judgment for {qid!r} {did!r}")
-            qrels[qid][did] = rel
+    header, *lines = read_text(path, ParseError).split("\n")
+    if header not in QRELS_HEADERS:
+        expected = " or ".join(repr(h) for h in QRELS_HEADERS)
+        raise ParseError(f"{path}:1: expected the header {expected}, got {header[:40]!r}")
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 tab-separated columns")
+        qid, did, score = parts
+        try:
+            rel = int(score)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-integer score {score!r}") from exc
+        if did in qrels.setdefault(qid, {}):
+            raise ParseError(f"{path}:{lineno}: repeated judgment for {qid!r} {did!r}")
+        qrels[qid][did] = rel
     return qrels
 
 
@@ -215,7 +212,7 @@ def _header_dataclass(path, cls, values, part: str):
 
 
 def _tensor_layout(path, entry) -> tuple[np.dtype, tuple[int, ...]]:
-    """A manifest entry's numeric dtype and non-negative integer shape."""
+    """A manifest entry's dtype and non-negative integer shape."""
     if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
             and isinstance(entry.get("dtype"), str) and isinstance(entry.get("shape"), list)
             and all(type(n) is int and n >= 0 for n in entry["shape"])):
@@ -225,16 +222,15 @@ def _tensor_layout(path, entry) -> tuple[np.dtype, tuple[int, ...]]:
     except TypeError as exc:
         raise ParseError(f"{path}: tensor {entry['name']} has unknown dtype "
                          f"{entry['dtype']!r}") from exc
-    if dtype.kind not in "biuf":
-        raise ParseError(f"{path}: tensor {entry['name']} has non-numeric dtype {dtype}")
     return dtype, tuple(entry["shape"])
 
 
 def load_checkpoint(path: str | Path) -> Model:
     """Read a ``save_checkpoint`` file; a truncated or corrupt one raises ParseError.
 
-    The ``__pos_frozen__`` flags may be absent; where present they must equal
-    the extension's ``freeze_mask``.
+    Parameters must be little-endian float64. The ``__pos_frozen__`` flags
+    (uint8) may be absent; where present they must equal the extension's
+    ``freeze_mask``.
     """
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
@@ -282,6 +278,10 @@ def load_checkpoint(path: str | Path) -> Model:
             if shape != want:
                 raise ParseError(f"{path}: tensor {entry['name']} has shape {list(shape)}, "
                                  f"the config and extension need {list(want)}")
+            need = np.dtype(np.uint8 if entry["name"] == "__pos_frozen__" else "<f8")
+            if dtype != need:
+                raise ParseError(f"{path}: tensor {entry['name']} has dtype {dtype}, "
+                                 f"expected {need}")
             count = math.prod(shape)
             data = read(count * dtype.itemsize, f"tensor {entry['name']}")
             params[entry["name"]] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()

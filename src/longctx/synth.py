@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, GenerationError, ValidationError
+from .errors import ConfigurationError, GenerationError, ValidationError, read_text
 
 DEFAULT_LENGTH_GRID = (256, 512, 1024, 2048, 4096, 8192, 16384, 32768)
 
@@ -252,8 +252,7 @@ def default_essay_words(n_words: int) -> list[str]:
 def _essay_words_for(config: SyntheticTaskConfig, needed: int) -> list[str]:
     if config.essay_path is None:
         return default_essay_words(needed + 256)
-    with open(config.essay_path, "r", encoding="utf-8") as fh:
-        words = fh.read().split()
+    words = read_text(config.essay_path, GenerationError).split()
     if len(words) < needed:
         raise GenerationError(
             f"essay at {config.essay_path} has {len(words)} words; "
@@ -317,11 +316,6 @@ def build_bucket(config: SyntheticTaskConfig, length_tokens: int) -> RetrievalTa
     rng = bucket_rng(config, length_tokens)
     gen = gen_passkey if config.kind == "passkey" else gen_needle
     return gen(length_tokens, config, rng)
-
-
-def build_suite(config: SyntheticTaskConfig) -> dict[int, RetrievalTask]:
-    """All buckets of the config's length grid, keyed by bucket length."""
-    return {length: build_bucket(config, length) for length in config.length_grid}
 
 
 # --- exact-match oracle ----------------------------------------------------

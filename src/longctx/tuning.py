@@ -120,17 +120,7 @@ def _training_positions(model: Model, pairs: list[TrainingPair], config: TuneCon
     return positions
 
 
-def contrastive_loss(
-    query_emb: np.ndarray,
-    positive_emb: np.ndarray,
-    negative_embs: list[np.ndarray],
-    temperature: float,
-) -> float:
-    """InfoNCE over cosine logits: -log p(positive | query)."""
-    loss, _ = _contrastive_loss_grads(query_emb, positive_emb, negative_embs, temperature)
-    return loss
-
-
+# InfoNCE over cosine logits, -log p(positive | query), and its gradients (d_q, d_p, [d_neg]).
 def _contrastive_loss_grads(q, p, negs, temperature):
     if not (math.isfinite(temperature) and temperature > 0):
         raise ConfigurationError(f"temperature must be finite and positive, got {temperature}")

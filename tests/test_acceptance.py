@@ -18,7 +18,6 @@ import longctx as lc
 from longctx.encoder import freeze_mask
 from longctx.evaluation import BenchmarkTask, ndcg_at_10, run_benchmark
 from longctx.positions import (
-    EXTENSION_GRID,
     NTK_LAMBDA_TABLE,
     SE_PARAM_TABLE,
     ExtensionSpec,
@@ -29,7 +28,6 @@ from longctx.positions import (
     resolve_ntk_lambda,
     resolve_se_params,
     se_remap_deltas,
-    self_extend_relpos,
     standard_frequencies,
 )
 from longctx.synth import OracleEmbedder, SyntheticTaskConfig, build_bucket, word_budget
@@ -74,8 +72,8 @@ class criterion:
 
 def test_c01_self_extend_worked_examples():
     with criterion(1, "SelfExtend reproduces the published worked examples", budget_s=1.0):
-        x0 = [self_extend_relpos(p, 0, g=2, w=4) for p in range(10)]
-        x4 = [self_extend_relpos(p, 4, g=2, w=4) for p in range(10)]
+        x0 = se_remap_deltas(np.arange(10) - 0, g=2, w=4).tolist()
+        x4 = se_remap_deltas(np.arange(10) - 4, g=2, w=4).tolist()
         assert x0 == [0, 1, 2, 3, 4, 4, 5, 5, 6, 6]
         assert x4 == [-4, -3, -2, -1, 0, 1, 2, 3, 4, 4]
 
@@ -159,7 +157,7 @@ def test_c05_range_safety_exhaustive():
                       "published grid", budget_s=30.0):
         from longctx.positions import plan_chunks
 
-        for l_orig, l_target in EXTENSION_GRID:
+        for l_orig, l_target in sorted(SE_PARAM_TABLE):
             s = math.ceil(l_target / l_orig)
 
             def positions(strategy, mode):

@@ -186,6 +186,36 @@ def test_a_header_less_qrels_file_is_code_3(tmp_path, capsys, command):
     assert "qrels.tsv:1: expected the header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["queries.jsonl", "corpus.jsonl", "qrels.tsv"])
+def test_a_task_file_that_is_not_utf8_is_code_3(tmp_path, capsys, name):
+    tasks = gen_small(tmp_path, lengths="8")
+    path = tasks / "passkey" / "8" / name
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    code = run("eval", "--model", init_small(tmp_path), "--synthetic", tasks / "passkey")
+    assert code == 3
+    assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_eval_config_file_that_is_not_utf8_is_code_3(tmp_path, capsys):
+    tasks = gen_small(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"strategy": "gp", "seed": 9}\xff\n')
+    code = run("eval", "--model", init_small(tmp_path), "--config", cfg,
+               "--synthetic", tasks / "passkey")
+    assert code == 3
+    assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_gen_with_an_essay_that_is_not_utf8_is_code_3_and_writes_nothing(tmp_path, capsys):
+    essay, out = tmp_path / "essay.txt", tmp_path / "tasks"
+    essay.write_bytes(b"All work and no play. " * 200 + b"\xff\n")
+    assert run("gen", "--kind", "needle", "--lengths", 64, "--queries", 2, "--candidates", 4,
+               "--essay", essay, "--out", out) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert f"{essay}: not UTF-8 text" in captured.err and "wrote" not in captured.out
+
+
 def test_tune_writes_checkpoint_and_log(tmp_path):
     tasks = gen_small(tmp_path, lengths="8")
     ckpt = init_small(tmp_path)

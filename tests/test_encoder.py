@@ -15,9 +15,7 @@ from longctx import (
     attention_score,
     encode,
     encode_many,
-    forward,
     init_model,
-    model_checksum,
     plan_chunks,
     pool_and_normalize,
     standard_frequencies,
@@ -50,17 +48,21 @@ from longctx.tuning import TuneConfig, extend_for_tuning
 # --- init --------------------------------------------------------------------
 
 
+def _same_params(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[n], b[n]) for n in a)
+
+
 def test_equal_configs_give_identical_checksums():
     cfg = ModelConfig(hidden_size=32, n_layers=1, n_heads=4, vocab_size=50,
                       original_context=8, init_seed=7)
-    assert model_checksum(init_model(cfg)) == model_checksum(init_model(cfg))
+    assert _same_params(init_model(cfg).params, init_model(cfg).params)
 
 
 def test_different_seed_changes_weights():
     kw = dict(hidden_size=32, n_layers=1, n_heads=4, vocab_size=50, original_context=8)
     a = init_model(ModelConfig(init_seed=1, **kw))
     b = init_model(ModelConfig(init_seed=2, **kw))
-    assert model_checksum(a) != model_checksum(b)
+    assert not _same_params(a.params, b.params)
 
 
 def test_invalid_dimensions_rejected():
@@ -238,19 +240,6 @@ def test_relative_scores_match_pairwise_remap(L_rows, g, w, seed):
     ])
     got = _full_relative_scores(q, k, g, w, freqs.theta, rows=rows)[0, 0]
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_relative_scores_fill_tiles_in_any_order(rng):
-    """A tile's scores do not depend on which tiles were filled before it."""
-    q, k = rng.normal(size=(2, 2, 3, 90, 8))
-    theta = standard_frequencies(8).theta
-    fill = _relative_scores(q, k, encoder._self_extend_tables(90, 3, 4, theta))
-    tiles = list(encoder._row_tiles(90, 3, 7))
-    want = _full_relative_scores(q, k, 3, 4, theta, rows=7)
-    for i in rng.permutation(len(tiles)).tolist() + [len(tiles) - 1, 0, 0]:
-        out = np.empty((2, 3, len(range(90)[tiles[i]]), 90))
-        fill(tiles[i], out)
-        assert np.array_equal(out, want[:, :, tiles[i]])
 
 
 @pytest.mark.parametrize("w", [0, 3, 50])
@@ -488,17 +477,24 @@ def test_every_parameter_gradient_matches_finite_differences(mode):
 # --- forward / pooling ---------------------------------------------------------
 
 
+def forward_one(model, token_ids, positions, attn_scale=1.0):
+    """Hidden states (L, d) of one sequence: ``forward_batch`` on a one-row batch."""
+    mask = np.ones((1, token_ids.size), dtype=bool)
+    return forward_batch(model, token_ids[None], mask, positions=positions[None],
+                         attn_scale=np.array([attn_scale]))[0]
+
+
 def test_absolute_position_out_of_table_raises(tiny_absolute):
     toks = np.arange(4)
     with pytest.raises(PositionError):
-        forward(tiny_absolute, toks, np.array([0, 1, 2, 8]))  # table length is 8
+        forward_one(tiny_absolute, toks, np.array([0, 1, 2, 8]))  # table length is 8
 
 
 def test_forward_is_deterministic(tiny_absolute):
     toks = np.array([5, 9, 2, 40])
     pos = np.arange(4)
-    a = forward(tiny_absolute, toks, pos, attn_scale=1.3)
-    b = forward(tiny_absolute, toks, pos, attn_scale=1.3)
+    a = forward_one(tiny_absolute, toks, pos, attn_scale=1.3)
+    b = forward_one(tiny_absolute, toks, pos, attn_scale=1.3)
     assert np.array_equal(a, b)
 
 
@@ -506,14 +502,14 @@ def test_rotary_paired_permutation_symmetry(tiny_rotary):
     # swapping two tokens together with their positions permutes the outputs
     toks = np.array([5, 9, 2, 40])
     pos = np.array([0.0, 1.0, 2.0, 3.0])
-    base = forward(tiny_rotary, toks, pos)
+    base = forward_one(tiny_rotary, toks, pos)
     perm = [2, 1, 0, 3]
-    swapped = forward(tiny_rotary, toks[perm], pos[perm])
+    swapped = forward_one(tiny_rotary, toks[perm], pos[perm])
     assert np.allclose(swapped, base[perm], atol=1e-9)
 
 
 def test_pool_single_token_is_normalized_row(tiny_absolute):
-    h = forward(tiny_absolute, np.array([7]), np.array([0]))
+    h = forward_one(tiny_absolute, np.array([7]), np.array([0]))
     pooled = pool_and_normalize(h)
     assert np.allclose(pooled, h[0] / np.linalg.norm(h[0]), atol=0)
 
@@ -543,7 +539,7 @@ def test_pool_output_unit_norm(seed, n):
 def test_encode_none_equals_forward_pool_bitwise(tiny_absolute):
     toks = np.array([3, 1, 60, 2, 11])
     via_encode = encode(tiny_absolute, toks, ExtensionSpec.none(8))
-    manual = pool_and_normalize(forward(tiny_absolute, toks, np.arange(5)))
+    manual = pool_and_normalize(forward_one(tiny_absolute, toks, np.arange(5)))
     assert np.array_equal(via_encode, manual)
 
 
@@ -668,6 +664,35 @@ def test_embedding_ignores_batch_neighbours_and_batch_size(case, data):
         assert np.abs(row - encode(model, s, spec)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("lengths", [(6, 6, 6), (7, 3, 5)], ids=["unpadded", "padded"])
+@pytest.mark.parametrize("shift", [0.5, 17.0, 1000.0])
+def test_rotary_hidden_states_ignore_a_common_phase_shift(tiny_rotary, rng, lengths, shift):
+    """RoPE scores see phase differences only, so shifting every phase by c changes nothing."""
+    seqs = [rng.integers(0, 64, n) for n in lengths]
+    tokens, mask, pos = encoder.pad_batch(seqs, [np.arange(n, dtype=np.float64) for n in lengths])
+    scale = rng.uniform(0.5, 3.0, len(lengths))
+    base = forward_batch(tiny_rotary, tokens, mask, positions=pos, attn_scale=scale)
+    moved = forward_batch(tiny_rotary, tokens, mask, positions=pos + shift, attn_scale=scale)
+    assert np.abs(moved - base)[mask].max() <= 1e-12
+
+
+@pytest.mark.parametrize("mode, strategy", [
+    ("absolute", Strategy.PI), ("rotary", Strategy.PI), ("absolute", Strategy.RP),
+    ("absolute", Strategy.PCW), ("rotary", Strategy.PCW), ("absolute", Strategy.TUNED_PI),
+    ("absolute", Strategy.TUNED_RP),
+], ids=lambda v: getattr(v, "value", v))
+def test_inputs_within_the_original_window_embed_as_under_none(mode, strategy):
+    """At every length 1..l_orig these strategies read the original positions, bit for bit;
+    the tuned models' learnable rows are moved first, so reading one would show."""
+    model = INVARIANCE_CASES[(mode, strategy)].copy()
+    if model.extension is not None:
+        model.params["pos_table"][~model.pos_frozen] += 1.0
+    seqs = [np.random.default_rng(n).integers(0, 64, n) for n in range(1, 9)]
+    base = encode_many(INVARIANCE_CASES[(mode, Strategy.NONE)], seqs, ExtensionSpec.none(8))
+    spec = ExtensionSpec(strategy=strategy, l_orig=8, l_target=32)
+    assert np.array_equal(encode_many(model, seqs, spec), base)
+
+
 @pytest.mark.parametrize("mode", ["absolute", "rotary"])
 def test_pcw_chunks_of_every_input_share_batches(mode, monkeypatch):
     model = INVARIANCE_CASES[(mode, Strategy.PCW)]
@@ -763,19 +788,19 @@ def test_attn_scaling_needs_an_original_context_of_two():
 
 def test_attn_scale_one_is_neutral(tiny_absolute):
     toks = np.array([3, 1, 60])
-    h1 = forward(tiny_absolute, toks, np.arange(3), attn_scale=1.0)
-    h2 = forward(tiny_absolute, toks, np.arange(3))
+    h1 = forward_one(tiny_absolute, toks, np.arange(3), attn_scale=1.0)
+    h2 = forward_one(tiny_absolute, toks, np.arange(3))
     assert np.array_equal(h1, h2)
 
 
 def test_attn_scale_reaches_the_logits(tiny_absolute):
     toks = np.array([3, 1, 60])
-    neutral = forward(tiny_absolute, toks, np.arange(3))
-    scaled = forward(tiny_absolute, toks, np.arange(3), attn_scale=3.0)
+    neutral = forward_one(tiny_absolute, toks, np.arange(3))
+    scaled = forward_one(tiny_absolute, toks, np.arange(3), attn_scale=3.0)
     assert not np.array_equal(neutral, scaled)
     # a single token attends only to itself, so scaling cannot matter
     one = np.array([3])
     assert np.array_equal(
-        forward(tiny_absolute, one, np.arange(1)),
-        forward(tiny_absolute, one, np.arange(1), attn_scale=3.0),
+        forward_one(tiny_absolute, one, np.arange(1)),
+        forward_one(tiny_absolute, one, np.arange(1), attn_scale=3.0),
     )

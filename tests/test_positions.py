@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import longctx as lc
 from longctx.errors import ConfigurationError, EmptyInputError, LengthError
 from longctx.positions import (
-    EXTENSION_GRID,
     ExtensionSpec,
     SE_PARAM_TABLE,
     Strategy,
@@ -21,7 +20,6 @@ from longctx.positions import (
     resolve_ntk_lambda,
     resolve_se_params,
     se_remap_deltas,
-    self_extend_relpos,
     standard_frequencies,
 )
 from longctx.tokenizer import tokenize
@@ -210,12 +208,12 @@ def test_resolve_ntk_lambda_table_and_fallback():
 
 
 def test_worked_example_x0():
-    rel = [self_extend_relpos(p, 0, g=2, w=4) for p in range(10)]
+    rel = se_remap_deltas(np.arange(10) - 0, g=2, w=4).tolist()
     assert rel == [0, 1, 2, 3, 4, 4, 5, 5, 6, 6]
 
 
 def test_worked_example_x4():
-    rel = [self_extend_relpos(p, 4, g=2, w=4) for p in range(10)]
+    rel = se_remap_deltas(np.arange(10) - 4, g=2, w=4).tolist()
     assert rel == [-4, -3, -2, -1, 0, 1, 2, 3, 4, 4]
 
 
@@ -225,7 +223,7 @@ def test_worked_example_x4():
     w=st.integers(min_value=0, max_value=50),
 )
 def test_group_size_one_is_identity(i, j, w):
-    assert self_extend_relpos(i, j, g=1, w=w) == i - j
+    assert se_remap_deltas(i - j, g=1, w=w) == i - j
 
 
 @given(
@@ -234,7 +232,7 @@ def test_group_size_one_is_identity(i, j, w):
     g=st.integers(min_value=1, max_value=16),
 )
 def test_wide_window_is_identity(i, j, g):
-    assert self_extend_relpos(i, j, g=g, w=100) == i - j
+    assert se_remap_deltas(i - j, g=g, w=100) == i - j
 
 
 def test_vectorized_matches_scalar(rng):
@@ -247,7 +245,7 @@ def test_vectorized_matches_scalar(rng):
     vec = se_remap_deltas(deltas, g=5, w=64)
     ref = [remap(int(d), 5, 64) for d in deltas]
     assert vec.tolist() == ref
-    assert [self_extend_relpos(int(d), 0, g=5, w=64) for d in deltas] == ref
+    assert [int(se_remap_deltas(int(d) - 0, g=5, w=64)) for d in deltas] == ref
 
 
 def test_resolve_se_params_published_values():
@@ -379,10 +377,6 @@ def test_resolution_fills_table_values():
         warnings.simplefilter("error")
         resolved = resolve_extension(spec, "rotary")
     assert resolved.ntk_lambda == 10.0
-
-
-def test_extension_grid_is_published_pairs():
-    assert EXTENSION_GRID == tuple(sorted(SE_PARAM_TABLE))
 
 
 # --- typed errors for out-of-range public arguments ------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from longctx import (
     load_checkpoint,
     load_task,
     load_task_dir,
-    model_checksum,
     save_checkpoint,
     task_stats,
     tune,
@@ -174,7 +174,8 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
     assert loaded.config == model.config
-    assert model_checksum(loaded) == model_checksum(model)
+    save_checkpoint(loaded, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
     assert loaded.extension is None and loaded.pos_frozen is None
 
 
@@ -201,7 +202,8 @@ def test_rotary_checkpoint_round_trips(tmp_path):
     model = make_model("rotary")
     path = tmp_path / "r.ckpt"
     save_checkpoint(model, path)
-    assert model_checksum(load_checkpoint(path)) == model_checksum(model)
+    save_checkpoint(load_checkpoint(path), tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -246,6 +248,24 @@ def _set_tensor(field, value):
     return lambda header: header["tensors"][0].update({field: value})
 
 
+def _retype_tensor(index, dtype):
+    """A well-framed file whose manifest tensor ``index`` is stored as ``dtype``."""
+    def corrupt(data):
+        end = 16 + int.from_bytes(data[8:16], "little")
+        header = json.loads(data[16:end])
+        entries = header["tensors"]
+        sizes = [math.prod(e["shape"]) * np.dtype(e["dtype"]).itemsize for e in entries]
+        i = range(len(entries))[index]
+        a = end + sum(sizes[:i])
+        b = a + sizes[i]
+        values = np.frombuffer(data[a:b], dtype=entries[i]["dtype"]).astype(dtype)
+        entries[i]["dtype"] = str(values.dtype)
+        blob = json.dumps(header).encode("utf-8")
+        return (data[:8] + len(blob).to_bytes(8, "little") + blob + data[end:a]
+                + values.tobytes() + data[b:])
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, part", [
     (_cut_file_header, "file header"),
     (_cut_json_header, "JSON header"),
@@ -258,9 +278,14 @@ def _set_tensor(field, value):
     (_edit_header(lambda h: h.pop("extension")), r"lacks \['extension'\]"),
     (_edit_header(lambda h: h.pop("tensors")), r"lacks \['tensors'\]"),
     (_edit_header(_set_tensor("shape", [-2, -16])), "bad checkpoint tensor entry"),
+    (_retype_tensor(-1, np.float32), "tensor tok_emb has dtype float32, expected float64"),
+    (_retype_tensor(-1, np.int64), "tensor tok_emb has dtype int64, expected float64"),
+    (_retype_tensor(-1, bool), "tensor tok_emb has dtype bool, expected float64"),
+    (_retype_tensor(-1, ">f8"), "tensor tok_emb has dtype >f8, expected float64"),
 ], ids=["cut-file-header", "cut-json-header", "cut-tensors", "garbled-json-header",
         "huge-json-length", "unknown-dtype", "string-hidden-size", "unknown-config-key",
-        "missing-extension", "missing-tensors", "negative-shape"])
+        "missing-extension", "missing-tensors", "negative-shape", "float32-weights",
+        "int64-weights", "bool-weights", "big-endian-weights"])
 def test_corrupt_checkpoint_raises_parse_error_naming_the_path(tmp_path, corrupt, part):
     path = tmp_path / "model.ckpt"
     save_checkpoint(make_model(), path)
@@ -309,8 +334,9 @@ def _rewrite_frozen_flags(change):
      r"__pos_frozen__ differs from the frozen rows of PosExtension\(mode='pi_anchored'"),
     (lambda m: m.params.update(pos_table=m.params["pos_table"][:8]), None,
      r"tensor pos_table has shape \[8, 16\], the config and extension need \[16, 16\]"),
+    (None, _retype_tensor(-1, bool), "tensor __pos_frozen__ has dtype bool, expected uint8"),
 ], ids=["missing-wq", "short-tok-emb", "unknown-name", "short-frozen-flags",
-        "wrong-frozen-flags", "unextended-table"])
+        "wrong-frozen-flags", "unextended-table", "bool-frozen-flags"])
 def test_checkpoint_tensors_must_match_the_config_and_extension(tmp_path, edit, corrupt, part):
     model, _ = _pi_extended()
     if edit is not None:
@@ -352,7 +378,8 @@ def test_an_extended_table_has_the_rows_the_layout_expects(tmp_path, mode, rows)
         "pos_table"][0] == (rows, 16)
     assert ext.pos_frozen.shape == (rows,)
     save_checkpoint(ext, tmp_path / "ext.ckpt")
-    assert model_checksum(load_checkpoint(tmp_path / "ext.ckpt")) == model_checksum(ext)
+    save_checkpoint(load_checkpoint(tmp_path / "ext.ckpt"), tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "ext.ckpt").read_bytes()
 
 
 def test_a_rotary_model_has_no_position_table_to_extend(tmp_path):

@@ -9,7 +9,6 @@ from longctx.synth import (
     OracleEmbedder,
     SyntheticTaskConfig,
     build_bucket,
-    build_suite,
     default_essay_words,
     gen_needle,
     gen_passkey,
@@ -73,7 +72,8 @@ def test_generation_is_deterministic():
 
 
 def test_buckets_differ_across_lengths_and_kinds():
-    suite = build_suite(small_config("passkey"))
+    cfg = small_config("passkey")
+    suite = {n: build_bucket(cfg, n) for n in cfg.length_grid}
     assert set(suite) == {64, 128}
     assert suite[64].docs != suite[128].docs
 

@@ -13,7 +13,6 @@ from longctx import (
     ExtensionSpec,
     ModelConfig,
     Strategy,
-    contrastive_loss,
     encode,
     extend_for_tuning,
     freeze_mask,
@@ -147,7 +146,7 @@ def test_loss_closed_form_orthogonal_negatives():
     for i in range(1, 4):
         v = np.zeros(d); v[i] = 1.0
         negatives.append(v)
-    loss = contrastive_loss(q, q.copy(), negatives, temperature=1.0)
+    loss = tuning._contrastive_loss_grads(q, q.copy(), negatives, temperature=1.0)[0]
     expected = -math.log(math.e / (math.e + 3))
     assert math.isclose(loss, expected, rel_tol=1e-12)
 
@@ -157,16 +156,17 @@ def test_loss_nonnegative_and_permutation_invariant(rng):
         vecs = rng.normal(size=(5, 6))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         q, p, negs = vecs[0], vecs[1], [vecs[2], vecs[3], vecs[4]]
-        loss = contrastive_loss(q, p, negs, 0.1)
+        loss = tuning._contrastive_loss_grads(q, p, negs, 0.1)[0]
         assert loss >= 0.0
-        assert math.isclose(loss, contrastive_loss(q, p, negs[::-1], 0.1), rel_tol=1e-12)
+        assert math.isclose(loss, tuning._contrastive_loss_grads(q, p, negs[::-1], 0.1)[0],
+                            rel_tol=1e-12)
 
 
 def test_loss_rejects_bad_temperature(rng):
     v = rng.normal(size=4)
     for temperature in (0.0, math.nan, math.inf):
         with pytest.raises(ConfigurationError):
-            contrastive_loss(v, v, [v], temperature)
+            tuning._contrastive_loss_grads(v, v, [v], temperature)
 
 
 # --- table extension ---------------------------------------------------------------
