@@ -16,7 +16,6 @@ from .encoder import (  # noqa: E402
     attention_score,
     encode,
     encode_many,
-    freeze_mask,
     init_model,
     pool_and_normalize,
 )
@@ -35,7 +34,6 @@ from .errors import (  # noqa: E402
 )
 from .positions import (  # noqa: E402
     ExtensionSpec,
-    RoPEFrequencies,
     Strategy,
     attention_scale,
     build_interpolated_matrix,

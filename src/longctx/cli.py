@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .encoder import Model, ModelConfig, init_model
+from .encoder import ModelConfig, init_model
 from .errors import (
     ConfigurationError,
     LongCtxError,
@@ -92,6 +92,23 @@ def _resolved_config(args: argparse.Namespace, file_keys: dict) -> dict:
         cli_val = getattr(args, key)
         out[key] = cli_val if cli_val is not None else file_keys.get(key, default)
     return out
+
+
+def _strategy_flags(p: argparse.ArgumentParser, required: bool) -> None:
+    """The strategy flags that eval and inspect share; ``_spec`` reads them."""
+    p.add_argument("--strategy", required=required, choices=[s.value for s in Strategy])
+    p.add_argument("--l-target", type=int, dest="l_target")
+    p.add_argument("--ntk-lambda", type=float, dest="ntk_lambda")
+    p.add_argument("--g", type=int, help="SelfExtend group size")
+    p.add_argument("--w", type=int, help="SelfExtend neighbor window")
+
+
+def _spec(settings: dict, l_orig: int) -> ExtensionSpec:
+    """The ExtensionSpec of ``_strategy_flags``' settings (a strategy name in any case)."""
+    return ExtensionSpec(
+        strategy=settings["strategy"].lower(), l_orig=l_orig, l_target=settings["l_target"],
+        ntk_lambda=settings["ntk_lambda"], group_size=settings["g"], window=settings["w"],
+    )
 
 
 def _load_file_config(path: str | None) -> dict:
@@ -166,18 +183,6 @@ def cmd_init(args) -> int:
 # eval
 
 
-def _spec_from_resolved(model: Model, resolved: dict) -> ExtensionSpec:
-    l_target = resolved["l_target"]
-    return ExtensionSpec(
-        strategy=Strategy(str(resolved["strategy"]).lower()),
-        l_orig=model.config.original_context,
-        l_target=int(l_target) if l_target is not None else None,
-        ntk_lambda=resolved["ntk_lambda"],
-        group_size=resolved["g"],
-        window=resolved["w"],
-    )
-
-
 def _discover_synthetic(root: Path) -> list[BenchmarkTask]:
     """A kind directory with numeric bucket subdirs, or one bucket directory."""
     if (root / "queries.jsonl").exists():
@@ -227,7 +232,7 @@ def cmd_eval(args) -> int:
         resolved["l_target"] = (
             model.extension.l_target if model.extension else model.config.original_context
         )
-    spec = _spec_from_resolved(model, resolved)
+    spec = _spec(resolved, model.config.original_context)
     resolve_extension(spec, model.config.position_mode)  # fail fast before encoding
 
     tasks: list[BenchmarkTask] = []
@@ -300,14 +305,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    spec = ExtensionSpec(
-        strategy=Strategy(args.strategy.lower()),
-        l_orig=args.l_orig,
-        l_target=args.l_target,
-        ntk_lambda=args.ntk_lambda,
-        group_size=args.g,
-        window=args.w,
-    )
+    spec = _spec(vars(args), args.l_orig)
     resolved = resolve_extension(spec, args.mode)
     n = spec.l_target if args.input_len is None else args.input_len
     check_input_length(n, spec.l_target)
@@ -327,8 +325,7 @@ def cmd_inspect(args) -> int:
         },
     }
     if args.mode == "rotary":
-        freqs = standard_frequencies(args.d_head, resolved.rope_base(ROPE_BASE))
-        dump["theta"] = freqs.theta.tolist()
+        dump["theta"] = standard_frequencies(args.d_head, resolved.rope_base(ROPE_BASE)).tolist()
     if spec.strategy is Strategy.SE:
         deltas = np.arange(n)
         dump["relative_positions_x0"] = se_remap_deltas(
@@ -340,6 +337,7 @@ def cmd_inspect(args) -> int:
         dump["positions"] = assign_positions(resolved, args.mode, n).tolist()
     text = json.dumps(dump, indent=2)
     if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text + "\n", encoding="utf-8")
         print(f"inspection -> {args.out}")
     else:
@@ -380,11 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run the retrieval benchmark")
     p.add_argument("--model", required=True)
     p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--strategy", choices=[s.value for s in Strategy])
-    p.add_argument("--l-target", type=int, dest="l_target")
-    p.add_argument("--ntk-lambda", type=float, dest="ntk_lambda")
-    p.add_argument("--g", type=int, help="SelfExtend group size")
-    p.add_argument("--w", type=int, help="SelfExtend neighbor window")
+    _strategy_flags(p, required=False)
     p.add_argument("--seed", type=int)
     p.add_argument("--no-attn-scaling", dest="attn_scaling", action="store_false", default=None)
     p.add_argument("--synthetic", nargs="*", help="synthetic task dirs (kind or bucket)")
@@ -412,15 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("inspect", help="dump position maps / frequencies for a strategy")
-    p.add_argument("--strategy", required=True, choices=[s.value for s in Strategy])
+    _strategy_flags(p, required=True)
     p.add_argument("--mode", choices=["absolute", "rotary"], default="absolute")
     p.add_argument("--l-orig", type=int, dest="l_orig", required=True)
-    p.add_argument("--l-target", type=int, dest="l_target")
     p.add_argument("--input-len", type=int, dest="input_len")
     p.add_argument("--d-head", type=int, dest="d_head", default=16)
-    p.add_argument("--ntk-lambda", type=float, dest="ntk_lambda")
-    p.add_argument("--g", type=int)
-    p.add_argument("--w", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_inspect)
     return parser

@@ -33,7 +33,6 @@ from .positions import (
     ROPE_BASE,
     ExtensionSpec,
     ResolvedExtension,
-    RoPEFrequencies,
     Strategy,
     assign_positions,
     attention_scale,
@@ -115,7 +114,9 @@ class PosExtension:
     """An extended position table; the one owner of its geometry and frozen rows.
 
     pi_anchored interpolates the l_orig original rows by ``scale`` to
-    ``rows = l_orig * scale``; rp_suffix repeats them to ``rows = l_target``.
+    ``rows = l_orig * scale`` and freezes the anchors i * scale that
+    ``build_interpolated_matrix`` copies; rp_suffix repeats them to
+    ``rows = l_target`` and freezes the original l_orig rows.
     """
 
     mode: str  # PI_ANCHORED | RP_SUFFIX
@@ -135,19 +136,11 @@ class PosExtension:
     def rows(self) -> int:
         return self.l_orig * self.scale if self.mode == PI_ANCHORED else self.l_target
 
-
-def freeze_mask(mode: str, l_orig: int, l_target: int) -> np.ndarray:
-    """Frozen flags (True = not trainable) per row of ``PosExtension(mode, l_orig, l_target)``.
-
-    Under pi_anchored, the anchors i*s that ``build_interpolated_matrix`` copies
-    from the original table; under rp_suffix, the original l_orig rows; at
-    l_target == l_orig (s = 1), every row.
-    """
-    if l_target == l_orig and mode in (PI_ANCHORED, RP_SUFFIX):
-        return np.ones(l_orig, dtype=bool)
-    ext = PosExtension(mode, l_orig, l_target)
-    idx = np.arange(ext.rows)
-    return idx % ext.scale == 0 if mode == PI_ANCHORED else idx < l_orig
+    @property
+    def frozen(self) -> np.ndarray:
+        """Frozen flags (True = not trainable) per row of the table."""
+        idx = np.arange(self.rows)
+        return idx % self.scale == 0 if self.mode == PI_ANCHORED else idx < self.l_orig
 
 
 @dataclass
@@ -157,12 +150,6 @@ class Model:
     config: ModelConfig
     params: dict[str, np.ndarray]
     extension: PosExtension | None = None
-
-    @property
-    def pos_frozen(self) -> np.ndarray | None:
-        """The extension's frozen flags per position-table row; None without one."""
-        e = self.extension
-        return None if e is None else freeze_mask(e.mode, e.l_orig, e.l_target)
 
     def copy(self) -> "Model":
         return Model(
@@ -218,14 +205,14 @@ def init_model(config: ModelConfig) -> Model:
 # rotary rotation and the attention-score primitive
 
 
-def apply_rope(h: np.ndarray, m: float, freqs: RoPEFrequencies) -> np.ndarray:
+def apply_rope(h: np.ndarray, m: float, theta: np.ndarray) -> np.ndarray:
     """Rotate consecutive pairs of ``h`` by angles m * theta_j. Norm-preserving."""
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 1 or h.size % 2 != 0:
         raise DimensionError(f"expected an even-length vector, got shape {h.shape}")
-    if h.size != freqs.dim:
-        raise DimensionError(f"vector length {h.size} does not match freqs dim {freqs.dim}")
-    ang = m * freqs.theta
+    if h.size != 2 * theta.size:
+        raise DimensionError(f"vector length {h.size} does not match {theta.size} frequencies")
+    ang = m * theta
     c, s = np.cos(ang), np.sin(ang)
     out = np.empty_like(h)
     h1, h2 = h[0::2], h[1::2]
@@ -236,7 +223,7 @@ def apply_rope(h: np.ndarray, m: float, freqs: RoPEFrequencies) -> np.ndarray:
 
 def attention_score(
     q: np.ndarray, k: np.ndarray, m: float, n: float,
-    freqs: RoPEFrequencies | None = None,
+    theta: np.ndarray | None = None,
 ) -> float:
     """Rotary attention logit between q at position m and k at position n.
 
@@ -249,9 +236,9 @@ def attention_score(
         raise DimensionError(f"q and k must have equal shapes, got {q.shape} vs {k.shape}")
     if q.ndim != 1 or q.size % 2 != 0:
         raise DimensionError(f"expected even-length vectors, got shape {q.shape}")
-    if freqs is None:
-        freqs = standard_frequencies(q.size)
-    return float(apply_rope(q, m, freqs) @ apply_rope(k, n, freqs))
+    if theta is None:
+        theta = standard_frequencies(q.size)
+    return float(apply_rope(q, m, theta) @ apply_rope(k, n, theta))
 
 
 def _rope_tables(phases: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -646,7 +633,7 @@ def forward_batch(
             )
         h = h + table[positions]
     else:
-        theta = standard_frequencies(cfg.head_dim, base=cfg.rope_base).theta
+        theta = standard_frequencies(cfg.head_dim, base=cfg.rope_base)
         if self_extend is not None:
             se = _self_extend_tables(L, *self_extend, theta)
         elif positions is None:
@@ -878,7 +865,7 @@ def encode_many(
     if resolved.strategy is Strategy.NTK:
         model = Model(replace(cfg, rope_base=resolved.rope_base(cfg.rope_base)), model.params)
     elif resolved.strategy is Strategy.PI and cfg.position_mode == ABSOLUTE:
-        table = build_interpolated_matrix(model.params["pos_table"], resolved.scale)
+        table = build_interpolated_matrix(model.params["pos_table"], spec.scale)
         model = Model(cfg, {**model.params, "pos_table": table})
     self_extend = None
     if resolved.strategy is Strategy.SE:

@@ -57,30 +57,12 @@ ROTARY_STRATEGIES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class RoPEFrequencies:
-    """Per-pair rotation frequencies theta_j for a head dimension."""
-
-    base: float
-    dim: int
-    theta: np.ndarray  # (dim // 2,), strictly decreasing, theta[0] == 1
-
-    def __post_init__(self):
-        if self.dim < 2 or self.dim % 2 != 0:
-            raise DimensionError(f"head dimension must be positive and even, got {self.dim}")
-        if self.theta.shape != (self.dim // 2,):
-            raise DimensionError(
-                f"expected {self.dim // 2} frequencies, got shape {self.theta.shape}"
-            )
-
-
-def standard_frequencies(dim: int, base: float = ROPE_BASE) -> RoPEFrequencies:
-    """theta_j = base^(-2j/dim) for j in [0, dim/2)."""
+def standard_frequencies(dim: int, base: float = ROPE_BASE) -> np.ndarray:
+    """RoPE's theta_j = base^(-2j/dim), j in [0, dim/2): float64, decreasing from 1."""
     if dim < 2 or dim % 2 != 0:
         raise DimensionError(f"head dimension must be positive and even, got {dim}")
     j = np.arange(dim // 2, dtype=np.float64)
-    theta = np.power(base, -2.0 * j / dim)
-    return RoPEFrequencies(base=base, dim=dim, theta=theta)
+    return np.power(base, -2.0 * j / dim)
 
 
 def resolve_ntk_lambda(s: int) -> float:
@@ -92,7 +74,7 @@ def build_interpolated_matrix(table, s: int) -> np.ndarray:
     """Extend an (l_orig, d) position table to l_orig*s rows by linear interpolation.
 
     Row i*s is the original row i, copied bitwise (the anchors that
-    ``encoder.freeze_mask`` freezes). Rows between anchors i*s and (i+1)*s are
+    ``encoder.PosExtension.frozen`` freezes). Rows between anchors i*s and (i+1)*s are
     the convex combination of the two anchors; rows past the last anchor
     repeat it (there is no right anchor to interpolate toward).
     """
@@ -233,7 +215,6 @@ class ResolvedExtension:
     """ExtensionSpec with every optional parameter filled in for one model mode."""
 
     spec: ExtensionSpec
-    scale: int
     ntk_lambda: float | None
     group_size: int | None
     window: int | None
@@ -296,10 +277,7 @@ def resolve_extension(spec: ExtensionSpec, position_mode: str) -> ResolvedExtens
                 f"{farthest} exceeds {spec.l_orig - 1}"
             )
 
-    return ResolvedExtension(
-        spec=spec, scale=s, ntk_lambda=ntk_lambda, group_size=group_size,
-        window=window, notes=tuple(notes),
-    )
+    return ResolvedExtension(spec, ntk_lambda, group_size, window, tuple(notes))
 
 
 def check_input_length(n: int, l_target: int) -> None:
@@ -341,7 +319,7 @@ def assign_positions(resolved: ResolvedExtension, mode: str, n: int) -> np.ndarr
     pcw encodes chunks at the original ones, se remaps i - j inside attention.
     """
     check_input_length(n, resolved.spec.l_target)
-    st, s = resolved.strategy, resolved.scale
+    st, s = resolved.strategy, resolved.spec.scale
     if st in (Strategy.PCW, Strategy.SE):
         raise ConfigurationError(f"strategy {st.value} has no per-token position assignment")
     absolute = mode == "absolute"

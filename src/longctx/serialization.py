@@ -168,11 +168,22 @@ def task_stats(task: RetrievalTask) -> dict:
 
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
-    """Write ``model``; a model whose config and extension have no layout is refused first."""
-    param_layout(model.config, model.extension)
+    """Write ``model``, or raise ConfigurationError before any file is made when its
+    params are not exactly ``param_layout(config, extension)``'s tensors in float64."""
+    layout = param_layout(model.config, model.extension)
+    extra = sorted(model.params.keys() - layout.keys())
+    if extra:
+        raise ConfigurationError(f"tensor {extra[0]} is not in the layout of the model's "
+                                 "config and extension")
+    for name, (shape, _) in layout.items():
+        arr = model.params.get(name)
+        if arr is None or arr.dtype != np.dtype("<f8") or arr.shape != shape:
+            got = "missing" if arr is None else f"{arr.dtype} of shape {list(arr.shape)}"
+            raise ConfigurationError(f"tensor {name} is {got}; a checkpoint needs "
+                                     f"float64 of shape {list(shape)}")
     tensors = [(name, model.params[name]) for name in sorted(model.params)]
     if model.extension is not None:
-        tensors.append(("__pos_frozen__", model.pos_frozen.astype(np.uint8)))
+        tensors.append(("__pos_frozen__", model.extension.frozen.astype(np.uint8)))
     header = {
         "format_version": _CKPT_VERSION,
         "tool_version": __version__,
@@ -230,7 +241,7 @@ def load_checkpoint(path: str | Path) -> Model:
 
     Parameters must be little-endian float64. The ``__pos_frozen__`` flags
     (uint8) may be absent; where present they must equal the extension's
-    ``freeze_mask``.
+    ``frozen`` flags.
     """
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
@@ -290,7 +301,7 @@ def load_checkpoint(path: str | Path) -> Model:
         raise ParseError(f"{path}: checkpoint lacks tensors {list(expected)[:5]}")
     frozen = params.pop("__pos_frozen__", None)
     model = Model(config=config, params=params, extension=extension)
-    if frozen is not None and not np.array_equal(frozen, model.pos_frozen):
+    if frozen is not None and not np.array_equal(frozen, extension.frozen):
         raise ParseError(f"{path}: __pos_frozen__ differs from the frozen rows of {extension}")
     return model
 
@@ -300,12 +311,14 @@ def load_checkpoint(path: str | Path) -> Model:
 
 
 def write_report(report: EvalReport, path: str | Path) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def write_training_log(log: list[tuple[int, float]], path: str | Path) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step\tloss\n")
         for step, loss in log:

@@ -254,7 +254,7 @@ def _run_training(model: Model, pairs: list[TrainingPair], config: TuneConfig) -
     """Shared loop: shuffle, batch, shift, step, watch for NaN.
 
     What trains follows from the model. With an extension, only the
-    ``pos_table`` rows its ``pos_frozen`` leaves free learn, at positions
+    ``pos_table`` rows its ``frozen`` flags leave free learn, at positions
     shifted by a per-sequence skip bias; without one, every parameter learns
     at identity positions. A non-finite loss or gradient stops the run with
     the parameters of the last logged step, restored from a copy of the
@@ -266,7 +266,7 @@ def _run_training(model: Model, pairs: list[TrainingPair], config: TuneConfig) -
     rng = np.random.default_rng(config.seed)
     opt = Adagrad(config.learning_rate, config.warmup_steps)
     log: list[tuple[int, float]] = []
-    frozen = work.pos_frozen
+    frozen = None if work.extension is None else work.extension.frozen
     needed = None if frozen is None else {"pos_table"}
     names = list(work.params if needed is None else needed)
     good: dict[str, np.ndarray] = {}
@@ -368,7 +368,7 @@ def grad_check(
 
     work = model.copy()
     table = work.params["pos_table"]
-    learnable_rows = np.flatnonzero(~model.pos_frozen)
+    learnable_rows = np.flatnonzero(~model.extension.frozen)
     worst = 0.0
     for r in learnable_rows:
         for c in range(cfg.hidden_size):
@@ -400,7 +400,8 @@ def training_pairs_from_task(
 
     Negatives are other candidate documents; when the pool runs short, the
     remainder are word-shuffled copies of the positive. Sequences are
-    truncated to ``max_len`` tokens when given.
+    truncated to ``max_len`` tokens when given. A query, positive or chosen
+    negative with no tokens raises ValidationError naming the task and its id.
     """
     doc_ids = sorted(task.docs)
     toks = {d: tokenize(task.docs[d], vocab_size) for d in doc_ids}
@@ -417,12 +418,13 @@ def training_pairs_from_task(
         others = [d for d in doc_ids if d not in rels]
         take = min(n_negatives, len(others))
         chosen = [others[i] for i in rng.choice(len(others), size=take, replace=False)] if take else []
+        query = tokenize(task.queries[qid], vocab_size)
+        for role, rid, ids in (("query", qid, query), ("positive document", gold, toks[gold]),
+                               *(("negative document", d, toks[d]) for d in chosen)):
+            if ids.size == 0:
+                raise ValidationError(f"task {task.name!r}: {role} {rid!r} has no tokens")
         negatives = [clip(toks[d]) for d in chosen]
         while len(negatives) < n_negatives:
             negatives.append(rng.permutation(clip(toks[gold])))
-        pairs.append(TrainingPair(
-            query=clip(tokenize(task.queries[qid], vocab_size)),
-            positive=clip(toks[gold]),
-            negatives=negatives,
-        ))
+        pairs.append(TrainingPair(query=clip(query), positive=clip(toks[gold]), negatives=negatives))
     return pairs

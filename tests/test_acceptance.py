@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import longctx as lc
-from longctx.encoder import freeze_mask
+from longctx.encoder import PosExtension
 from longctx.evaluation import BenchmarkTask, ndcg_at_10, run_benchmark
 from longctx.positions import (
     NTK_LAMBDA_TABLE,
@@ -109,10 +109,12 @@ def test_c03_interpolated_table_construction():
             rows = rng.normal(size=(l_orig, 8))
             for s in (1, 2, 4, 8):
                 table = build_interpolated_matrix(rows, s)
-                frozen = freeze_mask(PI_ANCHORED, l_orig, l_orig * s)
-                if s == 1:
-                    assert np.array_equal(table, rows) and frozen.all()
+                if s == 1:  # the table is the original; no extension, so no frozen rows
+                    assert np.array_equal(table, rows)
+                    with pytest.raises(lc.ConfigurationError):
+                        PosExtension(PI_ANCHORED, l_orig, l_orig)
                     continue
+                frozen = PosExtension(PI_ANCHORED, l_orig, l_orig * s).frozen
                 idx = np.arange(l_orig * s)
                 anchors = idx[idx % s == 0]
                 assert np.array_equal(np.flatnonzero(frozen), anchors)
@@ -190,8 +192,8 @@ def test_c05_range_safety_exhaustive():
             # NTK leaves position ids untouched; its safety is in frequency space
             ntk = resolve_extension(ExtensionSpec(Strategy.NTK, l_orig, l_target), "rotary")
             assert ntk.ntk_lambda == resolve_ntk_lambda(s)
-            base = standard_frequencies(16).theta
-            scaled = standard_frequencies(16, ntk.rope_base(10000.0)).theta
+            base = standard_frequencies(16)
+            scaled = standard_frequencies(16, ntk.rope_base(10000.0))
             assert scaled[0] == 1.0
             assert (np.diff(scaled) < 0).all()
             assert (scaled[1:] < base[1:]).all()
@@ -304,7 +306,7 @@ def test_c09_tuning_preserves_frozen_state_and_short_inputs():
         assert len(result.log) == 50 and not result.diverged
         tuned = result.model
 
-        frozen = np.flatnonzero(ext.pos_frozen)
+        frozen = np.flatnonzero(ext.extension.frozen)
         assert np.array_equal(tuned.params["pos_table"][frozen],
                               ext.params["pos_table"][frozen])
         for name in ext.params:

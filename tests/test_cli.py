@@ -216,6 +216,42 @@ def test_gen_with_an_essay_that_is_not_utf8_is_code_3_and_writes_nothing(tmp_pat
     assert f"{essay}: not UTF-8 text" in captured.err and "wrote" not in captured.out
 
 
+@pytest.mark.parametrize("role", ["query", "positive document"])
+def test_tune_on_a_text_without_tokens_is_code_3_naming_it(tmp_path, capsys, role):
+    tasks = gen_small(tmp_path, lengths="8")
+    bucket = tasks / "passkey" / "8"
+    qid, gold, _ = (bucket / "qrels.tsv").read_text().splitlines()[1].split("\t")
+    name, rid = ("queries.jsonl", qid) if role == "query" else ("corpus.jsonl", gold)
+    path = bucket / name
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    for row in rows:
+        if row["_id"] == rid:
+            row["text"] = "!!! ---"  # punctuation only: no word survives tokenizing
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out = tmp_path / "t.ckpt"
+    code = run("tune", "--model", init_small(tmp_path), "--l-target", 16, "--data", bucket,
+               "--negatives", 2, "--out", out)
+    assert code == 3 and not out.exists()
+    assert f"task '8': {role} {rid!r} has no tokens" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "tune", "inspect"])
+def test_an_output_path_in_a_missing_directory_is_written(tmp_path, command):
+    target = tmp_path / "nodir" / "deeper" / "out"
+    if command == "inspect":
+        argv = ["inspect", "--strategy", "gp", "--l-orig", 8, "--l-target", 16, "--out", target]
+    elif command == "eval":
+        argv = ["eval", "--model", init_small(tmp_path), "--synthetic",
+                gen_small(tmp_path, lengths="8") / "passkey", "--out", target]
+    else:
+        argv = ["tune", "--model", init_small(tmp_path), "--l-target", 16,
+                "--data", gen_small(tmp_path, lengths="8") / "passkey" / "8", "--max-steps", 1,
+                "--batch-size", 2, "--negatives", 2, "--temperature", 0.5, "--log", target,
+                "--out", tmp_path / "t.ckpt"]
+    assert run(*argv) == 0
+    assert target.read_text()
+
+
 def test_tune_writes_checkpoint_and_log(tmp_path):
     tasks = gen_small(tmp_path, lengths="8")
     ckpt = init_small(tmp_path)
@@ -255,7 +291,7 @@ def test_tuned_checkpoint_frozen_count_matches_pi_rule(tmp_path):
         "--data", tasks / "passkey" / "8", "--epochs", 1, "--max-steps", 1,
         "--batch-size", 2, "--negatives", 2, "--temperature", 0.5, "--out", out)
     tuned = load_checkpoint(out)
-    assert int(tuned.pos_frozen.sum()) == 8  # one frozen anchor per original row
+    assert int(tuned.extension.frozen.sum()) == 8  # one frozen anchor per original row
 
 
 def test_tune_replay_reproduces_loss_curve(tmp_path):
@@ -308,7 +344,7 @@ def test_tune_divergence_exits_4_after_writing_checkpoint(tmp_path):
     poisoned = load_checkpoint(ckpt)
     config = TuneConfig(mode="pi_anchored", l_orig=8, l_target=16, epochs=0)
     poisoned = extend_for_tuning(poisoned, config)
-    poisoned.params["pos_table"][~poisoned.pos_frozen] = np.nan
+    poisoned.params["pos_table"][~poisoned.extension.frozen] = np.nan
     bad_ckpt = tmp_path / "poisoned.ckpt"
     save_checkpoint(poisoned, bad_ckpt)
     out = tmp_path / "t.ckpt"

@@ -147,7 +147,7 @@ def test_batched_rotation_matches_the_scalar_reference(rng, step, base):
     x = rng.normal(size=(2, 3, 12, 16))
     phases = (np.arange(12) + np.array([[0], [700]])) * step
     freqs = standard_frequencies(16, base=base)
-    got = _rotate_batch(x, _rope_tables(phases, freqs.theta))
+    got = _rotate_batch(x, _rope_tables(phases, freqs))
     want = np.array([[[apply_rope(x[b, h, i], phases[b, i], freqs) for i in range(12)]
                       for h in range(3)] for b in range(2)])
     assert np.abs(got - want).max() <= 1e-14
@@ -155,7 +155,7 @@ def test_batched_rotation_matches_the_scalar_reference(rng, step, base):
 
 def test_rotating_by_the_conjugate_table_undoes_the_rotation(rng):
     x = rng.uniform(-1, 1, size=(2, 3, 40, 16))  # unit scale: a few ulp of 1 per multiply
-    z = _rope_tables(rng.uniform(0, 4096, (2, 40)), standard_frequencies(16).theta)
+    z = _rope_tables(rng.uniform(0, 4096, (2, 40)), standard_frequencies(16))
     assert np.abs(_rotate_batch(_rotate_batch(x, z), z.conj()) - x).max() <= 1e-15
 
 
@@ -238,14 +238,14 @@ def test_relative_scores_match_pairwise_remap(L_rows, g, w, seed):
         [attention_score(q[0, 0, i], k[0, 0, j], rel[i, j], 0, freqs) for j in range(L)]
         for i in range(L)
     ])
-    got = _full_relative_scores(q, k, g, w, freqs.theta, rows=rows)[0, 0]
+    got = _full_relative_scores(q, k, g, w, freqs, rows=rows)[0, 0]
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("w", [0, 3, 50])
 def test_relative_scores_group_one_is_plain_rope(rng, w):
     q, k = rng.normal(size=(2, 2, 3, 37, 8))
-    theta = standard_frequencies(8).theta
+    theta = standard_frequencies(8)
     phases = np.arange(37, dtype=np.float64)[None]
     rot = _rope_tables(phases, theta)
     qr, kr = _rotate_batch(q, rot), _rotate_batch(k, rot)
@@ -287,7 +287,7 @@ def _untiled_attention(q, k, v, mask, *, self_extend=None, keep=False):
     if self_extend is None:
         scores = q @ k.swapaxes(-1, -2)
     else:
-        theta = standard_frequencies(q.shape[-1]).theta  # TILE_MODELS keep the default base
+        theta = standard_frequencies(q.shape[-1])  # TILE_MODELS keep the default base
         scores = _pairwise_se_logits(q, k, self_extend.g, self_extend.w, theta)
     scores = scores + np.where(mask, 0.0, -np.inf)[:, None, None, :]
     scores = np.exp(scores - scores.max(-1, keepdims=True))
@@ -593,7 +593,7 @@ def test_tuned_pi_needs_the_table_scale_so_short_inputs_keep_their_anchors():
     model = init_model(ModelConfig(hidden_size=16, n_layers=1, n_heads=2, vocab_size=64,
                                    original_context=8))
     ext = extend_for_tuning(model, TuneConfig(mode="pi_anchored", l_orig=8, l_target=32))
-    ext.params["pos_table"][~ext.pos_frozen] += 1.0  # stand-in for tuned rows
+    ext.params["pos_table"][~ext.extension.frozen] += 1.0  # stand-in for tuned rows
     x = np.arange(6)
     base = encode(model, x, ExtensionSpec.none(8))
     for l_target in (25, 32):  # scale 4, the table's
@@ -686,7 +686,7 @@ def test_inputs_within_the_original_window_embed_as_under_none(mode, strategy):
     the tuned models' learnable rows are moved first, so reading one would show."""
     model = INVARIANCE_CASES[(mode, strategy)].copy()
     if model.extension is not None:
-        model.params["pos_table"][~model.pos_frozen] += 1.0
+        model.params["pos_table"][~model.extension.frozen] += 1.0
     seqs = [np.random.default_rng(n).integers(0, 64, n) for n in range(1, 9)]
     base = encode_many(INVARIANCE_CASES[(mode, Strategy.NONE)], seqs, ExtensionSpec.none(8))
     spec = ExtensionSpec(strategy=strategy, l_orig=8, l_target=32)

@@ -23,7 +23,7 @@ from longctx.positions import (
     standard_frequencies,
 )
 from longctx.tokenizer import tokenize
-from longctx.encoder import PI_ANCHORED, freeze_mask
+from longctx.encoder import PI_ANCHORED, PosExtension
 
 # --- per-token position assignment ---------------------------------------------
 
@@ -91,13 +91,14 @@ def test_interpolation_hand_case():
     table = build_interpolated_matrix(np.stack([a, b]), 2)
     expected = np.stack([a, (a + b) / 2, b, b])
     assert np.allclose(table, expected, atol=0, rtol=0)
-    assert freeze_mask(PI_ANCHORED, 2, 4).tolist() == [True, False, True, False]
+    assert PosExtension(PI_ANCHORED, 2, 4).frozen.tolist() == [True, False, True, False]
 
 
 def test_interpolation_identity_at_s1(rng):
     rows = rng.normal(size=(5, 4))
     assert np.array_equal(build_interpolated_matrix(rows, 1), rows)
-    assert freeze_mask(PI_ANCHORED, 5, 5).all()
+    with pytest.raises(ConfigurationError):  # s = 1 is no extension, so nothing to freeze
+        PosExtension(PI_ANCHORED, 5, 5)
 
 
 def test_anchor_rows_are_bitwise_copies(rng):
@@ -112,7 +113,7 @@ def test_interpolated_rows_are_convex_combinations(rng):
     rows = rng.normal(size=(6, 8))
     s = 4
     table = build_interpolated_matrix(rows, s)
-    frozen = freeze_mask(PI_ANCHORED, rows.shape[0], rows.shape[0] * s)
+    frozen = PosExtension(PI_ANCHORED, rows.shape[0], rows.shape[0] * s).frozen
     for k in range(len(table)):
         if frozen[k]:
             continue
@@ -151,8 +152,8 @@ def test_pi_assignment_examples():
 
 def test_standard_frequencies_shape_and_order():
     f = standard_frequencies(16)
-    assert f.theta[0] == 1.0
-    assert (np.diff(f.theta) < 0).all()
+    assert f[0] == 1.0
+    assert (np.diff(f) < 0).all()
 
 
 def ntk_freqs(dim, lam):
@@ -166,19 +167,19 @@ def ntk_freqs(dim, lam):
 
 def test_ntk_hand_value():
     f = ntk_freqs(4, 3.0)
-    assert f.theta[0] == 1.0
-    assert math.isclose(f.theta[1], 30000.0 ** -0.5, rel_tol=1e-12)
-    assert math.isclose(f.theta[1], 5.7735e-3, rel_tol=1e-4)
+    assert f[0] == 1.0
+    assert math.isclose(f[1], 30000.0 ** -0.5, rel_tol=1e-12)
+    assert math.isclose(f[1], 5.7735e-3, rel_tol=1e-4)
 
 
 def test_ntk_lambda_one_is_identity():
-    assert np.array_equal(ntk_freqs(8, 1.0).theta, standard_frequencies(8).theta)
+    assert np.array_equal(ntk_freqs(8, 1.0), standard_frequencies(8))
 
 
 @pytest.mark.parametrize("lam", [1.5, 3.0, 10.0])
 def test_ntk_compresses_low_frequencies_only(lam):
-    base = standard_frequencies(16).theta
-    scaled = ntk_freqs(16, lam).theta
+    base = standard_frequencies(16)
+    scaled = ntk_freqs(16, lam)
     assert scaled[0] == base[0] == 1.0
     assert (scaled[1:] < base[1:]).all()
 

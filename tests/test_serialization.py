@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from longctx import (
     tune,
     write_task,
 )
+from longctx import serialization
 from longctx.encoder import Model, PosExtension, param_layout
 from longctx.errors import ConfigurationError, ParseError, ValidationError
 from longctx.synth import SyntheticTaskConfig, build_bucket
@@ -176,7 +178,7 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     assert loaded.config == model.config
     save_checkpoint(loaded, tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
-    assert loaded.extension is None and loaded.pos_frozen is None
+    assert loaded.extension is None
 
 
 def test_checkpoint_bytes_stable_across_save_load_save(tmp_path):
@@ -194,7 +196,7 @@ def test_checkpoint_preserves_extension_and_frozen_flags(tmp_path):
     save_checkpoint(ext, path)
     loaded = load_checkpoint(path)
     assert loaded.extension == ext.extension
-    assert np.array_equal(loaded.pos_frozen, ext.pos_frozen)
+    assert np.array_equal(loaded.extension.frozen, ext.extension.frozen)
     assert np.array_equal(loaded.params["pos_table"], ext.params["pos_table"])
 
 
@@ -339,15 +341,37 @@ def _rewrite_frozen_flags(change):
         "wrong-frozen-flags", "unextended-table", "bool-frozen-flags"])
 def test_checkpoint_tensors_must_match_the_config_and_extension(tmp_path, edit, corrupt, part):
     model, _ = _pi_extended()
-    if edit is not None:
-        edit(model)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path)
+    if edit is None:
+        save_checkpoint(model, path)
+    else:  # save_checkpoint refuses the edited model, so write its file past that check
+        edit(model)
+        layout = {name: (arr.shape, "uniform") for name, arr in model.params.items()}
+        with mock.patch.object(serialization, "param_layout", lambda config, ext: layout):
+            save_checkpoint(model, path)
     if corrupt is not None:
         path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(ParseError, match=part) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p.update({k: v.astype(np.float32) for k, v in p.items()}),
+     r"tensor tok_emb is float32 of shape \[32, 16\]; a checkpoint needs float64"),
+    (lambda p: p.update(tok_emb=p["tok_emb"][:10]),
+     r"tensor tok_emb is float64 of shape \[10, 16\]; a checkpoint needs float64 of "
+     r"shape \[32, 16\]"),
+    (lambda p: p.update(extra=np.zeros(2)), "tensor extra is not in the layout"),
+    (lambda p: p.pop("final_ln.g"), "tensor final_ln.g is missing"),
+], ids=["float32-params", "short-tok-emb", "extra-tensor", "missing-tensor"])
+def test_save_checkpoint_refuses_a_model_its_loader_would_refuse(tmp_path, edit, message):
+    model = make_model()
+    edit(model.params)
+    path = tmp_path / "out" / "model.ckpt"
+    with pytest.raises(ConfigurationError, match=message):
+        save_checkpoint(model, path)
+    assert not path.parent.exists()  # refused before a directory or file is made
 
 
 def test_an_extended_checkpoint_without_frozen_flags_loads_and_tunes_around_its_anchors(
@@ -359,7 +383,7 @@ def test_an_extended_checkpoint_without_frozen_flags_loads_and_tunes_around_its_
     path.write_bytes(_rewrite_frozen_flags(lambda flags: None)(path.read_bytes()))
     loaded = load_checkpoint(path)
     anchors = np.arange(8) * 2
-    assert np.array_equal(np.flatnonzero(loaded.pos_frozen), anchors)
+    assert np.array_equal(np.flatnonzero(loaded.extension.frozen), anchors)
 
     rng = np.random.default_rng(3)
     pairs = [TrainingPair(query=rng.integers(0, 32, 5), positive=rng.integers(0, 32, 7),
@@ -376,7 +400,7 @@ def test_an_extended_table_has_the_rows_the_layout_expects(tmp_path, mode, rows)
     ext = extend_for_tuning(make_model(), TuneConfig(mode=mode, l_orig=8, l_target=13))
     assert ext.params["pos_table"].shape == param_layout(ext.config, ext.extension)[
         "pos_table"][0] == (rows, 16)
-    assert ext.pos_frozen.shape == (rows,)
+    assert ext.extension.frozen.shape == (rows,)
     save_checkpoint(ext, tmp_path / "ext.ckpt")
     save_checkpoint(load_checkpoint(tmp_path / "ext.ckpt"), tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "ext.ckpt").read_bytes()

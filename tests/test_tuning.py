@@ -15,7 +15,6 @@ from longctx import (
     Strategy,
     encode,
     extend_for_tuning,
-    freeze_mask,
     grad_check,
     init_model,
     sample_skip_bias,
@@ -25,6 +24,7 @@ from longctx import (
 )
 from longctx import encoder, serialization, tuning
 from longctx.encoder import (
+    PosExtension,
     backward_batch,
     forward_batch,
     pad_batch,
@@ -72,20 +72,20 @@ def random_pairs(rng, n, vocab=64, max_len=8, negatives=2):
 
 
 def test_freeze_mask_pi_interleaves_anchors():
-    mask = freeze_mask(PI_ANCHORED, 4, 8)
+    mask = PosExtension(PI_ANCHORED, 4, 8).frozen
     assert np.flatnonzero(mask).tolist() == [0, 2, 4, 6]
     assert np.flatnonzero(~mask).tolist() == [1, 3, 5, 7]
 
 
 def test_freeze_mask_rp_freezes_prefix():
-    mask = freeze_mask(RP_SUFFIX, 4, 8)
+    mask = PosExtension(RP_SUFFIX, 4, 8).frozen
     assert np.flatnonzero(mask).tolist() == [0, 1, 2, 3]
     assert np.flatnonzero(~mask).tolist() == [4, 5, 6, 7]
 
 
 @pytest.mark.parametrize("l_orig,s", [(4, 2), (8, 4), (16, 8)])
 def test_pi_frozen_count_equals_l_orig(l_orig, s):
-    mask = freeze_mask(PI_ANCHORED, l_orig, l_orig * s)
+    mask = PosExtension(PI_ANCHORED, l_orig, l_orig * s).frozen
     assert int(mask.sum()) == l_orig
 
 
@@ -102,13 +102,13 @@ def test_frozen_flags_are_the_rows_copied_from_the_original_table(mode, l_orig, 
     # anchor i*s holds row i under pi; row i holds row i under rp
     copies = np.arange(l_orig) * (math.ceil(l_target / l_orig) if mode == PI_ANCHORED else 1)
     assert np.array_equal(table[copies], orig)
-    assert np.array_equal(np.flatnonzero(ext.pos_frozen), copies)
+    assert np.array_equal(np.flatnonzero(ext.extension.frozen), copies)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ext.ckpt"
         serialization.save_checkpoint(ext, path)
         loaded = serialization.load_checkpoint(path)
     assert loaded.extension == ext.extension
-    assert np.array_equal(loaded.pos_frozen, ext.pos_frozen)
+    assert np.array_equal(loaded.extension.frozen, ext.extension.frozen)
 
 
 # --- skip bias ------------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_extend_pi_anchors_are_bitwise_originals():
     for i in range(8):
         assert np.array_equal(table[2 * i], model.params["pos_table"][i])
     assert ext.extension.mode == PI_ANCHORED
-    assert int(ext.pos_frozen.sum()) == 8
+    assert int(ext.extension.frozen.sum()) == 8
 
 
 def test_extend_rp_suffix_repeats_rows():
@@ -213,8 +213,8 @@ def test_fifty_steps_touch_only_learnable_rows(rng):
     ext = extend_for_tuning(tiny_model(), config)
     result = tune(ext, random_pairs(rng, 8), config)
     assert len(result.log) == 50
-    frozen = np.flatnonzero(ext.pos_frozen)
-    learnable = np.flatnonzero(~ext.pos_frozen)
+    frozen = np.flatnonzero(ext.extension.frozen)
+    learnable = np.flatnonzero(~ext.extension.frozen)
     before, after = ext.params["pos_table"], result.model.params["pos_table"]
     assert np.array_equal(before[frozen], after[frozen])
     assert not np.array_equal(before[learnable], after[learnable])
@@ -285,7 +285,7 @@ def test_tune_rejects_sequences_longer_than_window(rng):
 def test_nan_loss_aborts_with_last_good_state(rng):
     config = tiny_tune_config(epochs=1)
     ext = extend_for_tuning(tiny_model(), config)
-    ext.params["pos_table"][~ext.pos_frozen] = np.nan  # poison the learnable rows
+    ext.params["pos_table"][~ext.extension.frozen] = np.nan  # poison the learnable rows
     result = tune(ext, random_pairs(rng, 4), config)
     assert result.diverged
     assert result.log == []  # no finite-loss step ever completed
@@ -399,8 +399,8 @@ def test_frozen_rows_gradient_masked_to_zero(rng):
         _, grads = tuning._batch_loss_and_grads(ext, batch, positions, config.temperature,
                                                 needed={"pos_table"})
         moved = (tuned.params["pos_table"] != ext.params["pos_table"]).any(axis=1)
-        expected = ~ext.pos_frozen & grads["pos_table"].any(axis=1)
-        assert expected.any() and grads["pos_table"][ext.pos_frozen].any(), mode
+        expected = ~ext.extension.frozen & grads["pos_table"].any(axis=1)
+        assert expected.any() and grads["pos_table"][ext.extension.frozen].any(), mode
         assert np.array_equal(moved, expected), mode
 
 
