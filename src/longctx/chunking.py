@@ -15,7 +15,8 @@ from .encoder import Model, encode_many
 from .positions import ExtensionSpec, Strategy
 
 
-def pcw_encode(model: Model, token_ids: np.ndarray, l_orig: int) -> np.ndarray:
-    """PCW embedding of one input of any length; see ``encoder.encode_many``."""
+def pcw_encode(model: Model, token_ids: np.ndarray) -> np.ndarray:
+    """PCW embedding of one input of any length, in the model's window; see ``encode_many``."""
+    l_orig = model.config.original_context
     spec = ExtensionSpec(Strategy.PCW, l_orig, max(l_orig, np.size(token_ids)))
     return encode_many(model, [token_ids], spec)[0]

@@ -81,7 +81,7 @@ def _check_file_types(path: str, file_keys: dict) -> None:
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
     strategy = file_keys.get("strategy", _EVAL_SETTINGS["strategy"][1])
-    if strategy.lower() not in {s.value for s in Strategy}:
+    if strategy not in {s.value for s in Strategy}:
         raise ConfigurationError(f"{path}: 'strategy' must be a strategy name, got {strategy!r}")
 
 
@@ -104,9 +104,9 @@ def _strategy_flags(p: argparse.ArgumentParser, required: bool) -> None:
 
 
 def _spec(settings: dict, l_orig: int) -> ExtensionSpec:
-    """The ExtensionSpec of ``_strategy_flags``' settings (a strategy name in any case)."""
+    """The ExtensionSpec of ``_strategy_flags``' settings."""
     return ExtensionSpec(
-        strategy=settings["strategy"].lower(), l_orig=l_orig, l_target=settings["l_target"],
+        strategy=settings["strategy"], l_orig=l_orig, l_target=settings["l_target"],
         ntk_lambda=settings["ntk_lambda"], group_size=settings["g"], window=settings["w"],
     )
 
@@ -334,7 +334,7 @@ def cmd_inspect(args) -> int:
     elif spec.strategy is Strategy.PCW:
         dump["chunks"] = plan_chunks(n, spec.l_orig)
     else:
-        dump["positions"] = assign_positions(resolved, args.mode, n).tolist()
+        dump["positions"] = assign_positions(resolved, n).tolist()
     text = json.dumps(dump, indent=2)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -164,11 +164,14 @@ def param_layout(config: ModelConfig, extension: PosExtension | None = None) -> 
 
     ``init`` is "uniform", "zeros" or "ones". An ``extension`` sets the
     position table's rows (``PosExtension.rows``), so only an absolute-mode
-    config, which has that table, takes one.
+    config, which has that table, takes one, and only from its own original context.
     """
     if extension is not None and config.position_mode != ABSOLUTE:
         raise ConfigurationError(f"a {config.position_mode} model has no position table "
                                  f"to extend, got {extension}")
+    if extension is not None and extension.l_orig != config.original_context:
+        raise ConfigurationError(f"{extension} does not extend the model's original "
+                                 f"context {config.original_context}")
     d, f = config.hidden_size, config.ffn_size
     layout = {"tok_emb": ((config.vocab_size, d), "uniform")}
     if config.position_mode == ABSOLUTE:
@@ -814,10 +817,11 @@ def _check_extension_compat(model: Model, resolved: ResolvedExtension) -> None:
         # tuned_pi reads short inputs off the anchors i * spec.scale, so the scales must agree
         e, pi = model.extension, spec.strategy is Strategy.TUNED_PI
         mode, at_scale = (PI_ANCHORED, f" at scale {spec.scale}") if pi else (RP_SUFFIX, "")
-        if (e is None or e.mode != mode or e.l_target < spec.l_target
+        if (e is None or e.mode != mode or e.l_orig != spec.l_orig or e.l_target < spec.l_target
                 or (pi and e.scale != spec.scale)):
             raise ConfigurationError(f"strategy {spec.strategy.value} to {spec.l_target} needs "
-                                     f"a {mode} extension that long{at_scale}, got {e}")
+                                     f"a {mode} extension of l_orig {spec.l_orig} that long"
+                                     f"{at_scale}, got {e}")
     elif model.extension is not None:
         raise ConfigurationError(
             "model carries an extended position table; evaluate it with "
@@ -876,7 +880,7 @@ def encode_many(
         group = [spans[j] for j in rows]
         positions = None
         if self_extend is None:
-            positions = [assign_positions(resolved, cfg.position_mode, s.size) for s in group]
+            positions = [assign_positions(resolved, s.size) for s in group]
         tokens, mask, pos = pad_batch(group, positions)
         scale = np.ones(len(group))
         if attn_scaling:

@@ -158,13 +158,15 @@ def attention_scale(n: int, l_orig: int) -> float:
     return max(1.0, math.log(n) / math.log(l_orig))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtensionSpec:
     """One extension strategy plus its parameters; the switchboard for encode().
 
     The scaling factor is always recomputed from (l_orig, l_target), never
-    trusted from input. Optional parameters left as None are resolved from
-    the published table (or its documented fallback) at encode time.
+    trusted from input. A spec takes only the parameters its strategy runs:
+    ``ntk_lambda`` under ntk, ``group_size`` and ``window`` together under se.
+    Those left as None are resolved from the published table (or its
+    documented fallback) at encode time.
     """
 
     strategy: Strategy
@@ -177,16 +179,23 @@ class ExtensionSpec:
     def __post_init__(self):
         check_types(vars(self), self.__annotations__)
         try:
-            self.strategy = Strategy(self.strategy)
+            object.__setattr__(self, "strategy", Strategy(self.strategy))
         except ValueError:
             raise ConfigurationError(
                 f"unknown strategy {self.strategy!r}; expected one of "
                 + ", ".join(st.value for st in Strategy)
             ) from None
+        for name, owner in (("ntk_lambda", Strategy.NTK), ("group_size", Strategy.SE),
+                            ("window", Strategy.SE)):
+            if getattr(self, name) is not None and self.strategy is not owner:
+                raise ConfigurationError(f"{name} applies only to strategy {owner.value}, "
+                                         f"not {self.strategy.value}")
+        if (self.group_size is None) != (self.window is None):
+            raise ConfigurationError("group_size and window go together: give both or neither")
         if self.l_orig < 1:
             raise ConfigurationError(f"l_orig must be >= 1, got {self.l_orig}")
         if self.l_target is None:
-            self.l_target = self.l_orig
+            object.__setattr__(self, "l_target", self.l_orig)
         if self.strategy is Strategy.NONE and self.l_target != self.l_orig:
             raise ConfigurationError("strategy 'none' cannot change the context window")
         if self.l_target < self.l_orig:
@@ -212,9 +221,10 @@ class ExtensionSpec:
 
 @dataclass(frozen=True)
 class ResolvedExtension:
-    """ExtensionSpec with every optional parameter filled in for one model mode."""
+    """ExtensionSpec with every optional parameter filled in for position ``mode``."""
 
     spec: ExtensionSpec
+    mode: str
     ntk_lambda: float | None
     group_size: int | None
     window: int | None
@@ -263,7 +273,7 @@ def resolve_extension(spec: ExtensionSpec, position_mode: str) -> ResolvedExtens
             )
 
     if spec.strategy is Strategy.SE:
-        if spec.group_size is None or spec.window is None:
+        if spec.group_size is None:
             group_size, window = resolve_se_params(spec.l_orig, spec.l_target)
             source = "table" if (spec.l_orig, spec.l_target) in SE_PARAM_TABLE else "fallback w=l_orig/8"
             notes.append(f"se params (g={group_size}, w={window}) resolved via {source}")
@@ -277,7 +287,7 @@ def resolve_extension(spec: ExtensionSpec, position_mode: str) -> ResolvedExtens
                 f"{farthest} exceeds {spec.l_orig - 1}"
             )
 
-    return ResolvedExtension(spec, ntk_lambda, group_size, window, tuple(notes))
+    return ResolvedExtension(spec, position_mode, ntk_lambda, group_size, window, tuple(notes))
 
 
 def check_input_length(n: int, l_target: int) -> None:
@@ -307,8 +317,8 @@ def plan_chunks(input_len: int, l_orig: int) -> list[tuple[int, int]]:
     return plan
 
 
-def assign_positions(resolved: ResolvedExtension, mode: str, n: int) -> np.ndarray:
-    """Positions of the n tokens of one input under a strategy resolved for ``mode``.
+def assign_positions(resolved: ResolvedExtension, n: int) -> np.ndarray:
+    """Positions of the n tokens of one input under a resolved strategy, for its mode.
 
     Absolute mode returns int64 rows into the strategy's position table (the
     interpolated table for pi, the extended one for tuned_pi/tuned_rp); rotary
@@ -322,7 +332,7 @@ def assign_positions(resolved: ResolvedExtension, mode: str, n: int) -> np.ndarr
     st, s = resolved.strategy, resolved.spec.scale
     if st in (Strategy.PCW, Strategy.SE):
         raise ConfigurationError(f"strategy {st.value} has no per-token position assignment")
-    absolute = mode == "absolute"
+    absolute = resolved.mode == "absolute"
     idx = np.arange(n, dtype=np.int64 if absolute else np.float64)
     if st is Strategy.GP:
         return idx // s

@@ -142,12 +142,10 @@ def load_task(
     return task
 
 
-def load_task_dir(task_dir: str | Path, *, name: str | None = None) -> RetrievalTask:
+def load_task_dir(task_dir: str | Path) -> RetrievalTask:
+    """The task in a ``write_task`` directory, named after the directory."""
     d = Path(task_dir)
-    return load_task(
-        d / QUERIES_FILE, d / CORPUS_FILE, d / QRELS_FILE,
-        name=name or d.name,
-    )
+    return load_task(d / QUERIES_FILE, d / CORPUS_FILE, d / QRELS_FILE, name=d.name)
 
 
 def task_stats(task: RetrievalTask) -> dict:

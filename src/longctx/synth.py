@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, GenerationError, ValidationError, read_text
+from .errors import ConfigurationError, GenerationError, ValidationError, check_types, read_text
 
 DEFAULT_LENGTH_GRID = (256, 512, 1024, 2048, 4096, 8192, 16384, 32768)
 
@@ -121,6 +121,12 @@ class SyntheticTaskConfig:
     essay_path: str | None = None
 
     def __post_init__(self):
+        check_types(vars(self), self.__annotations__)
+        if not isinstance(self.length_grid, tuple):
+            raise ConfigurationError(
+                f"'length_grid' must be a tuple of int, got {self.length_grid!r}")
+        for length in self.length_grid:
+            check_types({"length_grid entry": length}, {"length_grid entry": "int"})
         if self.kind not in ("passkey", "needle"):
             raise GenerationError(f"unknown synthetic task kind {self.kind!r}")
         if self.queries_per_length < 1:

@@ -101,21 +101,22 @@ def sample_skip_bias(l_target: int, l_orig: int, rng: np.random.Generator) -> in
     return int(rng.integers(0, l_target - l_orig + 1))
 
 
-def _training_positions(model: Model, pairs: list[TrainingPair], config: TuneConfig,
-                        rng: np.random.Generator | None) -> list[np.ndarray]:
+def _training_positions(model: Model, pairs: list[TrainingPair],
+                        rng: np.random.Generator) -> list[np.ndarray]:
     """Identity positions for every sequence of ``pairs``, in pair order.
 
-    With ``rng``, each sequence is shifted by its own skip bias, drawn in that
-    order.
+    On a model extended for tuning, each sequence is shifted by its own skip
+    bias over the extension's window, drawn from ``rng`` in that order.
     """
-    mode = model.config.position_mode
-    identity = resolve_extension(ExtensionSpec.none(config.l_orig), mode)
+    ext = model.extension
+    identity = resolve_extension(ExtensionSpec.none(model.config.original_context),
+                                 model.config.position_mode)
     positions = []
     for pair in pairs:
         for seq in pair.sequences():
-            pos = assign_positions(identity, mode, seq.size)
-            if rng is not None:
-                pos = sample_skip_bias(config.l_target, config.l_orig, rng) + pos
+            pos = assign_positions(identity, seq.size)
+            if ext is not None:
+                pos = sample_skip_bias(ext.l_target, ext.l_orig, rng) + pos
             positions.append(pos)
     return positions
 
@@ -167,14 +168,15 @@ def extend_for_tuning(model: Model, config: TuneConfig) -> Model:
 # ---------------------------------------------------------------------------
 # optimizer and training loop
 
+_ADAGRAD_EPS = 1e-10
+
 
 class Adagrad:
     """Momentum-free adaptive optimizer with linear warmup."""
 
-    def __init__(self, learning_rate: float, warmup_steps: int, eps: float = 1e-10):
+    def __init__(self, learning_rate: float, warmup_steps: int):
         self.learning_rate = learning_rate
         self.warmup_steps = warmup_steps
-        self.eps = eps
         self.t = 0
         self.accum: dict[str, np.ndarray] = {}
 
@@ -187,7 +189,7 @@ class Adagrad:
             if name not in self.accum:
                 self.accum[name] = np.zeros_like(g)
             self.accum[name] += g * g
-            params[name] -= lr * g / (np.sqrt(self.accum[name]) + self.eps)
+            params[name] -= lr * g / (np.sqrt(self.accum[name]) + _ADAGRAD_EPS)
 
 
 @dataclass
@@ -253,12 +255,13 @@ def _batch_loss_and_grads(model: Model, pairs: list[TrainingPair],
 def _run_training(model: Model, pairs: list[TrainingPair], config: TuneConfig) -> TrainResult:
     """Shared loop: shuffle, batch, shift, step, watch for NaN.
 
-    What trains follows from the model. With an extension, only the
-    ``pos_table`` rows its ``frozen`` flags leave free learn, at positions
-    shifted by a per-sequence skip bias; without one, every parameter learns
-    at identity positions. A non-finite loss or gradient stops the run with
-    the parameters of the last logged step, restored from a copy of the
-    trainable tensors taken before each optimizer step.
+    What trains follows from the model, and sequences must fit its original
+    context. With an extension, only the ``pos_table`` rows its ``frozen``
+    flags leave free learn, at positions shifted by a per-sequence skip bias;
+    without one, every parameter learns at identity positions. A non-finite
+    loss or gradient stops the run with the parameters of the last logged
+    step, restored from a copy of the trainable tensors taken before each
+    optimizer step.
     """
     if config.epochs == 0 or config.max_steps == 0 or not pairs:
         return TrainResult(model=model.copy())
@@ -271,19 +274,18 @@ def _run_training(model: Model, pairs: list[TrainingPair], config: TuneConfig) -
     names = list(work.params if needed is None else needed)
     good: dict[str, np.ndarray] = {}
     step = 0
-    max_len = config.l_orig
+    max_len = work.config.original_context
 
     for seq in (s for pair in pairs for s in pair.sequences()):
         if seq.size > max_len:
-            raise ValidationError(
-                f"training sequence of {seq.size} tokens exceeds l_orig {max_len}"
-            )
+            raise ValidationError(f"training sequence of {seq.size} tokens exceeds the "
+                                  f"model's original context {max_len}")
 
     for _epoch in range(config.epochs):
         order = rng.permutation(len(pairs))
         for start in range(0, len(pairs), config.batch_size):
             batch = [pairs[i] for i in order[start:start + config.batch_size]]
-            positions = _training_positions(work, batch, config, None if frozen is None else rng)
+            positions = _training_positions(work, batch, rng)
             try:
                 loss, grads = _batch_loss_and_grads(
                     work, batch, positions, config.temperature, needed=needed)
@@ -357,7 +359,7 @@ def grad_check(
         raise ConfigurationError("grad_check needs a model extended for tuning")
     rng = np.random.default_rng(0) if rng is None else rng
 
-    positions = _training_positions(model, [pair], config, rng)
+    positions = _training_positions(model, [pair], rng)
 
     def loss_at(m: Model) -> float:
         loss, _ = _batch_loss_and_grads(m, [pair], positions, config.temperature)
@@ -394,20 +396,18 @@ def training_pairs_from_task(
     n_negatives: int,
     rng: np.random.Generator,
     *,
-    max_len: int | None = None,
+    max_len: int,
 ) -> list[TrainingPair]:
     """Contrastive triples from a retrieval task's judged pairs.
 
     Negatives are other candidate documents; when the pool runs short, the
     remainder are word-shuffled copies of the positive. Sequences are
-    truncated to ``max_len`` tokens when given. A query, positive or chosen
-    negative with no tokens raises ValidationError naming the task and its id.
+    truncated to ``max_len`` tokens, the trained model's original context. A
+    query, positive or chosen negative with no tokens raises ValidationError
+    naming the task and its id.
     """
     doc_ids = sorted(task.docs)
     toks = {d: tokenize(task.docs[d], vocab_size) for d in doc_ids}
-
-    def clip(ids: np.ndarray) -> np.ndarray:
-        return ids if max_len is None else ids[:max_len]
 
     pairs = []
     for qid in sorted(task.queries):
@@ -423,8 +423,9 @@ def training_pairs_from_task(
                                *(("negative document", d, toks[d]) for d in chosen)):
             if ids.size == 0:
                 raise ValidationError(f"task {task.name!r}: {role} {rid!r} has no tokens")
-        negatives = [clip(toks[d]) for d in chosen]
+        positive = toks[gold][:max_len]
+        negatives = [toks[d][:max_len] for d in chosen]
         while len(negatives) < n_negatives:
-            negatives.append(rng.permutation(clip(toks[gold])))
-        pairs.append(TrainingPair(query=clip(query), positive=clip(toks[gold]), negatives=negatives))
+            negatives.append(rng.permutation(positive))
+        pairs.append(TrainingPair(query=query[:max_len], positive=positive, negatives=negatives))
     return pairs

@@ -51,7 +51,7 @@ def test_empty_input_rejected():
 def test_single_chunk_equivalence_bitwise(tiny_absolute):
     for n in (1, 4, 8):
         toks = (np.arange(n) * 7) % 64
-        via_pcw = pcw_encode(tiny_absolute, toks, 8)
+        via_pcw = pcw_encode(tiny_absolute, toks)
         plain = encode(tiny_absolute, toks, ExtensionSpec.none(8))
         assert np.array_equal(via_pcw, plain)
 
@@ -59,14 +59,14 @@ def test_single_chunk_equivalence_bitwise(tiny_absolute):
 def test_duplicated_halves_match_single_half(tiny_absolute):
     half = (np.arange(8) * 3) % 64
     double = np.concatenate([half, half])
-    one = pcw_encode(tiny_absolute, half, 8)
-    two = pcw_encode(tiny_absolute, double, 8)
+    one = pcw_encode(tiny_absolute, half)
+    two = pcw_encode(tiny_absolute, double)
     assert np.allclose(one, two, atol=1e-12)
 
 
 def test_pcw_output_unit_norm(tiny_rotary):
     toks = np.arange(30) % 64
-    emb = pcw_encode(tiny_rotary, toks, 8)
+    emb = pcw_encode(tiny_rotary, toks)
     assert abs(np.linalg.norm(emb) - 1.0) < 1e-6
 
 
@@ -74,5 +74,5 @@ def test_encode_dispatches_pcw(tiny_absolute):
     toks = np.arange(20) % 64
     spec = ExtensionSpec(strategy=Strategy.PCW, l_orig=8, l_target=32)
     via_spec = encode(tiny_absolute, toks, spec)
-    direct = pcw_encode(tiny_absolute, toks, 8)
+    direct = pcw_encode(tiny_absolute, toks)
     assert np.array_equal(via_spec, direct)

@@ -405,8 +405,29 @@ def test_inspect_dumps_positions_and_frequencies(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("configuration error:")
 
 
+@pytest.mark.parametrize("command, flags, named", [
+    ("eval", ["--strategy", "se", "--g", 7], "group_size and window go together"),
+    ("eval", ["--strategy", "ntk", "--g", 7, "--w", 2], "group_size applies only to strategy se"),
+    ("inspect", ["--strategy", "pi", "--ntk-lambda", 3], "ntk_lambda applies only to strategy ntk"),
+], ids=["se-g-without-w", "ntk-with-g-and-w", "pi-with-ntk-lambda"])
+def test_a_strategy_parameter_that_never_runs_is_code_2(tmp_path, capsys, command, flags,
+                                                        named):
+    """Not run with the table's parameters under a report that names the given ones."""
+    if command == "eval":
+        argv = ["eval", "--model", init_small(tmp_path, mode="rotary"), "--l-target", 32,
+                "--synthetic", gen_small(tmp_path) / "passkey", "--out", tmp_path / "r.json"]
+    else:
+        argv = ["inspect", "--mode", "rotary", "--l-orig", 8, "--l-target", 32]
+    capsys.readouterr()
+    assert run(*argv, *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("strategy", "bogus"),
+    ("strategy", "SE"),  # as --strategy SE: names are lower case
     ("seed", "x"),
     ("l_target", "abc"),
     ("g", "5"),

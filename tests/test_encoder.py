@@ -604,6 +604,16 @@ def test_tuned_pi_needs_the_table_scale_so_short_inputs_keep_their_anchors():
         encode(ext, x, spec)
 
 
+def test_tuned_rp_refuses_an_extension_of_another_original_window(tiny_absolute):
+    """A hand-built model whose rp_suffix table repeats 4 rows, not its own 8."""
+    table = tiny_absolute.params["pos_table"][np.arange(16) % 4]
+    model = encoder.Model(tiny_absolute.config, {**tiny_absolute.params, "pos_table": table},
+                          PosExtension("rp_suffix", 4, 16))
+    spec = ExtensionSpec(strategy=Strategy.TUNED_RP, l_orig=8, l_target=16)
+    with pytest.raises(ConfigurationError, match="rp_suffix extension of l_orig 8"):
+        encode(model, np.arange(12) % 64, spec)
+
+
 def test_se_on_absolute_model_rejected(tiny_absolute):
     spec = ExtensionSpec(strategy=Strategy.SE, l_orig=8, l_target=32)
     with pytest.raises(ConfigurationError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -30,7 +31,7 @@ from longctx.encoder import PI_ANCHORED, PosExtension
 
 def positions(strategy, l_orig, l_target, n, mode="absolute"):
     spec = ExtensionSpec(strategy=strategy, l_orig=l_orig, l_target=l_target)
-    return assign_positions(resolve_extension(spec, mode), mode, n)
+    return assign_positions(resolve_extension(spec, mode), n)
 
 
 def test_grouped_examples():
@@ -343,6 +344,35 @@ def test_ntk_lambda_must_be_finite_and_positive(lam):
 def test_none_cannot_extend():
     with pytest.raises(ConfigurationError):
         ExtensionSpec(strategy=Strategy.NONE, l_orig=512, l_target=1024)
+
+
+@pytest.mark.parametrize("strategy, params, named", [
+    ("pi", {"ntk_lambda": 3.0}, "ntk_lambda applies only to strategy ntk, not pi"),
+    ("se", {"ntk_lambda": 3.0}, "ntk_lambda applies only to strategy ntk, not se"),
+    ("ntk", {"group_size": 7, "window": 2}, "group_size applies only to strategy se, not ntk"),
+    ("gp", {"window": 2}, "window applies only to strategy se, not gp"),
+    ("se", {"group_size": 7}, "group_size and window go together"),
+    ("se", {"window": 2}, "group_size and window go together"),
+], ids=["pi-ntk-lambda", "se-ntk-lambda", "ntk-g-w", "gp-w", "se-g-only", "se-w-only"])
+def test_a_spec_refuses_parameters_its_strategy_does_not_run(strategy, params, named):
+    with pytest.raises(ConfigurationError, match=named):
+        ExtensionSpec(strategy=strategy, l_orig=8, l_target=32, **params)
+
+
+def test_a_checked_spec_cannot_be_changed():
+    spec = ExtensionSpec(strategy="pi", l_orig=8, l_target=32)
+    for name, value in (("l_target", 4), ("strategy", "se"), ("ntk_lambda", 3.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, value)
+    assert (spec.strategy, spec.l_target, spec.scale) == (Strategy.PI, 32, 4)
+
+
+def test_a_resolution_assigns_positions_for_the_mode_it_was_checked_against():
+    spec = ExtensionSpec(strategy="pi", l_orig=8, l_target=32)
+    absolute, rotary = resolve_extension(spec, "absolute"), resolve_extension(spec, "rotary")
+    assert (absolute.mode, rotary.mode) == ("absolute", "rotary")
+    assert assign_positions(absolute, 20).tolist() == list(range(20))
+    assert assign_positions(rotary, 20).tolist() == [i / 4 for i in range(20)]
 
 
 def test_mode_strategy_compatibility():

@@ -33,7 +33,7 @@ def small_task():
 def test_task_round_trip_equals_in_memory(tmp_path):
     task = small_task()
     write_task(task, tmp_path)
-    loaded = load_task_dir(tmp_path, name=task.name)
+    loaded = load_task_dir(tmp_path)
     assert loaded.queries == task.queries
     assert loaded.docs == task.docs
     assert loaded.qrels == task.qrels
@@ -404,6 +404,37 @@ def test_an_extended_table_has_the_rows_the_layout_expects(tmp_path, mode, rows)
     save_checkpoint(ext, tmp_path / "ext.ckpt")
     save_checkpoint(load_checkpoint(tmp_path / "ext.ckpt"), tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "ext.ckpt").read_bytes()
+
+
+def _mismatched_extension():
+    """An rp_suffix model whose extension repeats 4 original rows on an 8-row config."""
+    model = make_model()
+    table = model.params["pos_table"][np.arange(16) % 4]
+    return Model(model.config, {**model.params, "pos_table": table},
+                 PosExtension("rp_suffix", 4, 16))
+
+
+def test_save_refuses_an_extension_of_another_original_window(tmp_path):
+    path = tmp_path / "out" / "ext.ckpt"
+    with pytest.raises(ConfigurationError, match="does not extend the model's original "
+                                                 "context 8"):
+        save_checkpoint(_mismatched_extension(), path)
+    assert not path.parent.exists()  # refused before a directory or file is made
+
+
+def test_load_refuses_an_extension_of_another_original_window(tmp_path):
+    path = tmp_path / "ext.ckpt"
+    save_checkpoint(extend_for_tuning(make_model(), TuneConfig(mode="rp_suffix", l_orig=8,
+                                                               l_target=16)), path)
+    data = path.read_bytes()
+    end = 16 + int.from_bytes(data[8:16], "little")
+    header = json.loads(data[16:end])
+    header["extension"]["l_orig"] = 4  # the table keeps its 16 rows
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:8] + len(blob).to_bytes(8, "little") + blob + data[end:])
+    with pytest.raises(ParseError, match="does not extend the model's original context 8") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
 
 
 def test_a_rotary_model_has_no_position_table_to_extend(tmp_path):

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from longctx.errors import GenerationError, ValidationError
+from longctx.errors import ConfigurationError, GenerationError, ValidationError
 from longctx.synth import (
     FACTS,
     OracleEmbedder,
@@ -129,6 +129,20 @@ def test_config_invariants():
         SyntheticTaskConfig(kind="passkey", queries_per_length=50, candidates_per_length=10)
     with pytest.raises(GenerationError):
         SyntheticTaskConfig(kind="unknown")
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("seed", "1", "'seed' must be int"),
+    ("queries_per_length", 2.5, "'queries_per_length' must be int"),
+    ("candidates_per_length", True, "'candidates_per_length' must be int"),
+    ("length_grid", (64.0,), "'length_grid entry' must be int, got 64.0"),
+    ("length_grid", 64, "'length_grid' must be a tuple of int, got 64"),
+    ("essay_path", 3, "'essay_path' must be str | None"),
+], ids=["seed", "queries_per_length", "candidates_per_length", "length_grid-entry",
+        "length_grid", "essay_path"])
+def test_config_field_types_are_checked(field, value, named):
+    with pytest.raises(ConfigurationError, match=re.escape(named)):
+        SyntheticTaskConfig(kind="passkey", **{field: value})
 
 
 def test_essay_is_prefix_stable_and_sentence_structured():

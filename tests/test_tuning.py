@@ -282,6 +282,32 @@ def test_tune_rejects_sequences_longer_than_window(rng):
         tune(ext, bad, config)
 
 
+@pytest.mark.parametrize("position_mode", ["absolute", "rotary"])
+def test_train_model_bounds_sequences_by_the_models_window_not_the_configs(rng, position_mode):
+    """An l_orig=32 config does not let an 8-token model train on 30-token pairs."""
+    config = tiny_tune_config(l_orig=32, l_target=64)
+    pair = TrainingPair(query=rng.integers(0, 64, 30), positive=rng.integers(0, 64, 4),
+                        negatives=[rng.integers(0, 64, 4)])
+    with pytest.raises(ValidationError, match="exceeds the model's original context 8"):
+        train_model(tiny_model(position_mode=position_mode), [pair], config)
+
+
+def test_training_positions_shift_exactly_on_an_extended_model(rng):
+    """Identity positions, and no draws, for a base model; skip biases over the extension's
+    window on an extended one."""
+    pairs = random_pairs(rng, 3)
+    for model in (tiny_model(), tiny_model(position_mode="rotary")):
+        draws = np.random.default_rng(0)
+        positions = tuning._training_positions(model, pairs, draws)
+        assert all(np.array_equal(p, np.arange(p.size)) for p in positions)
+        assert draws.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    ext = extend_for_tuning(tiny_model(), tiny_tune_config(mode=RP_SUFFIX, l_target=13))
+    replay = np.random.default_rng(1)
+    positions = tuning._training_positions(ext, pairs, np.random.default_rng(1))
+    for p in positions:
+        assert np.array_equal(p, sample_skip_bias(13, 8, replay) + np.arange(p.size))
+
+
 def test_nan_loss_aborts_with_last_good_state(rng):
     config = tiny_tune_config(epochs=1)
     ext = extend_for_tuning(tiny_model(), config)
@@ -395,7 +421,7 @@ def test_frozen_rows_gradient_masked_to_zero(rng):
         # replay the step's draws: the batch order, then the per-sequence skip biases
         replay = np.random.default_rng(config.seed)
         batch = [pairs[i] for i in replay.permutation(len(pairs))[:config.batch_size]]
-        positions = tuning._training_positions(ext, batch, config, replay)
+        positions = tuning._training_positions(ext, batch, replay)
         _, grads = tuning._batch_loss_and_grads(ext, batch, positions, config.temperature,
                                                 needed={"pos_table"})
         moved = (tuned.params["pos_table"] != ext.params["pos_table"]).any(axis=1)
@@ -449,7 +475,7 @@ def test_length_groups_match_one_padded_block(mode, data):
     pairs = [TrainingPair(query=rng.integers(0, 64, q), positive=rng.integers(0, 64, p),
                           negatives=[rng.integers(0, 64, n) for n in negs])
              for q, p, negs in shapes]
-    positions = tuning._training_positions(model, pairs, config, np.random.default_rng(seed))
+    positions = tuning._training_positions(model, pairs, np.random.default_rng(seed))
 
     with mock.patch.object(encoder, "_BATCH_ROWS", budget):
         loss, grads = tuning._batch_loss_and_grads(
@@ -516,7 +542,7 @@ def test_training_pairs_fall_back_to_shuffled_positives(rng):
     cfg = SyntheticTaskConfig(kind="passkey", length_grid=(16,), queries_per_length=2,
                               candidates_per_length=3, seed=11)
     task = build_bucket(cfg, 16)
-    pairs = training_pairs_from_task(task, 128, 5, rng)
+    pairs = training_pairs_from_task(task, 128, 5, rng, max_len=16)
     for pair in pairs:
         assert len(pair.negatives) == 5
         shuffled = [n for n in pair.negatives
