@@ -184,12 +184,14 @@ def cmd_init(args) -> int:
 
 
 def _discover_synthetic(root: Path) -> list[BenchmarkTask]:
-    """A kind directory with numeric bucket subdirs, or one bucket directory."""
+    """A kind directory with numeric bucket subdirs, or one bucket directory named by
+    its length."""
     if (root / "queries.jsonl").exists():
-        length = int(root.name) if root.name.isdigit() else None
-        group = root.parent.name if root.name.isdigit() else root.name
+        if not root.name.isdigit():
+            raise ValidationError(f"{root} holds task files but is not named by its bucket "
+                                  "length in tokens")
         return [BenchmarkTask(task=load_task_dir(root), metric="acc@1",
-                              group=group, length=length)]
+                              group=root.parent.name, length=int(root.name))]
     buckets = sorted((d for d in root.iterdir() if d.is_dir() and d.name.isdigit()),
                      key=lambda d: int(d.name))
     if not buckets:

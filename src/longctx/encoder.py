@@ -111,7 +111,7 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class PosExtension:
-    """An extended position table; the one owner of its geometry and frozen rows.
+    """An extended position table; the one owner of its geometry, untuned rows and frozen rows.
 
     pi_anchored interpolates the l_orig original rows by ``scale`` to
     ``rows = l_orig * scale`` and freezes the anchors i * scale that
@@ -142,21 +142,42 @@ class PosExtension:
         idx = np.arange(self.rows)
         return idx % self.scale == 0 if self.mode == PI_ANCHORED else idx < self.l_orig
 
+    def table(self, original: np.ndarray) -> np.ndarray:
+        """The untuned ``rows``-row table of an (l_orig, d) ``original``: interpolated by
+        ``scale`` under pi_anchored, the original rows then recurrent copies under rp_suffix."""
+        if self.mode == PI_ANCHORED:
+            return build_interpolated_matrix(original, self.scale)
+        return original[np.arange(self.rows) % self.l_orig]
 
-@dataclass
+
+@dataclass(frozen=True)
 class Model:
-    """Parameter store plus config; treat as immutable during inference."""
+    """Parameter store plus config, checked where it is made; immutable during inference."""
 
     config: ModelConfig
     params: dict[str, np.ndarray]
     extension: PosExtension | None = None
 
+    def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """Raise ConfigurationError unless ``params`` are exactly the tensors of
+        ``param_layout(config, extension)``, in float64."""
+        layout = param_layout(self.config, self.extension)
+        extra = sorted(self.params.keys() - layout.keys())
+        if extra:
+            raise ConfigurationError(f"tensor {extra[0]} is not in the layout of the model's "
+                                     "config and extension")
+        for name, (shape, _) in layout.items():
+            arr = self.params.get(name)
+            if arr is None or arr.dtype != np.dtype("<f8") or arr.shape != shape:
+                got = "missing" if arr is None else f"{arr.dtype} of shape {list(arr.shape)}"
+                raise ConfigurationError(f"tensor {name} is {got}; the model's config and "
+                                         f"extension need float64 of shape {list(shape)}")
+
     def copy(self) -> "Model":
-        return Model(
-            config=self.config,
-            params={k: v.copy() for k, v in self.params.items()},
-            extension=self.extension,
-        )
+        return replace(self, params={k: v.copy() for k, v in self.params.items()})
 
 
 def param_layout(config: ModelConfig, extension: PosExtension | None = None) -> dict:
@@ -817,7 +838,7 @@ def _check_extension_compat(model: Model, resolved: ResolvedExtension) -> None:
         # tuned_pi reads short inputs off the anchors i * spec.scale, so the scales must agree
         e, pi = model.extension, spec.strategy is Strategy.TUNED_PI
         mode, at_scale = (PI_ANCHORED, f" at scale {spec.scale}") if pi else (RP_SUFFIX, "")
-        if (e is None or e.mode != mode or e.l_orig != spec.l_orig or e.l_target < spec.l_target
+        if (e is None or e.mode != mode or e.l_target < spec.l_target
                 or (pi and e.scale != spec.scale)):
             raise ConfigurationError(f"strategy {spec.strategy.value} to {spec.l_target} needs "
                                      f"a {mode} extension of l_orig {spec.l_orig} that long"
@@ -853,7 +874,7 @@ def encode_many(
     seqs = [np.asarray(s, dtype=np.int64) for s in sequences]
     for s in seqs:
         if s.ndim != 1:
-            raise EmptyInputError("token sequences must be 1-D")
+            raise DimensionError(f"token sequences must be 1-D, got shape {s.shape}")
         check_input_length(s.size, spec.l_target)
     if not seqs:
         return np.zeros((0, cfg.hidden_size))
@@ -868,9 +889,10 @@ def encode_many(
     # same absolute model with an interpolated table.
     if resolved.strategy is Strategy.NTK:
         model = Model(replace(cfg, rope_base=resolved.rope_base(cfg.rope_base)), model.params)
-    elif resolved.strategy is Strategy.PI and cfg.position_mode == ABSOLUTE:
-        table = build_interpolated_matrix(model.params["pos_table"], spec.scale)
-        model = Model(cfg, {**model.params, "pos_table": table})
+    elif resolved.strategy is Strategy.PI and cfg.position_mode == ABSOLUTE and spec.scale > 1:
+        view = PosExtension(PI_ANCHORED, spec.l_orig, spec.l_target)
+        model = Model(cfg, {**model.params, "pos_table": view.table(model.params["pos_table"])},
+                      view)
     self_extend = None
     if resolved.strategy is Strategy.SE:
         self_extend = (resolved.group_size, resolved.window)

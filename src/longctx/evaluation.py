@@ -23,6 +23,7 @@ from .errors import (
     EmptyInputError,
     EvaluationError,
     ValidationError,
+    check_types,
 )
 from .positions import ExtensionSpec, resolve_extension
 from .synth import RetrievalTask
@@ -163,11 +164,16 @@ class BenchmarkTask:
     task: RetrievalTask
     metric: str  # "acc@1" | "ndcg@10"
     group: str  # "passkey" / "needle" / dataset name
-    length: int | None = None  # bucket length for synthetic tasks
+    length: int | None = None  # bucket length of a synthetic task; None for a real one
 
     def __post_init__(self):
+        check_types(vars(self), self.__annotations__)
         if self.metric not in ("acc@1", "ndcg@10"):
             raise ConfigurationError(f"unknown metric {self.metric!r}")
+        if (self.length is None) != (self.metric == "ndcg@10"):
+            raise ConfigurationError(f"an acc@1 task needs a bucket length and an ndcg@10 task "
+                                     f"none; {self.group!r} has {self.metric} and length "
+                                     f"{self.length!r}")
 
 
 @dataclass
@@ -234,13 +240,21 @@ def run_benchmark(
         notes.extend(resolve_extension(spec, model.config.position_mode).notes)
         notes.append("attention scaling formula: max(1, log n / log l_orig) on logits")
 
+    keys, synthetic_groups = set(), {b.group for b in tasks if b.length is not None}
+    for bench in tasks:  # each score needs its own key in the report
+        name = bench.group if bench.length is None else f"{bench.group}/{bench.length}"
+        if (bench.group, bench.length) in keys:
+            raise ValidationError(f"task {name!r} is given twice")
+        if bench.length is None and bench.group in synthetic_groups:
+            raise ValidationError(f"group {name!r} is both a synthetic and a real task")
+        keys.add((bench.group, bench.length))
+
     synthetic: dict[str, dict[int, float]] = {}
     real: dict[str, float] = {}
     skipped: dict[str, dict[str, int]] = {}
 
     for bench in tasks:
         task = bench.task
-        task.validate()
         doc_ids = sorted(task.docs)
         doc_vecs, doc_errors = embedder.embed([task.docs[d] for d in doc_ids])
         kept = [(doc_ids[i], v) for i, v in enumerate(doc_vecs) if v is not None]

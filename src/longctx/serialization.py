@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .encoder import Model, ModelConfig, PosExtension, param_layout
-from .errors import ConfigurationError, ParseError, ValidationError, read_text
+from .errors import ConfigurationError, ParseError, read_text
 from .evaluation import EvalReport
 from .synth import RetrievalTask
 
@@ -123,23 +123,14 @@ def load_task(
     *,
     name: str = "task",
 ) -> RetrievalTask:
-    """Parse and validate a task triplet; dangling ids abort with offenders listed."""
+    """Parse a task triplet; ``RetrievalTask`` refuses dangling ids and unjudged queries."""
     queries = {qid: row["text"] for qid, row in _read_jsonl(Path(queries_path)).items()}
     docs = {}
     for did, row in _read_jsonl(Path(corpus_path)).items():
         title, text = row.get("title", ""), row["text"]
         docs[did] = f"{title} {text}".strip() if title else text
     qrels = _read_qrels(Path(qrels_path))
-
-    dangling = sorted(
-        {q for q in qrels if q not in queries}
-        | {d for rels in qrels.values() for d in rels if d not in docs}
-    )
-    if dangling:
-        raise ValidationError(f"qrels reference unknown ids: {dangling[:10]}")
-    task = RetrievalTask(name=name, queries=queries, docs=docs, qrels=qrels)
-    task.validate()
-    return task
+    return RetrievalTask(name=name, queries=queries, docs=docs, qrels=qrels)
 
 
 def load_task_dir(task_dir: str | Path) -> RetrievalTask:
@@ -166,19 +157,9 @@ def task_stats(task: RetrievalTask) -> dict:
 
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
-    """Write ``model``, or raise ConfigurationError before any file is made when its
-    params are not exactly ``param_layout(config, extension)``'s tensors in float64."""
-    layout = param_layout(model.config, model.extension)
-    extra = sorted(model.params.keys() - layout.keys())
-    if extra:
-        raise ConfigurationError(f"tensor {extra[0]} is not in the layout of the model's "
-                                 "config and extension")
-    for name, (shape, _) in layout.items():
-        arr = model.params.get(name)
-        if arr is None or arr.dtype != np.dtype("<f8") or arr.shape != shape:
-            got = "missing" if arr is None else f"{arr.dtype} of shape {list(arr.shape)}"
-            raise ConfigurationError(f"tensor {name} is {got}; a checkpoint needs "
-                                     f"float64 of shape {list(shape)}")
+    """Write ``model``, or raise ConfigurationError before any file is made when
+    ``model.check()`` fails: its ``params`` dict may have been edited since it was made."""
+    model.check()
     tensors = [(name, model.params[name]) for name in sorted(model.params)]
     if model.extension is not None:
         tensors.append(("__pos_frozen__", model.extension.frozen.astype(np.uint8)))

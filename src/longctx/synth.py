@@ -139,25 +139,30 @@ class SyntheticTaskConfig:
             raise GenerationError("length grid must contain positive token counts")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RetrievalTask:
-    """Queries, shared candidate documents, and relevance judgments."""
+    """Queries, shared candidate documents, and relevance judgments.
+
+    Checked where it is made: every judged id must be a query or document of
+    the task and every query must have a judgment, else ValidationError names
+    the task and up to 10 offenders in sorted order.
+    """
 
     name: str
     queries: dict[str, str]
     docs: dict[str, str]
     qrels: dict[str, dict[str, int]]
 
-    def validate(self) -> None:
-        for qid, rels in self.qrels.items():
-            if qid not in self.queries:
-                raise ValidationError(f"qrel references unknown query {qid!r}")
-            for did in rels:
-                if did not in self.docs:
-                    raise ValidationError(f"qrel for {qid!r} references unknown doc {did!r}")
-        missing = [qid for qid in self.queries if not self.qrels.get(qid)]
-        if missing:
-            raise ValidationError(f"queries without a relevant document: {missing[:5]}")
+    def __post_init__(self):
+        dangling = sorted({q for q in self.qrels if q not in self.queries}
+                          | {d for rels in self.qrels.values() for d in rels if d not in self.docs})
+        if dangling:
+            raise ValidationError(f"task {self.name!r}: qrels reference unknown ids: "
+                                  f"{dangling[:10]}")
+        unjudged = sorted(q for q in self.queries if not self.qrels.get(q))
+        if unjudged:
+            raise ValidationError(f"task {self.name!r}: queries without a judgment: "
+                                  f"{unjudged[:10]}")
 
 
 def word_budget(length_tokens: int) -> int:
@@ -212,11 +217,9 @@ def gen_passkey(length_tokens: int, config: SyntheticTaskConfig, rng: np.random.
         f"q{i:04d}": f"What is {names[j]}'s passkey?" for i, j in enumerate(chosen)
     }
     qrels = {f"q{i:04d}": {f"d{j:04d}": 1} for i, j in enumerate(chosen)}
-    task = RetrievalTask(
+    return RetrievalTask(
         name=f"passkey-{length_tokens}", queries=queries, docs=docs, qrels=qrels
     )
-    task.validate()
-    return task
 
 
 # --- haystack essay -------------------------------------------------------
@@ -303,11 +306,9 @@ def gen_needle(length_tokens: int, config: SyntheticTaskConfig, rng: np.random.G
         f"q{i:04d}": FACTS[fact_idx[j]].question for i, j in enumerate(chosen)
     }
     qrels = {f"q{i:04d}": {f"d{j:04d}": 1} for i, j in enumerate(chosen)}
-    task = RetrievalTask(
+    return RetrievalTask(
         name=f"needle-{length_tokens}", queries=queries, docs=docs, qrels=qrels
     )
-    task.validate()
-    return task
 
 
 _KIND_CODE = {"passkey": 1, "needle": 2}

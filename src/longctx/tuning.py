@@ -23,19 +23,18 @@ import numpy as np
 
 from .encoder import (
     ABSOLUTE,
-    PI_ANCHORED,
-    RP_SUFFIX,
     Model,
     PosExtension,
     backward_batch,
     forward_batch,
     pad_batch,
+    param_layout,
     plan_batches,
     pool_and_normalize,
     pool_and_normalize_backward,
 )
 from .errors import ConfigurationError, NumericError, ValidationError, check_types
-from .positions import ExtensionSpec, assign_positions, build_interpolated_matrix, resolve_extension
+from .positions import ExtensionSpec, assign_positions, resolve_extension
 from .synth import RetrievalTask
 from .tokenizer import tokenize
 
@@ -144,25 +143,16 @@ def _contrastive_loss_grads(q, p, negs, temperature):
 
 
 def extend_for_tuning(model: Model, config: TuneConfig) -> Model:
-    """Install ``config.extension`` and its position table on a copy."""
+    """A copy of ``model`` carrying ``config.extension`` and its untuned table."""
     if model.config.position_mode != ABSOLUTE:
         raise ConfigurationError("further tuning requires absolute-position mode")
     if model.extension is not None:
         raise ConfigurationError("model already carries an extended position table")
-    if config.l_orig != model.config.original_context:
-        raise ConfigurationError(
-            f"tune l_orig {config.l_orig} does not match the model's original "
-            f"context {model.config.original_context}"
-        )
-    ext, table = config.extension, model.params["pos_table"]
-    if ext.mode == PI_ANCHORED:
-        rows = build_interpolated_matrix(table, ext.scale)
-    elif ext.mode == RP_SUFFIX:  # the original rows, then recurrent copies of them
-        rows = table[np.arange(ext.rows) % ext.l_orig]
-    out = model.copy()
-    out.params["pos_table"] = rows
-    out.extension = ext
-    return out
+    ext = config.extension
+    param_layout(model.config, ext)  # refuses another original window before its table is built
+    params = {name: arr.copy() for name, arr in model.params.items()}
+    params["pos_table"] = ext.table(params["pos_table"])
+    return Model(model.config, params, ext)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +304,6 @@ def tune(model: Model, pairs: list[TrainingPair], config: TuneConfig) -> TrainRe
     scaling stays off during training. A non-finite loss or gradient aborts
     with the parameters of the last logged step.
     """
-    if model.config.position_mode != ABSOLUTE:
-        raise ConfigurationError("further tuning requires absolute-position mode")
     if model.extension != config.extension:
         raise ConfigurationError(
             f"model must carry {config.extension}, not {model.extension}; "
@@ -400,21 +388,25 @@ def training_pairs_from_task(
 ) -> list[TrainingPair]:
     """Contrastive triples from a retrieval task's judged pairs.
 
-    Negatives are other candidate documents; when the pool runs short, the
-    remainder are word-shuffled copies of the positive. Sequences are
-    truncated to ``max_len`` tokens, the trained model's original context. A
-    query, positive or chosen negative with no tokens raises ValidationError
-    naming the task and its id.
+    A query's positive is its judged document with the highest score, the
+    smallest id among equals; a query whose best score is not positive raises
+    ValidationError naming the task and the query. Negatives are other
+    candidate documents; when the pool runs short, the remainder are
+    word-shuffled copies of the positive. Sequences are truncated to
+    ``max_len`` tokens, the trained model's original context. A query,
+    positive or chosen negative with no tokens raises ValidationError naming
+    the task and its id.
     """
     doc_ids = sorted(task.docs)
     toks = {d: tokenize(task.docs[d], vocab_size) for d in doc_ids}
 
     pairs = []
     for qid in sorted(task.queries):
-        rels = task.qrels.get(qid)
-        if not rels:
-            raise ValidationError(f"query {qid!r} has no relevant document")
-        gold = sorted(rels)[0]
+        rels = task.qrels[qid]
+        gold = min(rels, key=lambda d: (-rels[d], d))
+        if rels[gold] <= 0:
+            raise ValidationError(f"task {task.name!r}: query {qid!r} has no document judged "
+                                  f"relevant (best score {rels[gold]})")
         others = [d for d in doc_ids if d not in rels]
         take = min(n_negatives, len(others))
         chosen = [others[i] for i in rng.choice(len(others), size=take, replace=False)] if take else []

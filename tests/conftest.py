@@ -5,8 +5,8 @@ from longctx import ModelConfig, init_model
 
 
 def pytest_terminal_summary(terminalreporter):
-    """Print the lines tests record with ``record_property("finding", line)`` (C11's detail,
-    C12's finding) after the run, where ``-q`` does not capture them away."""
+    """Print the ``("finding", line)`` user properties tests record (C11's detail, C12's
+    finding) after the run, where ``-q`` does not capture them away."""
     findings = [value for reports in terminalreporter.stats.values() for report in reports
                 if getattr(report, "when", None) == "call"
                 for name, value in report.user_properties if name == "finding"]

@@ -114,6 +114,30 @@ def test_eval_malformed_jsonl_is_code_3(tmp_path):
     assert run("eval", "--model", ckpt, "--strategy", "none", "--real", bad) == 3
 
 
+def test_eval_of_one_bucket_given_twice_is_code_3(tmp_path, capsys):
+    a, b = gen_small(tmp_path / "a", lengths="16"), gen_small(tmp_path / "b", lengths="16")
+    code = run("eval", "--model", init_small(tmp_path), "--synthetic", a / "passkey" / "16",
+               b / "passkey" / "16", "--out", tmp_path / "r.json")
+    assert code == 3
+    assert "task 'passkey/16' is given twice" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("others", [(), ("a",)], ids=["alone", "after-a-bucket"])
+def test_eval_of_a_bucket_dir_not_named_by_its_length_is_code_3(tmp_path, capsys, others):
+    tasks = gen_small(tmp_path, lengths="16")
+    named = tmp_path / "c" / "passkey"
+    named.parent.mkdir()
+    (tasks / "passkey" / "16").rename(named)
+    buckets = [gen_small(tmp_path / o, lengths="16") / "passkey" / "16" for o in others]
+    code = run("eval", "--model", init_small(tmp_path), "--synthetic", *buckets, named,
+               "--out", tmp_path / "r.json")
+    assert code == 3
+    assert f"{named} holds task files but is not named by its bucket length" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_eval_config_file_resolution_order(tmp_path):
     tasks = gen_small(tmp_path)
     ckpt = init_small(tmp_path)

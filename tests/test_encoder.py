@@ -124,9 +124,11 @@ def test_two_dim_rotation_by_hand():
     assert np.allclose(out, [math.cos(math.pi / 2), math.sin(math.pi / 2)], atol=1e-15)
 
 
-def test_odd_vector_rejected():
+def test_odd_vector_rejected(tiny_absolute):
     with pytest.raises(DimensionError):
         apply_rope(np.ones(3), 1.0, standard_frequencies(4))
+    with pytest.raises(DimensionError, match="token sequences must be 1-D"):
+        encode_many(tiny_absolute, [np.zeros((2, 2), dtype=np.int64)], ExtensionSpec.none(8))
 
 
 @settings(max_examples=60, deadline=None)
@@ -605,13 +607,31 @@ def test_tuned_pi_needs_the_table_scale_so_short_inputs_keep_their_anchors():
 
 
 def test_tuned_rp_refuses_an_extension_of_another_original_window(tiny_absolute):
-    """A hand-built model whose rp_suffix table repeats 4 rows, not its own 8."""
+    """A hand-built model whose rp_suffix table repeats 4 rows, not its own 8, is refused
+    where it is made, so no strategy ever encodes with it."""
     table = tiny_absolute.params["pos_table"][np.arange(16) % 4]
-    model = encoder.Model(tiny_absolute.config, {**tiny_absolute.params, "pos_table": table},
-                          PosExtension("rp_suffix", 4, 16))
-    spec = ExtensionSpec(strategy=Strategy.TUNED_RP, l_orig=8, l_target=16)
-    with pytest.raises(ConfigurationError, match="rp_suffix extension of l_orig 8"):
-        encode(model, np.arange(12) % 64, spec)
+    with pytest.raises(ConfigurationError, match="does not extend the model's original "
+                                                 "context 8"):
+        encoder.Model(tiny_absolute.config, {**tiny_absolute.params, "pos_table": table},
+                      PosExtension("rp_suffix", 4, 16))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda a, r: encoder.Model(a.config, {k: v for k, v in a.params.items()
+                                           if k != "final_ln.g"}),
+     "tensor final_ln.g is missing"),
+    (lambda a, r: encoder.Model(a.config, {**a.params,
+                                           "tok_emb": a.params["tok_emb"].astype(np.float32)}),
+     r"tensor tok_emb is float32 of shape \[64, 16\]; the model's config and extension "
+     r"need float64"),
+    (lambda a, r: encoder.Model(r.config, r.params, PosExtension("pi_anchored", 8, 16)),
+     "rotary model has no position table"),
+], ids=["missing-tensor", "float32-tensor", "rotary-extension"])
+def test_a_model_is_checked_where_it_is_made(tiny_absolute, tiny_rotary, build, message):
+    """An extension of another original window is the case of
+    test_tuned_rp_refuses_an_extension_of_another_original_window."""
+    with pytest.raises(ConfigurationError, match=message):
+        build(tiny_absolute, tiny_rotary)
 
 
 def test_se_on_absolute_model_rejected(tiny_absolute):

@@ -12,7 +12,7 @@ from longctx import (
     run_benchmark,
     search,
 )
-from longctx.errors import EmptyInputError, EvaluationError
+from longctx.errors import ConfigurationError, EmptyInputError, EvaluationError, ValidationError
 from longctx.evaluation import BenchmarkTask, ModelEmbedder, ndcg_details
 from longctx.synth import OracleEmbedder, SyntheticTaskConfig, build_bucket
 
@@ -196,3 +196,36 @@ def test_documents_embedded_once_per_task(tiny_absolute, monkeypatch):
     tasks = _bucket_tasks("passkey", (64,))
     run_benchmark(emb, None, tasks)
     assert calls == [10, 5]  # one pass over the shared candidates, then one over the queries
+
+
+class _RefusingEmbedder:
+    def embed(self, texts):
+        raise AssertionError("a text was encoded before the task keys were checked")
+
+
+def _real(group):
+    return BenchmarkTask(task=_bucket_tasks("needle", (64,))[0].task, metric="ndcg@10",
+                         group=group)
+
+
+@pytest.mark.parametrize("tasks, message", [
+    (lambda: _bucket_tasks("passkey", (64,)) + _bucket_tasks("passkey", (64,), seed=6),
+     "task 'passkey/64' is given twice"),
+    (lambda: [_real("beir"), _real("beir")], "task 'beir' is given twice"),
+    (lambda: _bucket_tasks("passkey", (64,)) + [_real("passkey")],
+     "group 'passkey' is both a synthetic and a real task"),
+], ids=["synthetic-bucket", "real-group", "synthetic-and-real"])
+def test_two_tasks_with_one_report_key_are_refused_before_encoding(tasks, message):
+    with pytest.raises(ValidationError, match=message):
+        run_benchmark(_RefusingEmbedder(), None, tasks())
+
+
+@pytest.mark.parametrize("metric, length, message", [
+    ("acc@1", None, "an acc@1 task needs a bucket length"),
+    ("acc@1", "64", "'length' must be int | None"),
+    ("ndcg@10", 64, "and an ndcg@10 task none"),
+], ids=["acc-without-length", "acc-with-str-length", "ndcg-with-length"])
+def test_a_benchmark_task_length_matches_its_metric(metric, length, message):
+    task = _bucket_tasks("passkey", (64,))[0].task
+    with pytest.raises(ConfigurationError, match=message):
+        BenchmarkTask(task=task, metric=metric, group="passkey", length=length)

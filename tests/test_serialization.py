@@ -17,7 +17,7 @@ from longctx import (
     tune,
     write_task,
 )
-from longctx import serialization
+from longctx import encoder
 from longctx.encoder import Model, PosExtension, param_layout
 from longctx.errors import ConfigurationError, ParseError, ValidationError
 from longctx.synth import SyntheticTaskConfig, build_bucket
@@ -347,7 +347,7 @@ def test_checkpoint_tensors_must_match_the_config_and_extension(tmp_path, edit, 
     else:  # save_checkpoint refuses the edited model, so write its file past that check
         edit(model)
         layout = {name: (arr.shape, "uniform") for name, arr in model.params.items()}
-        with mock.patch.object(serialization, "param_layout", lambda config, ext: layout):
+        with mock.patch.object(encoder, "param_layout", lambda config, ext: layout):
             save_checkpoint(model, path)
     if corrupt is not None:
         path.write_bytes(corrupt(path.read_bytes()))
@@ -358,10 +358,11 @@ def test_checkpoint_tensors_must_match_the_config_and_extension(tmp_path, edit, 
 
 @pytest.mark.parametrize("edit, message", [
     (lambda p: p.update({k: v.astype(np.float32) for k, v in p.items()}),
-     r"tensor tok_emb is float32 of shape \[32, 16\]; a checkpoint needs float64"),
+     r"tensor tok_emb is float32 of shape \[32, 16\]; the model's config and extension "
+     r"need float64"),
     (lambda p: p.update(tok_emb=p["tok_emb"][:10]),
-     r"tensor tok_emb is float64 of shape \[10, 16\]; a checkpoint needs float64 of "
-     r"shape \[32, 16\]"),
+     r"tensor tok_emb is float64 of shape \[10, 16\]; the model's config and extension "
+     r"need float64 of shape \[32, 16\]"),
     (lambda p: p.update(extra=np.zeros(2)), "tensor extra is not in the layout"),
     (lambda p: p.pop("final_ln.g"), "tensor final_ln.g is missing"),
 ], ids=["float32-params", "short-tok-emb", "extra-tensor", "missing-tensor"])

@@ -7,6 +7,7 @@ from longctx.errors import ConfigurationError, GenerationError, ValidationError
 from longctx.synth import (
     FACTS,
     OracleEmbedder,
+    RetrievalTask,
     SyntheticTaskConfig,
     build_bucket,
     default_essay_words,
@@ -177,3 +178,16 @@ def test_oracle_embedder_links_queries_to_gold_docs():
 def test_oracle_rejects_keyless_text():
     with pytest.raises(ValidationError):
         OracleEmbedder().embed(["no key here at all"])
+
+
+@pytest.mark.parametrize("qrels, message", [
+    ({"q1": {"d1": 1, "dX": 1}, "q2": {"d1": 1}, "qX": {"d1": 0}},
+     r"task 'mine': qrels reference unknown ids: \['dX', 'qX'\]"),
+    ({"q1": {"d1": 1}, **{f"x{i:02d}": {"d1": 1} for i in range(12)}, "q2": {"d1": 1}},
+     r"unknown ids: \['x00', 'x01', 'x02', 'x03', 'x04', 'x05', 'x06', 'x07', 'x08', 'x09'\]$"),
+    ({"q1": {"d1": 1}}, r"task 'mine': queries without a judgment: \['q2'\]"),
+    ({"q1": {"d1": 1}, "q2": {}}, r"task 'mine': queries without a judgment: \['q2'\]"),
+], ids=["dangling-doc-and-query", "first-ten-sorted", "unjudged-query", "empty-judgments"])
+def test_a_task_is_checked_where_it_is_made(qrels, message):
+    with pytest.raises(ValidationError, match=message):
+        RetrievalTask(name="mine", queries={"q1": "a", "q2": "b"}, docs={"d1": "x"}, qrels=qrels)

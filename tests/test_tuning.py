@@ -24,6 +24,8 @@ from longctx import (
 )
 from longctx import encoder, serialization, tuning
 from longctx.encoder import (
+    PI_ANCHORED,
+    RP_SUFFIX,
     PosExtension,
     backward_batch,
     forward_batch,
@@ -32,10 +34,9 @@ from longctx.encoder import (
     pool_and_normalize_backward,
 )
 from longctx.errors import ConfigurationError, ValidationError
-from longctx.synth import SyntheticTaskConfig, build_bucket
+from longctx.synth import RetrievalTask, SyntheticTaskConfig, build_bucket
+from longctx.tokenizer import tokenize
 from longctx.tuning import (
-    PI_ANCHORED,
-    RP_SUFFIX,
     TrainingPair,
     TuneConfig,
 )
@@ -362,6 +363,21 @@ def test_tune_requires_matching_extension(rng):
         tune(ext, random_pairs(rng, 2), tiny_tune_config(mode=RP_SUFFIX))
 
 
+def test_a_model_extending_another_window_is_refused_before_a_step(rng, monkeypatch):
+    """An 8-token model with a 16-row table that repeats 4 rows: its tune config matches
+    its extension, but the model is refused where it is made, so no step runs."""
+    model = tiny_model()
+    table = model.params["pos_table"][np.arange(16) % 4]
+    steps = []
+    monkeypatch.setattr(tuning, "_run_training", lambda *args: steps.append(args))
+    with pytest.raises(ConfigurationError, match="does not extend the model's original "
+                                                 "context 8"):
+        tune(encoder.Model(model.config, {**model.params, "pos_table": table},
+                           PosExtension(RP_SUFFIX, 4, 16)),
+             random_pairs(rng, 2), tiny_tune_config(mode=RP_SUFFIX, l_orig=4, l_target=16))
+    assert steps == []
+
+
 # --- base training -----------------------------------------------------------------
 
 
@@ -548,3 +564,24 @@ def test_training_pairs_fall_back_to_shuffled_positives(rng):
         shuffled = [n for n in pair.negatives
                     if sorted(n.tolist()) == sorted(pair.positive.tolist())]
         assert len(shuffled) >= 3  # only 2 other docs exist
+
+
+def _judged_task(qrels):
+    return RetrievalTask(name="judged", queries={"q1": "alpha beta", "q2": "gamma"},
+                         docs={"d1": "one two", "d2": "three four five", "d3": "six"},
+                         qrels=qrels)
+
+
+def test_the_positive_is_the_best_judged_document(rng):
+    """The highest score wins whatever the id order; equal scores go to the smallest id."""
+    task = _judged_task({"q1": {"d1": 0, "d2": 1}, "q2": {"d3": 2, "d2": 1, "d1": 2}})
+    pairs = training_pairs_from_task(task, 64, 1, rng, max_len=8)
+    assert np.array_equal(pairs[0].positive, tokenize("three four five", 64))
+    assert np.array_equal(pairs[1].positive, tokenize("one two", 64))
+
+
+def test_a_query_without_a_relevant_judgment_names_the_task_and_query(rng):
+    task = _judged_task({"q1": {"d1": 1}, "q2": {"d2": 0, "d3": -1}})
+    with pytest.raises(ValidationError, match="task 'judged': query 'q2' has no document "
+                                              "judged relevant"):
+        training_pairs_from_task(task, 64, 1, rng, max_len=8)
