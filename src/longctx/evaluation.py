@@ -22,10 +22,11 @@ from .errors import (
     ConfigurationError,
     EmptyInputError,
     EvaluationError,
+    LengthError,
     ValidationError,
     check_types,
 )
-from .positions import ExtensionSpec, resolve_extension
+from .positions import ExtensionSpec, ResolvedExtension, check_input_length, resolve_extension
 from .synth import RetrievalTask
 from .tokenizer import tokenize
 
@@ -122,13 +123,14 @@ class ModelEmbedder:
 
     Implements the embedder protocol that ``run_benchmark`` calls for both
     documents and queries: ``embed(texts)`` returns one unit vector or None
-    per text, plus ``(index, reason)`` for every None. Texts that are empty or
-    longer than the target window come back as None, so benchmark runs can
-    continue around unretrievable documents.
+    per text, plus ``(index, reason)`` for every None. Texts that
+    ``check_input_length`` refuses (empty, or longer than the target window)
+    come back as None with its message, so benchmark runs can continue around
+    unretrievable documents.
     """
 
     def __init__(self, model: Model, spec: ExtensionSpec, *, attn_scaling: bool = True):
-        resolve_extension(spec, model.config.position_mode)  # fail fast
+        self.resolved = resolve_extension(spec, model.config.position_mode)  # fail fast
         self.model = model
         self.spec = spec
         self.attn_scaling = attn_scaling
@@ -138,13 +140,13 @@ class ModelEmbedder:
         seqs, keep, errors = [], [], []
         for i, text in enumerate(texts):
             ids = tokenize(text, vocab)
-            if ids.size == 0:
-                errors.append((i, "empty text"))
-            elif ids.size > self.spec.l_target:
-                errors.append((i, f"{ids.size} tokens > target window {self.spec.l_target}"))
-            else:
-                seqs.append(ids)
-                keep.append(i)
+            try:
+                check_input_length(ids.size, self.spec.l_target)
+            except (EmptyInputError, LengthError) as exc:
+                errors.append((i, str(exc)))
+                continue
+            seqs.append(ids)
+            keep.append(i)
         out: list[np.ndarray | None] = [None] * len(texts)
         if seqs:
             vecs = encode_many(self.model, seqs, self.spec, attn_scaling=self.attn_scaling)
@@ -201,17 +203,19 @@ class EvalReport:
         return out
 
 
-def _spec_metadata(spec: ExtensionSpec | None, notes: list[str]) -> dict:
-    if spec is None:
+def _spec_metadata(resolved: ResolvedExtension | None, notes: list[str]) -> dict:
+    """The strategy that ran, with the parameters it ran with."""
+    if resolved is None:
         return {"strategy": "external-embedder"}
+    spec = resolved.spec
     return {
         "strategy": spec.strategy.value,
         "l_orig": spec.l_orig,
         "l_target": spec.l_target,
         "scale": spec.scale,
-        "ntk_lambda": spec.ntk_lambda,
-        "group_size": spec.group_size,
-        "window": spec.window,
+        "ntk_lambda": resolved.ntk_lambda,
+        "group_size": resolved.group_size,
+        "window": resolved.window,
         "resolution_notes": notes,
     }
 
@@ -232,28 +236,29 @@ def run_benchmark(
     Documents that cannot be encoded are recorded and scored unretrievable;
     the run continues.
     """
-    embedder, notes = model, []
+    embedder, resolved, notes = model, None, []
     if isinstance(model, Model):
         if spec is None:
             raise ConfigurationError("a Model needs an ExtensionSpec to run the benchmark")
         embedder = ModelEmbedder(model, spec, attn_scaling=attn_scaling)
-        notes.extend(resolve_extension(spec, model.config.position_mode).notes)
+        resolved = embedder.resolved
+        notes.extend(resolved.notes)
         notes.append("attention scaling formula: max(1, log n / log l_orig) on logits")
 
-    keys, synthetic_groups = set(), {b.group for b in tasks if b.length is not None}
+    names, synthetic_groups = [], {b.group for b in tasks if b.length is not None}
     for bench in tasks:  # each score needs its own key in the report
         name = bench.group if bench.length is None else f"{bench.group}/{bench.length}"
-        if (bench.group, bench.length) in keys:
+        if name in names:
             raise ValidationError(f"task {name!r} is given twice")
         if bench.length is None and bench.group in synthetic_groups:
             raise ValidationError(f"group {name!r} is both a synthetic and a real task")
-        keys.add((bench.group, bench.length))
+        names.append(name)
 
     synthetic: dict[str, dict[int, float]] = {}
     real: dict[str, float] = {}
     skipped: dict[str, dict[str, int]] = {}
 
-    for bench in tasks:
+    for name, bench in zip(names, tasks):
         task = bench.task
         doc_ids = sorted(task.docs)
         doc_vecs, doc_errors = embedder.embed([task.docs[d] for d in doc_ids])
@@ -281,11 +286,11 @@ def run_benchmark(
             score = sum(per_query.values()) / len(per_query) if per_query else 0.0
             real[bench.group] = score
             if excluded:
-                skipped.setdefault(task.name, {})["zero_relevance_queries"] = len(excluded)
+                skipped.setdefault(name, {})["zero_relevance_queries"] = len(excluded)
         if doc_errors:
-            skipped.setdefault(task.name, {})["unretrievable_docs"] = len(doc_errors)
+            skipped.setdefault(name, {})["unretrievable_docs"] = len(doc_errors)
         if q_errors:
-            skipped.setdefault(task.name, {})["failed_queries"] = len(q_errors)
+            skipped.setdefault(name, {})["failed_queries"] = len(q_errors)
 
     task_scores: dict[str, float] = {}
     for group, buckets in synthetic.items():
@@ -297,7 +302,7 @@ def run_benchmark(
         tool_version=__version__,
         created_utc=time.time(),
         seed=seed,
-        spec=_spec_metadata(spec, notes),
+        spec=_spec_metadata(resolved, notes),
         attn_scaling=attn_scaling,
         synthetic=synthetic,
         real=real,

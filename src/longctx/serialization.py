@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .encoder import Model, ModelConfig, PosExtension, param_layout
+from .encoder import Model, ModelConfig, PosExtension
 from .errors import ConfigurationError, ParseError, read_text
 from .evaluation import EvalReport
 from .synth import RetrievalTask
@@ -218,14 +218,15 @@ def _tensor_layout(path, entry) -> tuple[np.dtype, tuple[int, ...]]:
 def load_checkpoint(path: str | Path) -> Model:
     """Read a ``save_checkpoint`` file; a truncated or corrupt one raises ParseError.
 
-    Parameters must be little-endian float64. The ``__pos_frozen__`` flags
-    (uint8) may be absent; where present they must equal the extension's
-    ``frozen`` flags.
+    Parameters must be little-endian float64, and ``Model.check`` judges
+    their layout; its ConfigurationError becomes a ParseError naming the path.
+    The ``__pos_frozen__`` flags (uint8) may be absent; where present they
+    need an extension and must equal its ``frozen`` flags.
     """
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
 
-        def read(size, part):  # checked first, so a garbled size never allocates
+        def read(size, part):  # bounded, so a garbled size never allocates or overruns
             if size > end - fh.tell():
                 raise ParseError(f"{path}: checkpoint truncated inside the {part}")
             return fh.read(size)
@@ -251,35 +252,24 @@ def load_checkpoint(path: str | Path) -> Model:
             extension = _header_dataclass(path, PosExtension, header["extension"], "extension")
         if not isinstance(header["tensors"], list):
             raise ParseError(f"{path}: checkpoint tensor manifest must be a list")
-        # every tensor of the config's layout once, plus (optionally) the extension's flags
-        try:
-            layout = param_layout(config, extension)
-        except ConfigurationError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        expected = {name: shape for name, (shape, _) in layout.items()}
-        if extension is not None:
-            expected["__pos_frozen__"] = (extension.rows,)
         params: dict[str, np.ndarray] = {}
         for entry in header["tensors"]:
             dtype, shape = _tensor_layout(path, entry)
-            want = expected.pop(entry["name"], None)
-            if want is None:
-                raise ParseError(f"{path}: unknown or repeated checkpoint tensor {entry['name']}")
-            if shape != want:
-                raise ParseError(f"{path}: tensor {entry['name']} has shape {list(shape)}, "
-                                 f"the config and extension need {list(want)}")
+            if entry["name"] in params:
+                raise ParseError(f"{path}: repeated checkpoint tensor {entry['name']}")
             need = np.dtype(np.uint8 if entry["name"] == "__pos_frozen__" else "<f8")
             if dtype != need:
                 raise ParseError(f"{path}: tensor {entry['name']} has dtype {dtype}, "
                                  f"expected {need}")
-            count = math.prod(shape)
-            data = read(count * dtype.itemsize, f"tensor {entry['name']}")
+            data = read(math.prod(shape) * dtype.itemsize, f"tensor {entry['name']}")
             params[entry["name"]] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
-    expected.pop("__pos_frozen__", None)
-    if expected:
-        raise ParseError(f"{path}: checkpoint lacks tensors {list(expected)[:5]}")
     frozen = params.pop("__pos_frozen__", None)
-    model = Model(config=config, params=params, extension=extension)
+    if frozen is not None and extension is None:
+        raise ParseError(f"{path}: __pos_frozen__ without an extension")
+    try:
+        model = Model(config=config, params=params, extension=extension)
+    except ConfigurationError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if frozen is not None and not np.array_equal(frozen, extension.frozen):
         raise ParseError(f"{path}: __pos_frozen__ differs from the frozen rows of {extension}")
     return model

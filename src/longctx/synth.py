@@ -128,15 +128,15 @@ class SyntheticTaskConfig:
         for length in self.length_grid:
             check_types({"length_grid entry": length}, {"length_grid entry": "int"})
         if self.kind not in ("passkey", "needle"):
-            raise GenerationError(f"unknown synthetic task kind {self.kind!r}")
+            raise ConfigurationError(f"unknown synthetic task kind {self.kind!r}")
         if self.queries_per_length < 1:
-            raise GenerationError("queries_per_length must be >= 1")
+            raise ConfigurationError("queries_per_length must be >= 1")
         if self.candidates_per_length < self.queries_per_length:
-            raise GenerationError(
+            raise ConfigurationError(
                 "candidates_per_length must cover every query's gold document"
             )
         if not self.length_grid or any(l < 1 for l in self.length_grid):
-            raise GenerationError("length grid must contain positive token counts")
+            raise ConfigurationError("length grid must contain positive token counts")
 
 
 @dataclass(frozen=True)

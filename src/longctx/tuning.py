@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import (
-    ABSOLUTE,
     Model,
     PosExtension,
     backward_batch,
@@ -121,9 +120,8 @@ def _training_positions(model: Model, pairs: list[TrainingPair],
 
 
 # InfoNCE over cosine logits, -log p(positive | query), and its gradients (d_q, d_p, [d_neg]).
+# ``temperature`` is a TuneConfig's, which that config has checked.
 def _contrastive_loss_grads(q, p, negs, temperature):
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise ConfigurationError(f"temperature must be finite and positive, got {temperature}")
     cands = [p, *negs]
     logits = np.array([float(q @ c) for c in cands]) / temperature
     m = logits.max()
@@ -144,12 +142,10 @@ def _contrastive_loss_grads(q, p, negs, temperature):
 
 def extend_for_tuning(model: Model, config: TuneConfig) -> Model:
     """A copy of ``model`` carrying ``config.extension`` and its untuned table."""
-    if model.config.position_mode != ABSOLUTE:
-        raise ConfigurationError("further tuning requires absolute-position mode")
     if model.extension is not None:
         raise ConfigurationError("model already carries an extended position table")
     ext = config.extension
-    param_layout(model.config, ext)  # refuses another original window before its table is built
+    param_layout(model.config, ext)  # refuses a rotary model or another original window
     params = {name: arr.copy() for name, arr in model.params.items()}
     params["pos_table"] = ext.table(params["pos_table"])
     return Model(model.config, params, ext)

@@ -493,12 +493,38 @@ def test_failed_gen_writes_nothing(tmp_path, capsys, argv, code):
     assert "wrote" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("lengths", ["64,abc", "", "16,,32"])
+@pytest.mark.parametrize("lengths", ["64,abc", "", "16,,32", "0"])
 def test_gen_bad_lengths_is_code_2(tmp_path, capsys, lengths):
     code = run("gen", "--kind", "passkey", "--lengths", lengths, "--out", tmp_path / "tasks")
     assert code == 2
     assert capsys.readouterr().err.startswith("configuration error:")
     assert not (tmp_path / "tasks").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--queries", 0], "queries_per_length must be >= 1"),
+    (["--queries", 4, "--candidates", 2], "candidates_per_length must cover"),
+], ids=["no-queries", "too-few-candidates"])
+def test_gen_bad_counts_are_code_2(tmp_path, capsys, argv, message):
+    code = run("gen", "--kind", "passkey", *argv, "--out", tmp_path / "tasks")
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "tasks").exists()
+
+
+def test_eval_notes_each_bucket_of_one_length(tmp_path, capsys):
+    passkey = gen_small(tmp_path / "p", lengths="64", candidates=8) / "passkey"
+    needle = gen_small(tmp_path / "n", kind="needle", lengths="64", candidates=6) / "needle"
+    ckpt = init_small(tmp_path, l_orig=16)
+    report_path = tmp_path / "report.json"
+    assert run("eval", "--model", ckpt, "--strategy", "none", "--synthetic", passkey, needle,
+               "--out", report_path) == 0
+    skipped = json.loads(report_path.read_text())["skipped"]
+    assert {key: counts["unretrievable_docs"] for key, counts in skipped.items()} == \
+        {"passkey/64": 8, "needle/64": 6}
+    out = capsys.readouterr().out
+    assert "note [passkey/64]: unretrievable_docs=8" in out
+    assert "note [needle/64]: unretrievable_docs=6" in out
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",

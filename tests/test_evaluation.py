@@ -162,8 +162,20 @@ def test_too_long_documents_are_recorded_not_fatal(tiny_absolute):
     spec = ExtensionSpec.none(8)  # window of 8 tokens: every doc is too long
     report = run_benchmark(tiny_absolute, spec, tasks)
     assert report.synthetic["passkey"][128] == 0.0
-    name = tasks[0].task.name
-    assert report.skipped[name]["unretrievable_docs"] == 10
+    assert report.skipped["passkey/128"]["unretrievable_docs"] == 10
+
+
+@pytest.mark.parametrize("spec, ran", [
+    (ExtensionSpec(strategy="ntk", l_orig=8, l_target=16),
+     {"ntk_lambda": 3.0, "group_size": None, "window": None}),
+    (ExtensionSpec(strategy="se", l_orig=8, l_target=16),
+     {"ntk_lambda": None, "group_size": 3, "window": 1}),
+    (ExtensionSpec(strategy="se", l_orig=8, l_target=16, group_size=4, window=2),
+     {"ntk_lambda": None, "group_size": 4, "window": 2}),
+], ids=["ntk-from-table", "se-from-fallback", "se-given"])
+def test_report_spec_holds_the_parameters_that_ran(tiny_rotary, spec, ran):
+    report = run_benchmark(tiny_rotary, spec, _bucket_tasks("passkey", (16,)))
+    assert {key: report.spec[key] for key in ran} == ran
 
 
 def test_model_embedder_flags_overlong_docs(tiny_absolute):

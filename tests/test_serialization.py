@@ -268,6 +268,15 @@ def _retype_tensor(index, dtype):
     return corrupt
 
 
+def _append_frozen_flags(data):
+    """A well-framed file that carries ``__pos_frozen__`` flags after its tensors."""
+    end = 16 + int.from_bytes(data[8:16], "little")
+    header = json.loads(data[16:end])
+    header["tensors"].append({"name": "__pos_frozen__", "dtype": "uint8", "shape": [8]})
+    blob = json.dumps(header).encode("utf-8")
+    return data[:8] + len(blob).to_bytes(8, "little") + blob + data[end:] + bytes(8)
+
+
 @pytest.mark.parametrize("corrupt, part", [
     (_cut_file_header, "file header"),
     (_cut_json_header, "JSON header"),
@@ -284,10 +293,14 @@ def _retype_tensor(index, dtype):
     (_retype_tensor(-1, np.int64), "tensor tok_emb has dtype int64, expected float64"),
     (_retype_tensor(-1, bool), "tensor tok_emb has dtype bool, expected float64"),
     (_retype_tensor(-1, ">f8"), "tensor tok_emb has dtype >f8, expected float64"),
+    (_edit_header(lambda h: h["tensors"].insert(0, h["tensors"][0])),
+     "repeated checkpoint tensor final_ln.b"),
+    (_append_frozen_flags, "__pos_frozen__ without an extension"),
 ], ids=["cut-file-header", "cut-json-header", "cut-tensors", "garbled-json-header",
         "huge-json-length", "unknown-dtype", "string-hidden-size", "unknown-config-key",
         "missing-extension", "missing-tensors", "negative-shape", "float32-weights",
-        "int64-weights", "bool-weights", "big-endian-weights"])
+        "int64-weights", "bool-weights", "big-endian-weights", "repeated-tensor",
+        "frozen-flags-without-extension"])
 def test_corrupt_checkpoint_raises_parse_error_naming_the_path(tmp_path, corrupt, part):
     path = tmp_path / "model.ckpt"
     save_checkpoint(make_model(), path)
@@ -295,6 +308,22 @@ def test_corrupt_checkpoint_raises_parse_error_naming_the_path(tmp_path, corrupt
     with pytest.raises(ParseError, match=part) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
+
+
+def test_every_truncation_of_an_extended_checkpoint_raises_parse_error(tmp_path):
+    # tensor bytes are read before Model.check judges the layout; no cut may escape ParseError
+    cfg = ModelConfig(hidden_size=4, n_layers=1, n_heads=1, vocab_size=4, original_context=4,
+                      ffn_multiplier=1, init_seed=21)
+    model = extend_for_tuning(init_model(cfg), TuneConfig(mode="pi_anchored", l_orig=4,
+                                                          l_target=8))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    data = path.read_bytes()
+    for size in range(len(data)):
+        path.write_bytes(data[:size])
+        with pytest.raises(ParseError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value), size
 
 
 def _pi_extended(**kw):
@@ -325,17 +354,19 @@ def _rewrite_frozen_flags(change):
 
 
 @pytest.mark.parametrize("edit, corrupt, part", [
-    (lambda m: m.params.pop("layers.0.attn.wq"), None, r"lacks tensors \['layers.0.attn.wq'\]"),
+    (lambda m: m.params.pop("layers.0.attn.wq"), None, "tensor layers.0.attn.wq is missing"),
     (lambda m: m.params.update(tok_emb=m.params["tok_emb"][:-1]), None,
-     r"tensor tok_emb has shape \[31, 16\], the config and extension need \[32, 16\]"),
+     r"tensor tok_emb is float64 of shape \[31, 16\]; the model's config and extension "
+     r"need float64 of shape \[32, 16\]"),
     (lambda m: m.params.update(extra=np.zeros(2)), None,
-     "unknown or repeated checkpoint tensor extra"),
+     "tensor extra is not in the layout of the model's config and extension"),
     (None, _rewrite_frozen_flags(lambda flags: flags[:-1]),
-     r"tensor __pos_frozen__ has shape \[15\], the config and extension need \[16\]"),
+     r"__pos_frozen__ differs from the frozen rows of PosExtension\(mode='pi_anchored'"),
     (None, _rewrite_frozen_flags(lambda flags: 1 - flags),
      r"__pos_frozen__ differs from the frozen rows of PosExtension\(mode='pi_anchored'"),
     (lambda m: m.params.update(pos_table=m.params["pos_table"][:8]), None,
-     r"tensor pos_table has shape \[8, 16\], the config and extension need \[16, 16\]"),
+     r"tensor pos_table is float64 of shape \[8, 16\]; the model's config and extension "
+     r"need float64 of shape \[16, 16\]"),
     (None, _retype_tensor(-1, bool), "tensor __pos_frozen__ has dtype bool, expected uint8"),
 ], ids=["missing-wq", "short-tok-emb", "unknown-name", "short-frozen-flags",
         "wrong-frozen-flags", "unextended-table", "bool-frozen-flags"])

@@ -126,9 +126,9 @@ def test_passkey_name_pool_exhaustion_raises():
 
 
 def test_config_invariants():
-    with pytest.raises(GenerationError):
+    with pytest.raises(ConfigurationError):
         SyntheticTaskConfig(kind="passkey", queries_per_length=50, candidates_per_length=10)
-    with pytest.raises(GenerationError):
+    with pytest.raises(ConfigurationError):
         SyntheticTaskConfig(kind="unknown")
 
 

@@ -163,11 +163,10 @@ def test_loss_nonnegative_and_permutation_invariant(rng):
                             rel_tol=1e-12)
 
 
-def test_loss_rejects_bad_temperature(rng):
-    v = rng.normal(size=4)
+def test_tune_config_rejects_bad_temperature():
     for temperature in (0.0, math.nan, math.inf):
-        with pytest.raises(ConfigurationError):
-            tuning._contrastive_loss_grads(v, v, [v], temperature)
+        with pytest.raises(ConfigurationError, match="temperature must be finite and positive"):
+            tiny_tune_config(temperature=temperature)
 
 
 # --- table extension ---------------------------------------------------------------
@@ -194,7 +193,7 @@ def test_extend_rp_suffix_repeats_rows():
 
 
 def test_extend_requires_absolute_mode():
-    with pytest.raises(ConfigurationError, match="absolute-position"):
+    with pytest.raises(ConfigurationError, match="rotary model has no position table to extend"):
         extend_for_tuning(tiny_model(position_mode="rotary"), tiny_tune_config())
 
 
