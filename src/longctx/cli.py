@@ -35,6 +35,7 @@ from .evaluation import BenchmarkTask, run_benchmark
 from .positions import (
     ROPE_BASE,
     ExtensionSpec,
+    ResolvedExtension,
     Strategy,
     assign_positions,
     attention_scale,
@@ -95,7 +96,7 @@ def _resolved_config(args: argparse.Namespace, file_keys: dict) -> dict:
 
 
 def _strategy_flags(p: argparse.ArgumentParser, required: bool) -> None:
-    """The strategy flags that eval and inspect share; ``_spec`` reads them."""
+    """The strategy flags that eval and inspect share; ``_resolution`` reads them."""
     p.add_argument("--strategy", required=required, choices=[s.value for s in Strategy])
     p.add_argument("--l-target", type=int, dest="l_target")
     p.add_argument("--ntk-lambda", type=float, dest="ntk_lambda")
@@ -103,12 +104,12 @@ def _strategy_flags(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--w", type=int, help="SelfExtend neighbor window")
 
 
-def _spec(settings: dict, l_orig: int) -> ExtensionSpec:
-    """The ExtensionSpec of ``_strategy_flags``' settings."""
-    return ExtensionSpec(
+def _resolution(settings: dict, l_orig: int, mode: str) -> ResolvedExtension:
+    """The ExtensionSpec of ``_strategy_flags``' settings, resolved once for the run's mode."""
+    return resolve_extension(ExtensionSpec(
         strategy=settings["strategy"], l_orig=l_orig, l_target=settings["l_target"],
         ntk_lambda=settings["ntk_lambda"], group_size=settings["g"], window=settings["w"],
-    )
+    ), mode)
 
 
 def _load_file_config(path: str | None) -> dict:
@@ -229,13 +230,13 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
     file_cfg = _load_file_config(args.config)
     _check_file_types(args.config, file_cfg)
-    resolved = _resolved_config(args, file_cfg)
-    if resolved["l_target"] is None:
-        resolved["l_target"] = (
+    settings = _resolved_config(args, file_cfg)
+    if settings["l_target"] is None:
+        settings["l_target"] = (
             model.extension.l_target if model.extension else model.config.original_context
         )
-    spec = _spec(resolved, model.config.original_context)
-    resolve_extension(spec, model.config.position_mode)  # fail fast before encoding
+    # fail fast before encoding; the one resolution runs every task
+    resolved = _resolution(settings, model.config.original_context, model.config.position_mode)
 
     tasks: list[BenchmarkTask] = []
     for d in args.synthetic or []:
@@ -250,10 +251,10 @@ def cmd_eval(args) -> int:
         raise ValidationError("no tasks given; pass --synthetic and/or --real directories")
 
     report = run_benchmark(
-        model, spec, tasks,
-        attn_scaling=bool(resolved["attn_scaling"]),
-        seed=int(resolved["seed"]),
-        run_config={**resolved, "model": str(args.model), "tool_version": __version__},
+        model, resolved, tasks,
+        attn_scaling=bool(settings["attn_scaling"]),
+        seed=int(settings["seed"]),
+        run_config={**settings, "model": str(args.model), "tool_version": __version__},
     )
     _print_summary(report)
     if args.out:
@@ -307,34 +308,33 @@ def cmd_tune(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    spec = _spec(vars(args), args.l_orig)
-    resolved = resolve_extension(spec, args.mode)
-    n = spec.l_target if args.input_len is None else args.input_len
-    check_input_length(n, spec.l_target)
+    resolved = _resolution(vars(args), args.l_orig, args.mode)
+    n = resolved.l_target if args.input_len is None else args.input_len
+    check_input_length(n, resolved.l_target)
     dump: dict = {
-        "strategy": spec.strategy.value,
+        "strategy": resolved.strategy.value,
         "mode": args.mode,
-        "l_orig": spec.l_orig,
-        "l_target": spec.l_target,
-        "scale": spec.scale,
+        "l_orig": resolved.l_orig,
+        "l_target": resolved.l_target,
+        "scale": resolved.scale,
         "ntk_lambda": resolved.ntk_lambda,
         "group_size": resolved.group_size,
         "window": resolved.window,
         "notes": list(resolved.notes),
         "attention_scale": {
-            str(length): attention_scale(length, spec.l_orig)
-            for length in sorted({spec.l_orig, n, spec.l_target})
+            str(length): attention_scale(length, resolved.l_orig)
+            for length in sorted({resolved.l_orig, n, resolved.l_target})
         },
     }
     if args.mode == "rotary":
         dump["theta"] = standard_frequencies(args.d_head, resolved.rope_base(ROPE_BASE)).tolist()
-    if spec.strategy is Strategy.SE:
+    if resolved.strategy is Strategy.SE:
         deltas = np.arange(n)
         dump["relative_positions_x0"] = se_remap_deltas(
             deltas, resolved.group_size, resolved.window
         ).tolist()
-    elif spec.strategy is Strategy.PCW:
-        dump["chunks"] = plan_chunks(n, spec.l_orig)
+    elif resolved.strategy is Strategy.PCW:
+        dump["chunks"] = plan_chunks(n, resolved.l_orig)
     else:
         dump["positions"] = assign_positions(resolved, n).tolist()
     text = json.dumps(dump, indent=2)

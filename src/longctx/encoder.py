@@ -97,6 +97,8 @@ class ModelConfig:
             raise ConfigurationError(f"unknown position mode {self.position_mode!r}")
         if self.ffn_multiplier < 1:
             raise ConfigurationError(f"ffn_multiplier must be >= 1, got {self.ffn_multiplier}")
+        if self.init_seed < 0:
+            raise ConfigurationError(f"init_seed must be >= 0, got {self.init_seed}")
         if not (math.isfinite(self.rope_base) and self.rope_base > 0):
             raise ConfigurationError(f"rope_base must be a finite number > 0, got {self.rope_base}")
 
@@ -827,8 +829,7 @@ def pool_and_normalize_backward(hidden, mask, d_emb):
 # strategy dispatch
 
 
-def _check_extension_compat(model: Model, resolved: ResolvedExtension) -> None:
-    spec = resolved.spec
+def _check_extension_compat(model: Model, spec: ResolvedExtension) -> None:
     if spec.l_orig != model.config.original_context:
         raise ConfigurationError(
             f"spec l_orig {spec.l_orig} does not match the model's original "
@@ -866,7 +867,8 @@ def encode_many(
     embeddings (one span is returned as is), in input order. An embedding
     does not depend on its batch neighbours (padding is masked out), so the
     batching only changes float rounding. Raises LengthError as soon as any
-    sequence exceeds the target window.
+    sequence exceeds the target window. ``spec`` may be a ``ResolvedExtension``
+    for the model's mode, which is used as it is.
     """
     cfg = model.config
     resolved = resolve_extension(spec, cfg.position_mode)

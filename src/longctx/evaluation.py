@@ -31,6 +31,11 @@ from .synth import RetrievalTask
 from .tokenizer import tokenize
 
 
+def _unit_norm(vectors: np.ndarray) -> bool:
+    """Whether every row (the last axis) has L2 norm 1 within 1e-6; NaN or inf never does."""
+    return bool(np.allclose(np.linalg.norm(vectors, axis=-1), 1.0, atol=1e-6))
+
+
 @dataclass(frozen=True)
 class EmbeddingIndex:
     """Unit-norm document vectors with a parallel id list."""
@@ -43,9 +48,7 @@ class EmbeddingIndex:
             raise ValidationError(
                 f"index shape {self.vectors.shape} does not match {len(self.ids)} ids"
             )
-        if len(self.ids) and not np.allclose(
-            np.linalg.norm(self.vectors, axis=1), 1.0, atol=1e-6
-        ):
+        if len(self.ids) and not _unit_norm(self.vectors):
             raise ValidationError("index vectors must be unit-norm within 1e-6")
 
     def __len__(self) -> int:
@@ -53,12 +56,20 @@ class EmbeddingIndex:
 
 
 def search(index: EmbeddingIndex, query: np.ndarray, k: int) -> list[str]:
-    """Top-k ids by descending dot product; ties broken by ascending id."""
+    """Top-k ids by descending dot product; ties broken by ascending id.
+
+    The query must be a finite 1-D vector of the index's dimension; the
+    ranking does not change when it is scaled by a positive number.
+    """
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
     if len(index) == 0:
         raise EmptyInputError("cannot search an empty index")
-    scores = index.vectors @ np.asarray(query, dtype=np.float64)
+    query = np.asarray(query, dtype=np.float64)
+    if query.shape != index.vectors.shape[1:] or not np.isfinite(query).all():
+        raise ValidationError(f"a query must be a finite vector of shape "
+                              f"{index.vectors.shape[1:]}, got {query.shape}")
+    scores = index.vectors @ query
     order = np.lexsort((np.asarray(index.ids), -scores))
     return [index.ids[i] for i in order[:k]]
 
@@ -119,7 +130,7 @@ def ndcg_at_10(rankings: dict[str, list[str]], qrels: dict[str, dict[str, int]])
 
 
 class ModelEmbedder:
-    """Tokenizes and encodes texts with a model under one extension spec.
+    """Tokenizes and encodes texts with a model under one resolved extension.
 
     Implements the embedder protocol that ``run_benchmark`` calls for both
     documents and queries: ``embed(texts)`` returns one unit vector or None
@@ -132,7 +143,6 @@ class ModelEmbedder:
     def __init__(self, model: Model, spec: ExtensionSpec, *, attn_scaling: bool = True):
         self.resolved = resolve_extension(spec, model.config.position_mode)  # fail fast
         self.model = model
-        self.spec = spec
         self.attn_scaling = attn_scaling
 
     def embed(self, texts: list[str]) -> tuple[list[np.ndarray | None], list[tuple[int, str]]]:
@@ -141,7 +151,7 @@ class ModelEmbedder:
         for i, text in enumerate(texts):
             ids = tokenize(text, vocab)
             try:
-                check_input_length(ids.size, self.spec.l_target)
+                check_input_length(ids.size, self.resolved.l_target)
             except (EmptyInputError, LengthError) as exc:
                 errors.append((i, str(exc)))
                 continue
@@ -149,7 +159,7 @@ class ModelEmbedder:
             keep.append(i)
         out: list[np.ndarray | None] = [None] * len(texts)
         if seqs:
-            vecs = encode_many(self.model, seqs, self.spec, attn_scaling=self.attn_scaling)
+            vecs = encode_many(self.model, seqs, self.resolved, attn_scaling=self.attn_scaling)
             for j, i in enumerate(keep):
                 out[i] = vecs[j]
         return out, errors
@@ -207,17 +217,27 @@ def _spec_metadata(resolved: ResolvedExtension | None, notes: list[str]) -> dict
     """The strategy that ran, with the parameters it ran with."""
     if resolved is None:
         return {"strategy": "external-embedder"}
-    spec = resolved.spec
     return {
-        "strategy": spec.strategy.value,
-        "l_orig": spec.l_orig,
-        "l_target": spec.l_target,
-        "scale": spec.scale,
+        "strategy": resolved.strategy.value,
+        "l_orig": resolved.l_orig,
+        "l_target": resolved.l_target,
+        "scale": resolved.scale,
         "ntk_lambda": resolved.ntk_lambda,
         "group_size": resolved.group_size,
         "window": resolved.window,
         "resolution_notes": notes,
     }
+
+
+def _embed(embedder, texts: list[str], task: str) -> tuple[list, list]:
+    """``embedder.embed(texts)``, refused unless it returns one vector or None per
+    text, every vector of one shape."""
+    vecs, errors = embedder.embed(texts)
+    shapes = sorted({np.shape(v) for v in vecs if v is not None})
+    if len(vecs) != len(texts) or len(shapes) > 1:
+        raise ValidationError(f"task {task!r}: the embedder returned {len(vecs)} vectors of "
+                              f"shapes {shapes} for {len(texts)} texts")
+    return vecs, errors
 
 
 def run_benchmark(
@@ -261,7 +281,7 @@ def run_benchmark(
     for name, bench in zip(names, tasks):
         task = bench.task
         doc_ids = sorted(task.docs)
-        doc_vecs, doc_errors = embedder.embed([task.docs[d] for d in doc_ids])
+        doc_vecs, doc_errors = _embed(embedder, [task.docs[d] for d in doc_ids], task.name)
         kept = [(doc_ids[i], v) for i, v in enumerate(doc_vecs) if v is not None]
         if not kept:
             index = None
@@ -270,13 +290,16 @@ def run_benchmark(
             index = EmbeddingIndex(ids=tuple(ids), vectors=np.stack(vecs))
 
         qids = sorted(task.queries)
-        q_vecs, q_errors = embedder.embed([task.queries[q] for q in qids])
+        q_vecs, q_errors = _embed(embedder, [task.queries[q] for q in qids], task.name)
         rankings: dict[str, list[str]] = {}
-        for i, qid in enumerate(qids):
-            if q_vecs[i] is None or index is None:
+        for qid, vec in zip(qids, q_vecs):
+            if vec is None or index is None:
                 rankings[qid] = []
+            elif not _unit_norm(vec):
+                raise ValidationError(f"task {task.name!r}: query {qid!r} is not a unit-norm "
+                                      "vector within 1e-6")
             else:
-                rankings[qid] = search(index, q_vecs[i], k=max(10, len(index)))
+                rankings[qid] = search(index, vec, k=max(10, len(index)))
 
         if bench.metric == "acc@1":
             score = acc_at_1(rankings, task.qrels)

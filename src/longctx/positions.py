@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -165,8 +165,8 @@ class ExtensionSpec:
     The scaling factor is always recomputed from (l_orig, l_target), never
     trusted from input. A spec takes only the parameters its strategy runs:
     ``ntk_lambda`` under ntk, ``group_size`` and ``window`` together under se.
-    Those left as None are resolved from the published table (or its
-    documented fallback) at encode time.
+    Those left as None are filled in from the published table (or its
+    documented fallback) by ``resolve_extension``.
     """
 
     strategy: Strategy
@@ -177,7 +177,7 @@ class ExtensionSpec:
     window: int | None = None
 
     def __post_init__(self):
-        check_types(vars(self), self.__annotations__)
+        check_types(vars(self), {f.name: f.type for f in fields(self)})
         try:
             object.__setattr__(self, "strategy", Strategy(self.strategy))
         except ValueError:
@@ -219,20 +219,37 @@ class ExtensionSpec:
         return cls(strategy=Strategy.NONE, l_orig=l_orig)
 
 
-@dataclass(frozen=True)
-class ResolvedExtension:
-    """ExtensionSpec with every optional parameter filled in for position ``mode``."""
+@dataclass(frozen=True, kw_only=True)
+class ResolvedExtension(ExtensionSpec):
+    """An ExtensionSpec for position ``mode`` with every parameter its strategy runs filled in.
 
-    spec: ExtensionSpec
+    ``resolve_extension`` makes one; it is accepted wherever a spec is, and
+    used as it is for its own mode. So it is checked where it is made: its
+    strategy must apply to ``mode``, ntk needs its lambda and se its (g, w),
+    whose farthest remapped position must stay within l_orig - 1.
+    """
+
     mode: str
-    ntk_lambda: float | None
-    group_size: int | None
-    window: int | None
-    notes: tuple[str, ...]
+    notes: tuple[str, ...] = ()
 
-    @property
-    def strategy(self) -> Strategy:
-        return self.spec.strategy
+    def __post_init__(self):
+        super().__post_init__()
+        allowed = ABSOLUTE_STRATEGIES if self.mode == "absolute" else ROTARY_STRATEGIES
+        if self.strategy not in allowed:
+            raise ConfigurationError(
+                f"strategy {self.strategy.value} does not apply to {self.mode}-mode models")
+        if (self.strategy is Strategy.NTK and self.ntk_lambda is None
+                or self.strategy is Strategy.SE and self.group_size is None):
+            raise ConfigurationError(f"a resolved {self.strategy.value} extension needs its "
+                                     "parameters filled in")
+        if self.strategy is Strategy.SE:
+            farthest = max_se_relpos(self.l_target, self.group_size, self.window)
+            if farthest > self.l_orig - 1:  # every remapped position must stay within l_orig - 1
+                raise ConfigurationError(
+                    f"SelfExtend (g={self.group_size}, w={self.window}) infeasible for "
+                    f"{self.l_orig} -> {self.l_target}: max remapped relative position "
+                    f"{farthest} exceeds {self.l_orig - 1}"
+                )
 
     def rope_base(self, base: float) -> float:
         """The rotary base this strategy encodes with: base * lambda under ntk, else base.
@@ -244,50 +261,32 @@ class ResolvedExtension:
 
 
 def resolve_extension(spec: ExtensionSpec, position_mode: str) -> ResolvedExtension:
-    """Validate a spec against a position mode and fill in strategy parameters.
-
-    Fails fast (before any encoding) on mode/strategy mismatches and on
-    infeasible SelfExtend parameters.
+    """Fill in a spec's strategy parameters for a position mode, failing fast as
+    ``ResolvedExtension`` checks itself. A resolution for ``position_mode`` is
+    returned as it is; one for the other mode is resolved afresh as a spec.
     """
-    allowed = ABSOLUTE_STRATEGIES if position_mode == "absolute" else ROTARY_STRATEGIES
-    if spec.strategy not in allowed:
-        raise ConfigurationError(
-            f"strategy {spec.strategy.value} does not apply to {position_mode}-mode models"
-        )
+    if isinstance(spec, ResolvedExtension) and spec.mode == position_mode:
+        return spec
     s = spec.scale
     notes: list[str] = []
-    ntk_lambda = group_size = window = None
-
-    if spec.strategy is Strategy.NTK:
-        if spec.ntk_lambda is None:
-            ntk_lambda = resolve_ntk_lambda(s)
-            source = "table" if s in NTK_LAMBDA_TABLE else "fallback s+1"
-            notes.append(f"ntk lambda {ntk_lambda:g} resolved via {source}")
-        else:
-            ntk_lambda = spec.ntk_lambda
-        if ntk_lambda <= s:
-            warnings.warn(
-                f"NTK multiplier {ntk_lambda:g} should be slightly greater than "
-                f"the scaling factor {s}",
-                stacklevel=2,
-            )
-
-    if spec.strategy is Strategy.SE:
-        if spec.group_size is None:
-            group_size, window = resolve_se_params(spec.l_orig, spec.l_target)
-            source = "table" if (spec.l_orig, spec.l_target) in SE_PARAM_TABLE else "fallback w=l_orig/8"
-            notes.append(f"se params (g={group_size}, w={window}) resolved via {source}")
-        else:
-            group_size, window = spec.group_size, spec.window
-        farthest = max_se_relpos(spec.l_target, group_size, window)
-        if farthest > spec.l_orig - 1:  # every remapped position must stay within l_orig - 1
-            raise ConfigurationError(
-                f"SelfExtend (g={group_size}, w={window}) infeasible for "
-                f"{spec.l_orig} -> {spec.l_target}: max remapped relative position "
-                f"{farthest} exceeds {spec.l_orig - 1}"
-            )
-
-    return ResolvedExtension(spec, position_mode, ntk_lambda, group_size, window, tuple(notes))
+    ntk_lambda, group_size, window = spec.ntk_lambda, spec.group_size, spec.window
+    if spec.strategy is Strategy.NTK and ntk_lambda is None:
+        ntk_lambda = resolve_ntk_lambda(s)
+        source = "table" if s in NTK_LAMBDA_TABLE else "fallback s+1"
+        notes.append(f"ntk lambda {ntk_lambda:g} resolved via {source}")
+    if spec.strategy is Strategy.SE and group_size is None:
+        group_size, window = resolve_se_params(spec.l_orig, spec.l_target)
+        source = "table" if (spec.l_orig, spec.l_target) in SE_PARAM_TABLE else "fallback w=l_orig/8"
+        notes.append(f"se params (g={group_size}, w={window}) resolved via {source}")
+    resolved = ResolvedExtension(spec.strategy, spec.l_orig, spec.l_target, ntk_lambda,
+                                 group_size, window, mode=position_mode, notes=tuple(notes))
+    if resolved.strategy is Strategy.NTK and ntk_lambda <= s:
+        warnings.warn(
+            f"NTK multiplier {ntk_lambda:g} should be slightly greater than "
+            f"the scaling factor {s}",
+            stacklevel=2,
+        )
+    return resolved
 
 
 def check_input_length(n: int, l_target: int) -> None:
@@ -328,8 +327,8 @@ def assign_positions(resolved: ResolvedExtension, n: int) -> np.ndarray:
     (dense rows idx, phases idx / s). pcw and se assign no per-token positions:
     pcw encodes chunks at the original ones, se remaps i - j inside attention.
     """
-    check_input_length(n, resolved.spec.l_target)
-    st, s = resolved.strategy, resolved.spec.scale
+    check_input_length(n, resolved.l_target)
+    st, s = resolved.strategy, resolved.scale
     if st in (Strategy.PCW, Strategy.SE):
         raise ConfigurationError(f"strategy {st.value} has no per-token position assignment")
     absolute = resolved.mode == "absolute"
@@ -337,9 +336,9 @@ def assign_positions(resolved: ResolvedExtension, n: int) -> np.ndarray:
     if st is Strategy.GP:
         return idx // s
     if st is Strategy.RP:
-        return idx % resolved.spec.l_orig
+        return idx % resolved.l_orig
     if st in (Strategy.PI, Strategy.TUNED_PI):
-        short = n <= resolved.spec.l_orig
+        short = n <= resolved.l_orig
         if absolute:
             return idx * s if short else idx
         return idx if short else idx / s

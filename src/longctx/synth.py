@@ -137,6 +137,8 @@ class SyntheticTaskConfig:
             )
         if not self.length_grid or any(l < 1 for l in self.length_grid):
             raise ConfigurationError("length grid must contain positive token counts")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,8 @@ class TuneConfig:
             raise ConfigurationError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.n_negatives < 1:
             raise ConfigurationError("need at least one negative per example")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def extension(self) -> PosExtension:

@@ -75,6 +75,13 @@ def test_c01_self_extend_worked_examples():
         x4 = se_remap_deltas(np.arange(10) - 4, g=2, w=4).tolist()
         assert x0 == [0, 1, 2, 3, 4, 4, 5, 5, 6, 6]
         assert x4 == [-4, -3, -2, -1, 0, 1, 2, 3, 4, 4]
+        # Query 10 against keys 0..10: README's distance rule, w + (|i - j| - w) // g.
+        # SelfExtend's grouped positions, i // g - j // g + w - w // g, would give
+        # 7, 6 and 5 at keys 1, 3 and 5, so a change of form cannot pass unseen.
+        x10 = se_remap_deltas(10 - np.arange(11), g=2, w=4).tolist()
+        assert x10 == [7, 6, 6, 5, 5, 4, 4, 3, 2, 1, 0]
+        grouped = [10 // 2 - j // 2 + 4 - 4 // 2 if 10 - j > 4 else 10 - j for j in range(11)]
+        assert [j for j in range(11) if grouped[j] != x10[j]] == [1, 3, 5]
 
 
 # --- 2: rotary relative invariance ----------------------------------------------

@@ -379,6 +379,35 @@ def test_tune_divergence_exits_4_after_writing_checkpoint(tmp_path):
     assert out.exists()  # last good state was still written
 
 
+@pytest.mark.parametrize("command", ["init", "gen", "tune"])
+def test_a_negative_seed_is_code_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = {
+        "init": ["init", "--hidden-size", 16, "--layers", 1, "--heads", 2, "--vocab-size", 64,
+                 "--l-orig", 8],
+        "gen": ["gen", "--kind", "passkey", "--lengths", "16", "--queries", 1,
+                "--candidates", 2],
+        "tune": ["tune", "--model", init_small(tmp_path), "--l-target", 16,
+                 "--data", gen_small(tmp_path, lengths="8") / "passkey" / "8"],
+    }[command]
+    assert run(*argv, "--seed", -1, "--out", out) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect"])
+def test_a_run_resolves_its_strategy_once(tmp_path, command):
+    """An ntk run whose lambda is not above s warns once, not once per resolution."""
+    if command == "eval":
+        argv = ["eval", "--model", init_small(tmp_path, mode="rotary"),
+                "--synthetic", gen_small(tmp_path) / "passkey"]
+    else:
+        argv = ["inspect", "--mode", "rotary", "--l-orig", 8]
+    with pytest.warns(UserWarning, match="NTK multiplier 2 should be slightly greater") as caught:
+        assert run(*argv, "--strategy", "ntk", "--l-target", 64, "--ntk-lambda", 2) == 0
+    assert len(caught) == 1
+
+
 @pytest.mark.parametrize("lam", ["nan", "inf"])
 def test_inspect_rejects_a_non_finite_ntk_lambda_with_code_2(capsys, lam):
     assert run("inspect", "--strategy", "ntk", "--mode", "rotary", "--l-orig", 8,

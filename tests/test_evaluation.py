@@ -8,12 +8,14 @@ from longctx import (
     EmbeddingIndex,
     ExtensionSpec,
     acc_at_1,
+    encode_many,
     ndcg_at_10,
     run_benchmark,
     search,
 )
 from longctx.errors import ConfigurationError, EmptyInputError, EvaluationError, ValidationError
 from longctx.evaluation import BenchmarkTask, ModelEmbedder, ndcg_details
+from longctx.positions import resolve_extension
 from longctx.synth import OracleEmbedder, SyntheticTaskConfig, build_bucket
 
 
@@ -241,3 +243,81 @@ def test_a_benchmark_task_length_matches_its_metric(metric, length, message):
     task = _bucket_tasks("passkey", (64,))[0].task
     with pytest.raises(ConfigurationError, match=message):
         BenchmarkTask(task=task, metric=metric, group="passkey", length=length)
+
+
+# --- what an embedder returns --------------------------------------------------
+
+
+def test_search_refuses_a_query_of_the_wrong_shape_or_not_finite(rng):
+    index = EmbeddingIndex(ids=("a", "b"), vectors=unit_rows(rng, 2))
+    for query in (unit_rows(rng, 1, d=4)[0], unit_rows(rng, 1), np.full(8, np.nan)):
+        with pytest.raises(ValidationError, match=r"a query must be a finite vector of shape \(8,\)"):
+            search(index, query, k=1)
+
+
+class _FaultyOracle(OracleEmbedder):
+    """An oracle whose result for every second embed call, a task's queries, is changed."""
+
+    def __init__(self, fault, on_queries=True):
+        self.fault, self.on_queries, self.calls = fault, on_queries, 0
+
+    def embed(self, texts):
+        vecs, errors = super().embed(texts)
+        self.calls += 1
+        if (self.calls % 2 == 0) == self.on_queries:
+            vecs = self.fault(vecs)
+        return vecs, errors
+
+
+@pytest.mark.parametrize("fault, on_queries, message", [
+    (lambda v: [x[:4] / np.linalg.norm(x[:4]) for x in v], True,
+     r"a query must be a finite vector of shape \(128,\), got \(4,\)"),
+    (lambda v: [np.full_like(x, np.nan) for x in v], True,
+     "query 'q0000' is not a unit-norm vector"),
+    (lambda v: [2 * x for x in v], True, "query 'q0000' is not a unit-norm vector"),
+    (lambda v: v[:-2], True, r"the embedder returned 3 vectors of shapes \[\(128,\)\] for 5 "),
+    (lambda v: v[:-2], False, r"the embedder returned 8 vectors of shapes \[\(128,\)\] for 10 "),
+    (lambda v: [np.eye(4)[0], *v[1:]], False,
+     r"the embedder returned 10 vectors of shapes \[\(4,\), \(128,\)\] for 10 texts"),
+], ids=["4-d-query", "nan-query", "non-unit-query", "queries-short", "documents-short",
+        "documents-of-two-shapes"])
+def test_run_benchmark_refuses_what_an_embedder_should_not_return(fault, on_queries, message):
+    tasks = _bucket_tasks("passkey", (64,))
+    with pytest.raises(ValidationError, match=message) as info:
+        run_benchmark(_FaultyOracle(fault, on_queries), None, tasks)
+    if "a query must be" not in message:
+        assert f"task {tasks[0].task.name!r}" in str(info.value)
+
+
+# --- one resolution from the flag to the forward pass --------------------------
+
+
+@pytest.mark.parametrize("model_name, spec", [
+    ("tiny_rotary", ExtensionSpec(strategy="ntk", l_orig=8, l_target=64)),
+    ("tiny_rotary", ExtensionSpec(strategy="se", l_orig=8, l_target=64)),
+    ("tiny_rotary", ExtensionSpec(strategy="pcw", l_orig=8, l_target=64)),
+    ("tiny_absolute", ExtensionSpec(strategy="pi", l_orig=8, l_target=64)),
+    ("tiny_absolute", ExtensionSpec(strategy="rp", l_orig=8, l_target=64)),
+], ids=["ntk", "se", "pcw", "pi-absolute", "rp"])
+def test_a_resolution_runs_as_its_spec_does(request, model_name, spec):
+    model = request.getfixturevalue(model_name)
+    resolved = resolve_extension(spec, model.config.position_mode)
+    seqs = [np.arange(n) % 64 for n in (3, 8, 9, 40, 64)]
+    assert encode_many(model, seqs, resolved).tobytes() == encode_many(model, seqs, spec).tobytes()
+    assert ModelEmbedder(model, resolved).resolved is resolved
+    texts = ["one two three", " ".join(["w"] * 30)]
+    a, b = ModelEmbedder(model, resolved).embed(texts), ModelEmbedder(model, spec).embed(texts)
+    assert [v.tobytes() for v in a[0]] == [v.tobytes() for v in b[0]] and a[1] == b[1]
+    tasks = _bucket_tasks("passkey", (16, 64))
+    reports = [run_benchmark(model, s, tasks).to_dict() for s in (resolved, spec)]
+    for report in reports:
+        report.pop("created_utc")
+    assert reports[0] == reports[1]
+
+
+def test_an_absolute_resolution_runs_a_rotary_model_as_the_spec_does(tiny_rotary):
+    spec = ExtensionSpec(strategy="pi", l_orig=8, l_target=64)
+    absolute = resolve_extension(spec, "absolute")
+    seqs = [np.arange(n) % 64 for n in (5, 8, 30, 64)]
+    assert encode_many(tiny_rotary, seqs, absolute).tobytes() == \
+        encode_many(tiny_rotary, seqs, spec).tobytes()

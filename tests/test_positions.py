@@ -12,6 +12,7 @@ from longctx.errors import ConfigurationError, EmptyInputError, LengthError
 from longctx.positions import (
     ExtensionSpec,
     SE_PARAM_TABLE,
+    ResolvedExtension,
     Strategy,
     assign_positions,
     attention_scale,
@@ -209,16 +210,6 @@ def test_resolve_ntk_lambda_table_and_fallback():
 # --- self-extend -------------------------------------------------------------
 
 
-def test_worked_example_x0():
-    rel = se_remap_deltas(np.arange(10) - 0, g=2, w=4).tolist()
-    assert rel == [0, 1, 2, 3, 4, 4, 5, 5, 6, 6]
-
-
-def test_worked_example_x4():
-    rel = se_remap_deltas(np.arange(10) - 4, g=2, w=4).tolist()
-    assert rel == [-4, -3, -2, -1, 0, 1, 2, 3, 4, 4]
-
-
 @given(
     i=st.integers(min_value=0, max_value=500),
     j=st.integers(min_value=0, max_value=500),
@@ -408,6 +399,59 @@ def test_resolution_fills_table_values():
         warnings.simplefilter("error")
         resolved = resolve_extension(spec, "rotary")
     assert resolved.ntk_lambda == 10.0
+
+
+def test_a_resolution_is_its_spec_with_the_parameters_filled_in():
+    spec = ExtensionSpec(strategy=Strategy.SE, l_orig=512, l_target=4096)
+    resolved = resolve_extension(spec, "rotary")
+    assert isinstance(resolved, ExtensionSpec) and not hasattr(resolved, "spec")
+    own = [f.name for f in dataclasses.fields(ResolvedExtension)]
+    assert own == [f.name for f in dataclasses.fields(ExtensionSpec)] + ["mode", "notes"]
+    assert (resolved.strategy, resolved.l_orig, resolved.l_target, resolved.scale) == \
+        (spec.strategy, spec.l_orig, spec.l_target, spec.scale)
+    assert resolved.mode == "rotary"
+
+
+def test_a_resolution_for_its_own_mode_is_returned_as_it_is():
+    spec = ExtensionSpec(strategy=Strategy.NTK, l_orig=512, l_target=4096, ntk_lambda=2.0)
+    with pytest.warns(UserWarning) as caught:
+        resolved = resolve_extension(spec, "rotary")
+        assert resolve_extension(resolved, "rotary") is resolved
+    assert len(caught) == 1  # the second call resolves nothing, so it warns nothing
+
+
+def test_a_resolution_for_the_other_mode_is_resolved_afresh():
+    spec = ExtensionSpec(strategy=Strategy.PI, l_orig=8, l_target=32)
+    absolute = resolve_extension(spec, "absolute")
+    rotary = resolve_extension(absolute, "rotary")
+    assert rotary == resolve_extension(spec, "rotary")
+    assert assign_positions(rotary, 20).dtype == np.float64
+    se = resolve_extension(ExtensionSpec(strategy=Strategy.SE, l_orig=512, l_target=4096),
+                           "rotary")
+    with pytest.raises(ConfigurationError, match="does not apply to absolute-mode"):
+        resolve_extension(se, "absolute")
+
+
+_NTK = dict(strategy="ntk", l_orig=8, l_target=32, ntk_lambda=5.0, mode="rotary")
+_SE = dict(strategy="se", l_orig=8, l_target=32, group_size=4, window=2, mode="rotary")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({**_NTK, "mode": 3}, "'mode' must be str"),
+    ({**_NTK, "l_target": "64"}, r"'l_target' must be int \| None"),
+    ({**_NTK, "ntk_lambda": "3"}, r"'ntk_lambda' must be float \| None"),
+    ({**_SE, "group_size": 2.0}, r"'group_size' must be int \| None"),
+    ({**_NTK, "mode": "absolute"}, "strategy ntk does not apply to absolute-mode models"),
+    ({**_NTK, "ntk_lambda": None}, "a resolved ntk extension needs its parameters"),
+    ({**_SE, "group_size": None, "window": None}, "a resolved se extension needs its parameters"),
+    ({**_SE, "group_size": 1, "window": 0}, r"max remapped relative position 31 exceeds 7"),
+], ids=["mode", "l_target", "ntk_lambda", "group_size", "mode-mismatch", "ntk-without-lambda",
+        "se-without-params", "se-infeasible"])
+def test_a_resolution_is_checked_where_it_is_made(fields, message):
+    """``resolve_extension`` returns a resolution for its own mode as it is, so a
+    hand-made one must not run a strategy its mode, parameters or window refuse."""
+    with pytest.raises(ConfigurationError, match=message):
+        ResolvedExtension(**fields)
 
 
 # --- typed errors for out-of-range public arguments ------------------------------

@@ -286,6 +286,7 @@ def _append_frozen_flags(data):
     (_edit_header(_set_tensor("dtype", "float99")), "unknown dtype 'float99'"),
     (_edit_header(lambda h: h["config"].update(hidden_size="16")), "'hidden_size' must be int"),
     (_edit_header(lambda h: h["config"].update(colour="blue")), "unknown checkpoint config key"),
+    (_edit_header(lambda h: h["config"].update(init_seed=-1)), "init_seed must be >= 0"),
     (_edit_header(lambda h: h.pop("extension")), r"lacks \['extension'\]"),
     (_edit_header(lambda h: h.pop("tensors")), r"lacks \['tensors'\]"),
     (_edit_header(_set_tensor("shape", [-2, -16])), "bad checkpoint tensor entry"),
@@ -298,6 +299,7 @@ def _append_frozen_flags(data):
     (_append_frozen_flags, "__pos_frozen__ without an extension"),
 ], ids=["cut-file-header", "cut-json-header", "cut-tensors", "garbled-json-header",
         "huge-json-length", "unknown-dtype", "string-hidden-size", "unknown-config-key",
+        "negative-init-seed",
         "missing-extension", "missing-tensors", "negative-shape", "float32-weights",
         "int64-weights", "bool-weights", "big-endian-weights", "repeated-tensor",
         "frozen-flags-without-extension"])
