@@ -409,9 +409,10 @@ def _relative_scores(q: np.ndarray, k: np.ndarray, se: _SelfExtend):
 
 
 # Score-tile budget in cells: 1 MiB of float64, which stays in L2 while a tile
-# goes through max, exp, sum and the context matmul. On a Xeon with 2 MiB of L2
-# a core, one layer's attention at B=16, H=4, L=384 took 29.5 ms with this
-# budget, 29.9 ms with 1 << 16 and 33.2 ms with 1 << 18.
+# goes through exp and the context matmul. On a Xeon with 2 MiB of L2 a core,
+# one layer's attention at B=16, H=4, L=384 took a median 45.3 ms of CPU with
+# this budget, 45.9 ms with 1 << 16 and 47.1 ms with 1 << 18 (30 runs each,
+# OpenBLAS at 1 thread).
 _SCORE_TILE = 1 << 17
 
 # Row cap of a SelfExtend score chunk (``_relative_scores``). A chunk's near
@@ -422,6 +423,12 @@ _SCORE_TILE = 1 << 17
 # L=191) took a median 7.22 / 5.01 ms of CPU with 16 rows, 7.10 / 4.94 ms with
 # 32 and 7.40 / 5.41 ms with 40 (30 runs each, OpenBLAS at 1 thread).
 _SE_CHUNK_ROWS = 32
+
+# Largest |q_i| |k_j| bound on a batch slice's logits at which ``_attention``
+# exponentiates them without subtracting the row max: e^300 ~ 2e130, so a
+# row of any length sums far inside float64 (exp overflows past 709), and
+# e^-300 ~ 5e-131 stays a normal number.
+_EXP_BOUND = 300.0
 
 # Padded-row budget of one ``plan_batches`` batch (spans x longest span), the
 # activation-side twin of _SCORE_TILE: at d=64 a batch's (rows, d) arrays take
@@ -455,14 +462,23 @@ def _attention(q, k, v, mask, *, self_extend=None, keep=False):
     every key, so each softmax row is exact. Its scores are ``q @ k^T``, or
     the SelfExtend logits of ``_relative_scores``, which scores a tile in
     chunks of at most ``_SE_CHUNK_ROWS`` rows against rotation tables built
-    once per forward pass; both are exponentiated in place. -inf on padded
-    keys is added only to tiles whose sequences have any. Context rows are
-    divided by their softmax row sums after the ``@ v`` matmul (Dh divisions a
-    row instead of L). With ``keep`` the normalized weights (B, H, L, L) that the
-    backward pass reads are returned too; otherwise one tile buffer is reused
-    and None is returned in their place.
+    once per forward pass. -inf on padded keys is added only to tiles whose
+    sequences have any. Then each score cell takes one pass, its ``exp``:
+
+    - Rotations keep norms, so every plain, rotary or SelfExtend logit obeys
+      |logit_ij| <= |q_i| |k_j|. A batch slice whose sequences all bound
+      their logits by ``_EXP_BOUND`` this way exponentiates them as they
+      are; any other slice, and any one-key row (whose weight must come out
+      exactly 1), subtracts the row max first.
+    - ``v`` carries a ones column, so one ``@ v`` matmul returns each row's
+      context and its softmax row sum; the contexts of all tiles are divided
+      by their sums at the end (Dh divisions a row instead of L).
+
+    With ``keep`` the normalized weights (B, H, L, L) that the backward pass
+    reads are returned too; otherwise one tile buffer is reused and None is
+    returned in their place.
     """
-    B, H, L, _ = v.shape
+    B, H, L, Dh = v.shape
     g = 1 if self_extend is None else self_extend.g
     per_class = -(-L // g)  # rows of the largest residue class
     scores = np.empty((B, H, L, L)) if keep else None
@@ -471,10 +487,15 @@ def _attention(q, k, v, mask, *, self_extend=None, keep=False):
     buf = None if keep else np.empty(seqs * H * rows * L)
     key_bias = np.where(mask, 0.0, -np.inf)[:, None, None, :]
     padded = ~mask.all(axis=1)
-    ctx = np.empty(v.shape)
+    q2, k2 = (np.einsum("bhld,bhld->bhl", x, x).max(axis=(1, 2)) for x in (q, k))
+    bounded = np.sqrt(q2 * k2) <= _EXP_BOUND  # per sequence; False on NaN or inf
+    v1 = np.empty((B, H, L, Dh + 1))
+    v1[..., :Dh], v1[..., Dh] = v, 1.0
+    ctx = np.empty(v1.shape)  # each row's context, then its row sum
     for b0 in range(0, B, seqs):
         b1 = min(B, b0 + seqs)
         bias = key_bias[b0:b1] if padded[b0:b1].any() else None
+        shift = L == 1 or not bounded[b0:b1].all()
         if self_extend is None:
             qb, kt = q[b0:b1], k[b0:b1].swapaxes(-1, -2)
             fill = lambda tile, out: np.matmul(qb[:, :, tile], kt, out=out)  # noqa: E731
@@ -487,15 +508,14 @@ def _attention(q, k, v, mask, *, self_extend=None, keep=False):
             fill(tile, s)
             if bias is not None:
                 s += bias
-            s -= s.max(-1, keepdims=True)
+            if shift:
+                s -= s.max(-1, keepdims=True)
             np.exp(s, out=s)
-            rowsum = s.sum(-1, keepdims=True)
             tile_ctx = ctx[b0:b1, :, tile]
-            np.matmul(s, v[b0:b1], out=tile_ctx)
-            tile_ctx /= rowsum
+            np.matmul(s, v1[b0:b1], out=tile_ctx)
             if keep:
-                s /= rowsum
-    return ctx, scores if keep else None
+                s /= tile_ctx[..., Dh:]
+    return ctx[..., :Dh] / ctx[..., Dh:], scores
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +638,10 @@ def forward_batch(
     int64), phases in rotary mode (cast to float64), where SelfExtend's
     ``self_extend=(g, w)`` may replace them: every query/key pair (i, j) is
     then scored at relative position ``se_remap_deltas(i - j, g, w)``.
-    ``attn_scale`` multiplies pre-softmax logits per sequence. Every weight,
-    the position table and the RoPE base included, comes from ``model``.
+    ``attn_scale`` multiplies pre-softmax logits per sequence. ``mask`` and
+    ``positions`` must have the tokens' shape (B, L) and ``attn_scale`` the
+    shape (B,); any other shape raises DimensionError. Every weight, the
+    position table and the RoPE base included, comes from ``model``.
     Padded key positions are masked out of attention; padded rows still carry
     (ignored) values.
     ``want_cache`` is rejected with ``self_extend``: there is no SelfExtend
@@ -636,14 +658,18 @@ def forward_batch(
         raise DimensionError(f"token batch must be 2-D, got shape {token_ids.shape}")
     B, L = token_ids.shape
     mask = np.asarray(mask, dtype=bool)
+    attn_scale = np.ones(B) if attn_scale is None else np.asarray(attn_scale, dtype=np.float64)
+    for name, array, shape in (("mask", mask, (B, L)), ("positions", positions, (B, L)),
+                               ("attn_scale", attn_scale, (B,))):
+        if array is not None and np.shape(array) != shape:
+            raise DimensionError(f"{name} must have shape {shape} for a {B}x{L} token batch, "
+                                 f"got {np.shape(array)}")
     if not mask.any(axis=1).all():
         raise EmptyInputError("each sequence needs at least one active token")
     if np.min(token_ids) < 0 or np.max(token_ids) >= cfg.vocab_size:
         raise ConfigurationError("token ids outside the vocabulary")
     if self_extend is not None and want_cache:
         raise ConfigurationError("SelfExtend has no backward pass; it cannot record a cache")
-    if attn_scale is None:
-        attn_scale = np.ones(B)
 
     h = model.params["tok_emb"][token_ids]
     rot = se = None

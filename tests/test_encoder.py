@@ -161,6 +161,22 @@ def test_rotating_by_the_conjugate_table_undoes_the_rotation(rng):
     assert np.abs(_rotate_batch(_rotate_batch(x, z), z.conj()) - x).max() <= 1e-15
 
 
+@pytest.mark.parametrize("base", [1e4, 33e4], ids=["base", "ntk-base"])
+def test_every_batched_rotation_keeps_each_pair_norm(rng, base):
+    """_attention skips the row max by |logit_ij| <= |q_i| |k_j|, which holds for rotated
+    logits only if the rotations keep norms: RoPE phases up to 1e4, and SelfExtend's query
+    rotations and its key table."""
+    theta = standard_frequencies(16, base=base)
+    se = encoder._self_extend_tables(1000, 37, 16, theta)
+    tables = [_rope_tables(rng.uniform(0, 1e4, (2, 1000)), theta), se.queries,
+              se.table[None, None]]
+    for rot in tables:
+        x = rng.normal(size=(2, 3, rot.shape[-2], 16))
+        before = np.abs(x.view(np.complex128))
+        after = np.abs(_rotate_batch(x, rot).view(np.complex128))
+        assert np.abs(after / before - 1).max() <= 1e-15
+
+
 def test_score_equals_dot_product_at_equal_positions(rng):
     q, k = rng.normal(size=6), rng.normal(size=6)
     f = standard_frequencies(6)
@@ -356,6 +372,37 @@ def test_tiled_attention_matches_one_untiled_softmax(path, heads, L, B, padded, 
             assert np.abs(got["w"] - want["w"]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("path", ["absolute", "rotary", "se"])
+@pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
+@pytest.mark.parametrize("scale", [(1.0, 1e3), (1e3, 1.0)], ids=["large-last", "large-first"])
+def test_a_slice_with_one_unbounded_sequence_subtracts_the_row_max(path, padded, scale):
+    """Both sequences share one batch slice; at attn_scale 1e3 one of them bounds its logits
+    above _EXP_BOUND, where exp without the row max overflows to inf and NaN."""
+    model = TILE_MODELS[("absolute" if path == "absolute" else "rotary", 2)]
+    tokens = np.random.default_rng(3).integers(0, 64, (2, 12))
+    mask = np.ones((2, 12), dtype=bool)
+    mask[1, 9:] = not padded
+    kwargs = {"attn_scale": np.array(scale)}
+    if path == "se":
+        kwargs["self_extend"] = (3, 2)
+    else:
+        kwargs["positions"] = np.tile(np.arange(12), (2, 1))
+
+    def run(want_cache):
+        return forward_batch(model, tokens, mask, want_cache=want_cache, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(encoder, "_attention", _untiled_attention)
+        ref = run(False)
+        ref_cache = None if path == "se" else run(True)
+    assert np.abs(run(False) - ref).max() <= 1e-12
+    if ref_cache is not None:
+        hidden, cache = run(True)
+        assert np.abs(hidden - ref_cache[0]).max() <= 1e-12
+        for got, want in zip(cache["layers"], ref_cache[1]["layers"]):
+            assert np.abs(got["w"] - want["w"]).max() <= 1e-12
+
+
 def test_self_extend_builds_its_rotation_tables_once_per_forward(monkeypatch):
     """As many cos/sin tables with 3 layers as with 1, and with 3 batch slices as with 1."""
     builds, scored = [], []
@@ -490,6 +537,24 @@ def test_absolute_position_out_of_table_raises(tiny_absolute):
     toks = np.arange(4)
     with pytest.raises(PositionError):
         forward_one(tiny_absolute, toks, np.array([0, 1, 2, 8]))  # table length is 8
+
+
+@pytest.mark.parametrize("mode", ["absolute", "rotary"])
+@pytest.mark.parametrize("name, value", [
+    ("mask", np.ones((2, 4), dtype=bool)),  # an unpadded slice would never read it
+    ("attn_scale", np.ones(3)),
+    ("attn_scale", np.ones(1)),  # would broadcast
+    ("attn_scale", np.ones((2, 1))),
+    ("positions", np.arange(5)),
+    ("positions", np.zeros((2, 3))),
+], ids=["mask-2x4", "scale-3", "scale-1", "scale-2x1", "positions-1d", "positions-2x3"])
+def test_forward_batch_refuses_arrays_that_disagree_with_the_tokens(
+        tiny_absolute, tiny_rotary, mode, name, value):
+    model = tiny_absolute if mode == "absolute" else tiny_rotary
+    kwargs = {"mask": np.ones((2, 5), dtype=bool), "positions": np.tile(np.arange(5), (2, 1)),
+              "attn_scale": np.ones(2), name: value}
+    with pytest.raises(DimensionError, match=name):
+        forward_batch(model, np.zeros((2, 5), dtype=np.int64), **kwargs)
 
 
 def test_forward_is_deterministic(tiny_absolute):
