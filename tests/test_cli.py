@@ -1,5 +1,6 @@
 import ctypes
 import json
+import math
 import os
 import platform
 import subprocess
@@ -112,6 +113,46 @@ def test_eval_malformed_jsonl_is_code_3(tmp_path):
     (bad / "corpus.jsonl").write_text('{"_id": "d", "title": "", "text": "x"}\n')
     (bad / "qrels.tsv").write_text("query-id\tdoc-id\tscore\n")
     assert run("eval", "--model", ckpt, "--strategy", "none", "--real", bad) == 3
+
+
+@pytest.mark.parametrize("args, message", [
+    ((), "no tasks given; pass --synthetic and/or --real directories"),
+    (("--synthetic", "{tmp}/empty"), "{tmp}/empty holds no task files and no numeric bucket dirs"),
+    (("--config", "{tmp}/cfg.json", "--synthetic", "{tmp}/empty/1"),
+     "config file {tmp}/cfg.json must hold a JSON object"),
+], ids=["no-tasks", "dir-without-buckets", "config-json-array"])
+def test_eval_with_nothing_it_can_run_is_code_3(tmp_path, capsys, args, message):
+    (tmp_path / "empty" / "notes").mkdir(parents=True)  # neither task files nor a bucket dir
+    (tmp_path / "cfg.json").write_text('["gp", 9]\n')
+    args = [a.format(tmp=tmp_path) for a in args]
+    assert run("eval", "--model", init_small(tmp_path), *args) == 3
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
+
+
+def test_eval_of_a_real_dataset_scores_ndcg_and_counts_what_it_skipped(tmp_path, capsys):
+    real = tmp_path / "beir"
+    real.mkdir()
+    docs = {"d1": "alpha beta gamma", "d2": "delta epsilon", "d3": " ".join(["long"] * 20)}
+    queries = {"q1": "alpha beta", "q2": "delta", "q3": "!!!"}  # q3 has no tokens
+    for name, rows in (("corpus.jsonl", docs), ("queries.jsonl", queries)):
+        (real / name).write_text("".join(json.dumps({"_id": i, "title": "", "text": t}) + "\n"
+                                         for i, t in rows.items()))
+    # q2 is judged only 0, so nDCG@10 excludes it; d3 is longer than l_target 8
+    (real / "qrels.tsv").write_text("query-id\tdoc-id\tscore\nq1\td1\t1\nq2\td2\t0\n"
+                                    "q3\td1\t1\n")
+    report_path = tmp_path / "r.json"
+    assert run("eval", "--model", init_small(tmp_path), "--real", real,
+               "--out", report_path) == 0
+    report = json.loads(report_path.read_text())
+    assert report["synthetic"] == {}
+    # q1 ranks d1 first or second among the two retrievable docs; q3 ranks nothing
+    assert report["real"]["beir"] in (pytest.approx(1 / 2), pytest.approx(1 / 2 / math.log2(3)))
+    assert report["skipped"] == \
+        {"beir": {"zero_relevance_queries": 1, "unretrievable_docs": 1, "failed_queries": 1}}
+    out = capsys.readouterr().out
+    assert "ingested beir: 3 queries / 3 docs, mean words q=1.3 d=8.3" in out
+    assert "Real (nDCG@10)" in out
+    assert "note [beir]: zero_relevance_queries=1, unretrievable_docs=1, failed_queries=1" in out
 
 
 def test_eval_of_one_bucket_given_twice_is_code_3(tmp_path, capsys):
