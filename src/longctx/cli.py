@@ -311,15 +311,11 @@ def cmd_inspect(args) -> int:
     resolved = _resolution(vars(args), args.l_orig, args.mode)
     n = resolved.l_target if args.input_len is None else args.input_len
     check_input_length(n, resolved.l_target)
+    described = resolved.describe()
     dump: dict = {
-        "strategy": resolved.strategy.value,
+        "strategy": described.pop("strategy"),
         "mode": args.mode,
-        "l_orig": resolved.l_orig,
-        "l_target": resolved.l_target,
-        "scale": resolved.scale,
-        "ntk_lambda": resolved.ntk_lambda,
-        "group_size": resolved.group_size,
-        "window": resolved.window,
+        **described,
         "notes": list(resolved.notes),
         "attention_scale": {
             str(length): attention_scale(length, resolved.l_orig)

@@ -640,8 +640,9 @@ def forward_batch(
     then scored at relative position ``se_remap_deltas(i - j, g, w)``.
     ``attn_scale`` multiplies pre-softmax logits per sequence. ``mask`` and
     ``positions`` must have the tokens' shape (B, L) and ``attn_scale`` the
-    shape (B,); any other shape raises DimensionError. Every weight, the
-    position table and the RoPE base included, comes from ``model``.
+    shape (B,); any other shape raises DimensionError, a non-finite scale
+    ConfigurationError, and a non-finite or out-of-table position PositionError.
+    Every weight, the position table and the RoPE base included, comes from ``model``.
     Padded key positions are masked out of attention; padded rows still carry
     (ignored) values.
     ``want_cache`` is rejected with ``self_extend``: there is no SelfExtend
@@ -670,6 +671,10 @@ def forward_batch(
         raise ConfigurationError("token ids outside the vocabulary")
     if self_extend is not None and want_cache:
         raise ConfigurationError("SelfExtend has no backward pass; it cannot record a cache")
+    if not np.isfinite(attn_scale).all():
+        raise ConfigurationError(f"attn_scale must be finite, got {attn_scale}")
+    if positions is not None and not np.isfinite(positions).all():
+        raise PositionError("positions must be finite")
 
     h = model.params["tok_emb"][token_ids]
     rot = se = None
@@ -679,9 +684,10 @@ def forward_batch(
         positions = np.asarray(positions, dtype=np.int64)
         table = model.params["pos_table"]
         active = positions[mask]
-        if active.size and (active.min() < 0 or active.max() >= table.shape[0]):
+        outside = active[(active < 0) | (active >= table.shape[0])]
+        if outside.size:
             raise PositionError(
-                f"position id {int(active.max())} outside table of length {table.shape[0]}"
+                f"position id {int(outside[0])} outside table of length {table.shape[0]}"
             )
         h = h + table[positions]
     else:

@@ -133,11 +133,10 @@ class ModelEmbedder:
     """Tokenizes and encodes texts with a model under one resolved extension.
 
     Implements the embedder protocol that ``run_benchmark`` calls for both
-    documents and queries: ``embed(texts)`` returns one unit vector or None
-    per text, plus ``(index, reason)`` for every None. Texts that
-    ``check_input_length`` refuses (empty, or longer than the target window)
-    come back as None with its message, so benchmark runs can continue around
-    unretrievable documents.
+    documents and queries: ``embed(texts)`` returns a list with one unit
+    vector or None per text. Texts that ``check_input_length`` refuses
+    (empty, or longer than the target window) come back as None, so benchmark
+    runs can continue around unretrievable documents.
     """
 
     def __init__(self, model: Model, spec: ExtensionSpec, *, attn_scaling: bool = True):
@@ -145,15 +144,14 @@ class ModelEmbedder:
         self.model = model
         self.attn_scaling = attn_scaling
 
-    def embed(self, texts: list[str]) -> tuple[list[np.ndarray | None], list[tuple[int, str]]]:
+    def embed(self, texts: list[str]) -> list[np.ndarray | None]:
         vocab = self.model.config.vocab_size
-        seqs, keep, errors = [], [], []
+        seqs, keep = [], []
         for i, text in enumerate(texts):
             ids = tokenize(text, vocab)
             try:
                 check_input_length(ids.size, self.resolved.l_target)
-            except (EmptyInputError, LengthError) as exc:
-                errors.append((i, str(exc)))
+            except (EmptyInputError, LengthError):
                 continue
             seqs.append(ids)
             keep.append(i)
@@ -162,7 +160,7 @@ class ModelEmbedder:
             vecs = encode_many(self.model, seqs, self.resolved, attn_scaling=self.attn_scaling)
             for j, i in enumerate(keep):
                 out[i] = vecs[j]
-        return out, errors
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -217,27 +215,24 @@ def _spec_metadata(resolved: ResolvedExtension | None, notes: list[str]) -> dict
     """The strategy that ran, with the parameters it ran with."""
     if resolved is None:
         return {"strategy": "external-embedder"}
-    return {
-        "strategy": resolved.strategy.value,
-        "l_orig": resolved.l_orig,
-        "l_target": resolved.l_target,
-        "scale": resolved.scale,
-        "ntk_lambda": resolved.ntk_lambda,
-        "group_size": resolved.group_size,
-        "window": resolved.window,
-        "resolution_notes": notes,
-    }
+    return {**resolved.describe(), "resolution_notes": notes}
 
 
-def _embed(embedder, texts: list[str], task: str) -> tuple[list, list]:
-    """``embedder.embed(texts)``, refused unless it returns one vector or None per
-    text, every vector of one shape."""
-    vecs, errors = embedder.embed(texts)
+def _embed(embedder, texts: dict[str, str], side: str, task: str) -> dict[str, np.ndarray | None]:
+    """``{id: vector or None}`` from one ``embedder.embed`` call over ``texts`` in id order;
+    ValidationError names the task unless there is one entry per text and every vector is
+    1-D, of one shape and unit norm within 1e-6 (a vector that is not, also its side and id)."""
+    ids = sorted(texts)
+    vecs = embedder.embed([texts[i] for i in ids])
     shapes = sorted({np.shape(v) for v in vecs if v is not None})
-    if len(vecs) != len(texts) or len(shapes) > 1:
+    if len(vecs) != len(ids) or len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
         raise ValidationError(f"task {task!r}: the embedder returned {len(vecs)} vectors of "
-                              f"shapes {shapes} for {len(texts)} texts")
-    return vecs, errors
+                              f"shapes {shapes} for {len(ids)} texts")
+    for i, vec in zip(ids, vecs):
+        if vec is not None and not _unit_norm(vec):
+            raise ValidationError(f"task {task!r}: {side} {i!r} is not a unit-norm vector "
+                                  "within 1e-6")
+    return dict(zip(ids, vecs))
 
 
 def run_benchmark(
@@ -252,7 +247,7 @@ def run_benchmark(
     """Encode, rank, and score every task; deterministic given its inputs.
 
     ``model`` is a Model (paired with ``spec``) or any object with an
-    ``embed`` method following ModelEmbedder's protocol.
+    ``embed`` method following ModelEmbedder's protocol, checked by ``_embed``.
     Documents that cannot be encoded are recorded and scored unretrievable;
     the run continues.
     """
@@ -280,26 +275,15 @@ def run_benchmark(
 
     for name, bench in zip(names, tasks):
         task = bench.task
-        doc_ids = sorted(task.docs)
-        doc_vecs, doc_errors = _embed(embedder, [task.docs[d] for d in doc_ids], task.name)
-        kept = [(doc_ids[i], v) for i, v in enumerate(doc_vecs) if v is not None]
-        if not kept:
-            index = None
-        else:
-            ids, vecs = zip(*kept)
-            index = EmbeddingIndex(ids=tuple(ids), vectors=np.stack(vecs))
-
-        qids = sorted(task.queries)
-        q_vecs, q_errors = _embed(embedder, [task.queries[q] for q in qids], task.name)
-        rankings: dict[str, list[str]] = {}
-        for qid, vec in zip(qids, q_vecs):
-            if vec is None or index is None:
-                rankings[qid] = []
-            elif not _unit_norm(vec):
-                raise ValidationError(f"task {task.name!r}: query {qid!r} is not a unit-norm "
-                                      "vector within 1e-6")
-            else:
-                rankings[qid] = search(index, vec, k=max(10, len(index)))
+        doc_vecs = _embed(embedder, task.docs, "document", task.name)
+        kept = {d: v for d, v in doc_vecs.items() if v is not None}
+        index = None
+        if kept:
+            index = EmbeddingIndex(ids=tuple(kept), vectors=np.stack(list(kept.values())))
+        q_vecs = _embed(embedder, task.queries, "query", task.name)
+        rankings = {qid: [] if vec is None or index is None
+                    else search(index, vec, k=max(10, len(index)))
+                    for qid, vec in q_vecs.items()}
 
         if bench.metric == "acc@1":
             score = acc_at_1(rankings, task.qrels)
@@ -310,10 +294,10 @@ def run_benchmark(
             real[bench.group] = score
             if excluded:
                 skipped.setdefault(name, {})["zero_relevance_queries"] = len(excluded)
-        if doc_errors:
-            skipped.setdefault(name, {})["unretrievable_docs"] = len(doc_errors)
-        if q_errors:
-            skipped.setdefault(name, {})["failed_queries"] = len(q_errors)
+        for key, vecs in (("unretrievable_docs", doc_vecs), ("failed_queries", q_vecs)):
+            missing = sum(vec is None for vec in vecs.values())
+            if missing:
+                skipped.setdefault(name, {})[key] = missing
 
     task_scores: dict[str, float] = {}
     for group, buckets in synthetic.items():

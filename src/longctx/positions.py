@@ -251,6 +251,18 @@ class ResolvedExtension(ExtensionSpec):
                     f"{farthest} exceeds {self.l_orig - 1}"
                 )
 
+    def describe(self) -> dict:
+        """The strategy and what it runs with, as a report's ``spec`` and ``inspect`` show it."""
+        return {
+            "strategy": self.strategy.value,
+            "l_orig": self.l_orig,
+            "l_target": self.l_target,
+            "scale": self.scale,
+            "ntk_lambda": self.ntk_lambda,
+            "group_size": self.group_size,
+            "window": self.window,
+        }
+
     def rope_base(self, base: float) -> float:
         """The rotary base this strategy encodes with: base * lambda under ntk, else base.
 

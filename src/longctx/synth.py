@@ -361,6 +361,6 @@ class OracleEmbedder:
         v = np.random.default_rng(seed).standard_normal(self.dim)
         return v / np.linalg.norm(v)
 
-    def embed(self, texts: list[str]) -> tuple[list[np.ndarray], list[tuple[int, str]]]:
+    def embed(self, texts: list[str]) -> list[np.ndarray]:
         """ModelEmbedder's protocol; a text without exactly one key is a ValidationError."""
-        return [self._vector(self._key(t)) for t in texts], []
+        return [self._vector(self._key(t)) for t in texts]

@@ -535,8 +535,10 @@ def forward_one(model, token_ids, positions, attn_scale=1.0):
 
 def test_absolute_position_out_of_table_raises(tiny_absolute):
     toks = np.arange(4)
-    with pytest.raises(PositionError):
-        forward_one(tiny_absolute, toks, np.array([0, 1, 2, 8]))  # table length is 8
+    # the message names the offending id, not the in-range maximum 2
+    for positions, named in (([0, 1, 2, 8], 8), ([-1, 0, 1, 2], -1)):  # table length is 8
+        with pytest.raises(PositionError, match=f"position id {named} outside table of length 8"):
+            forward_one(tiny_absolute, toks, np.array(positions))
 
 
 @pytest.mark.parametrize("mode", ["absolute", "rotary"])
@@ -555,6 +557,25 @@ def test_forward_batch_refuses_arrays_that_disagree_with_the_tokens(
               "attn_scale": np.ones(2), name: value}
     with pytest.raises(DimensionError, match=name):
         forward_batch(model, np.zeros((2, 5), dtype=np.int64), **kwargs)
+
+
+@pytest.mark.parametrize("mode", ["absolute", "rotary"])
+@pytest.mark.parametrize("name, value, error, message", [
+    ("attn_scale", np.array([np.nan, 1.0]), ConfigurationError, "attn_scale must be finite"),
+    ("attn_scale", np.array([1.0, np.inf]), ConfigurationError, "attn_scale must be finite"),
+    ("positions", np.array([[0, 1, np.nan, 3, 4], [0, 1, 2, 3, 4]]), PositionError,
+     "positions must be finite"),
+    ("positions", np.array([[0, 1, 2, 3, 4], [0, 1, 2, 3, -np.inf]]), PositionError,
+     "positions must be finite"),
+], ids=["scale-nan", "scale-inf", "position-nan", "position-inf"])
+def test_forward_batch_refuses_values_it_cannot_run(tiny_absolute, tiny_rotary, mode, name,
+                                                    value, error, message):
+    model = tiny_absolute if mode == "absolute" else tiny_rotary
+    kwargs = {"positions": np.tile(np.arange(5.0), (2, 1)), "attn_scale": np.ones(2),
+              name: value}
+    with pytest.raises(error, match=message):
+        forward_batch(model, np.zeros((2, 5), dtype=np.int64), np.ones((2, 5), dtype=bool),
+                      **kwargs)
 
 
 def test_forward_is_deterministic(tiny_absolute):

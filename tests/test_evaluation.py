@@ -182,9 +182,8 @@ def test_report_spec_holds_the_parameters_that_ran(tiny_rotary, spec, ran):
 
 def test_model_embedder_flags_overlong_docs(tiny_absolute):
     emb = ModelEmbedder(tiny_absolute, ExtensionSpec.none(8))
-    vecs, errors = emb.embed(["one two three", " ".join(["w"] * 50)])
-    assert vecs[0] is not None and vecs[1] is None
-    assert errors and errors[0][0] == 1
+    vecs = emb.embed(["one two three", " ".join(["w"] * 50), "!!!"])
+    assert len(vecs) == 3 and vecs[0] is not None and vecs[1] is None and vecs[2] is None
 
 
 def test_benchmark_is_deterministic(tiny_absolute):
@@ -262,11 +261,11 @@ class _FaultyOracle(OracleEmbedder):
         self.fault, self.on_queries, self.calls = fault, on_queries, 0
 
     def embed(self, texts):
-        vecs, errors = super().embed(texts)
+        vecs = super().embed(texts)
         self.calls += 1
         if (self.calls % 2 == 0) == self.on_queries:
             vecs = self.fault(vecs)
-        return vecs, errors
+        return vecs
 
 
 @pytest.mark.parametrize("fault, on_queries, message", [
@@ -275,12 +274,17 @@ class _FaultyOracle(OracleEmbedder):
     (lambda v: [np.full_like(x, np.nan) for x in v], True,
      "query 'q0000' is not a unit-norm vector"),
     (lambda v: [2 * x for x in v], True, "query 'q0000' is not a unit-norm vector"),
+    (lambda v: [2 * x for x in v], False, "document 'd0000' is not a unit-norm vector"),
+    (lambda v: [None, np.full_like(v[1], np.nan), *v[2:]], False,
+     "document 'd0001' is not a unit-norm vector"),
+    (lambda v: [np.float64(1.0) for _ in v], False,
+     r"the embedder returned 10 vectors of shapes \[\(\)\] for 10 texts"),
     (lambda v: v[:-2], True, r"the embedder returned 3 vectors of shapes \[\(128,\)\] for 5 "),
     (lambda v: v[:-2], False, r"the embedder returned 8 vectors of shapes \[\(128,\)\] for 10 "),
     (lambda v: [np.eye(4)[0], *v[1:]], False,
      r"the embedder returned 10 vectors of shapes \[\(4,\), \(128,\)\] for 10 texts"),
-], ids=["4-d-query", "nan-query", "non-unit-query", "queries-short", "documents-short",
-        "documents-of-two-shapes"])
+], ids=["4-d-query", "nan-query", "non-unit-query", "non-unit-document", "nan-document",
+        "scalar-documents", "queries-short", "documents-short", "documents-of-two-shapes"])
 def test_run_benchmark_refuses_what_an_embedder_should_not_return(fault, on_queries, message):
     tasks = _bucket_tasks("passkey", (64,))
     with pytest.raises(ValidationError, match=message) as info:
@@ -307,7 +311,7 @@ def test_a_resolution_runs_as_its_spec_does(request, model_name, spec):
     assert ModelEmbedder(model, resolved).resolved is resolved
     texts = ["one two three", " ".join(["w"] * 30)]
     a, b = ModelEmbedder(model, resolved).embed(texts), ModelEmbedder(model, spec).embed(texts)
-    assert [v.tobytes() for v in a[0]] == [v.tobytes() for v in b[0]] and a[1] == b[1]
+    assert [v.tobytes() for v in a] == [v.tobytes() for v in b]
     tasks = _bucket_tasks("passkey", (16, 64))
     reports = [run_benchmark(model, s, tasks).to_dict() for s in (resolved, spec)]
     for report in reports:
