@@ -16,6 +16,7 @@ and forward_batch are pure in the model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -288,6 +289,14 @@ def _rotate_batch(x: np.ndarray, rot: np.ndarray) -> np.ndarray:
     return (x.view(np.complex128) * rot).view(np.float64)
 
 
+def _transposed(x: np.ndarray) -> np.ndarray:
+    """A C-contiguous (..., Dh, L) copy of (..., L, Dh) keys (or values, for the backward
+    pass's ``d_w``), the right operand of a score matmul. OpenBLAS reads it about 1.5x faster than the ``swapaxes`` view: one layer's five
+    QK tiles at B=1, H=4, L=381, Dh=16 took 403 us against 612 us, for a 17 us copy (2-vCPU
+    Xeon, OpenBLAS at 1 thread)."""
+    return np.ascontiguousarray(x.swapaxes(-1, -2))
+
+
 @dataclass(frozen=True)
 class _SelfExtend:
     """SelfExtend's state for one ``forward_batch`` of L-token rows: (g, w) and the
@@ -295,19 +304,18 @@ class _SelfExtend:
 
     ``queries`` (2, 1, 1, L, Dh/2) rotates query i by w + (i - w)//g (below)
     and by i (plain). Residue class r's below and above keys turn key j by
-    (j + o)//g for its two ``offsets[r]`` o, read from ``table``, whose row
-    p - ``p0`` holds e^{i p theta}. ``above_mask`` and ``band_mask`` flag, at
-    row t of a chunk of at most ``_SE_CHUNK_ROWS`` rows and column
-    j - i_0 + min(w, L - 1) (i_0 the chunk's first query), the pairs with
-    j > i + w and with |i - j| <= w.
+    ``table[turns[r, 0, j]]`` and ``table[turns[r, 1, j]]``; ``table`` holds
+    e^{i p theta} for every p these rotations need. ``above_mask`` and
+    ``band_mask`` flag, at row t of a chunk of at most ``_SE_CHUNK_ROWS`` rows
+    and column j - i_0 + min(w, L - 1) (i_0 the chunk's first query), the
+    pairs with j > i + w and with |i - j| <= w.
     """
 
     g: int
     w: int
     queries: np.ndarray
-    offsets: np.ndarray
+    turns: np.ndarray
     table: np.ndarray
-    p0: int
     above_mask: np.ndarray
     band_mask: np.ndarray
 
@@ -321,21 +329,22 @@ def _self_extend_tables(L: int, g: int, w: int, theta: np.ndarray) -> _SelfExten
     -(w + (j - i - w)//g) = below_i + D_r - (j + s)//g with s = (-r - w) mod g,
     differs from below_i by D_r = ceil((r + w)/g) - floor((r - w)/g) - 2w for the
     whole class, so it too is a dot with the below query: against key j turned
-    by (j + o_a)//g, o_a = s - g*D_r.
+    by (j + o_a)//g, o_a = s - g*D_r. ``turns`` holds each class's two
+    (j + o)//g as rows of ``table``.
     """
     i, r = np.arange(L), np.arange(min(g, L))
     wc = min(w, L - 1)  # at w >= L - 1 every pair is in the band and no class key is read
     o_b = g - 1 - (r - wc) % g
     o_a = (-r - wc) % g - g * ((r + wc + g - 1) // g - (r - wc) // g - 2 * wc)
-    offsets = np.stack([o_b, o_a], axis=1)
-    p0 = min(0, int(offsets.min()) // g)
-    p1 = max(L - 1, (L - 1 + int(offsets.max())) // g)
+    turns = (i + np.stack([o_b, o_a], axis=1)[..., None]) // g  # (classes, 2, L)
+    p0 = min(0, int(turns.min()))
+    p1 = max(L - 1, int(turns.max()))
     table = _rope_tables(np.arange(p0, p1 + 1.0)[None], theta)[0, 0]
     queries = table[np.stack([wc + (i - wc) // g, i]) - p0][:, None, None]
     rows = min(-(-L // g), _SE_CHUNK_ROWS)
     width = wc + min(g * (rows - 1) + w, L - 1) + 1
     x = np.arange(-wc, width - wc) - g * np.arange(rows)[:, None]  # j - i per chunk cell
-    return _SelfExtend(g, w, queries, offsets, table, p0, x > w, np.abs(x) <= w)
+    return _SelfExtend(g, w, queries, turns - p0, table, x > w, np.abs(x) <= w)
 
 
 def _relative_scores(q: np.ndarray, k: np.ndarray, se: _SelfExtend):
@@ -349,35 +358,29 @@ def _relative_scores(q: np.ndarray, k: np.ndarray, se: _SelfExtend):
     ``_row_tiles``), so its rows share r. It is scored in chunks of at most
     ``_SE_CHUNK_ROWS`` rows, which keeps each chunk's near region
     [i_first - w, i_last + w], about g*rows + 2w keys, a small share of L. Per
-    chunk, one full-width matmul scores every key against a split key matrix,
-    below-turned keys left of i_last - w and above-turned keys from there on,
-    which is exact outside the near region. Then the band's plain RoPE scores
-    and the above scores of keys left of the split are merged in under the
-    masks of ``se``, each through one matmul over its columns only.
+    chunk, one matmul scores the keys left of i_last - w against the class's
+    below-turned keys and one the rest against its above-turned keys, which is
+    exact outside the near region. Then the band's plain RoPE scores and the
+    above scores of the first rows' keys left of i_last - w are merged in under
+    the masks of ``se``, each through one matmul over its columns only.
 
-    The rotations of q and the plain keys are made once per call, a class's
-    two turned key sets once per class. ``fill`` takes a class's tiles in
-    ``_row_tiles`` order, the order ``_attention`` uses, so the split matrix
-    only moves its split right, copying keys as a class's chunks advance.
+    Every key operand is a ``_transposed`` (B, H, Dh, L) block: the plain keys
+    made once per call, a class's two turned key sets once each time ``fill``
+    meets a tile of another class. Tiles may come in any order; ``_attention``
+    takes them in ``_row_tiles`` order, so each class is turned once.
     """
     B, H, L, Dh = q.shape
     g, w = se.g, se.w
     q_below, q_plain = _rotate_batch(q, se.queries)
-    k_plain = _rotate_batch(k, se.queries[1]).swapaxes(-1, -2)
+    k_plain = _transposed(_rotate_batch(k, se.queries[1]))
     cap, off = se.band_mask.shape[0], min(w, L - 1)
     buf = np.empty((B, H, cap, min(L, g * (cap - 1) + 2 * w + 1)))
-    split = np.empty(k.shape)  # below-turned keys left of column ``at``, above-turned from it
-    split_t = split.swapaxes(-1, -2)
-    last, below, above, at = None, None, None, 0
 
-    def use_class(r):  # class r's below and above keys, k turned by (j + o)//g, and a split at 0
-        nonlocal last, below, above, at
-        below, above = (_rotate_batch(k, se.table[(np.arange(L) + o) // g - se.p0])
-                        for o in se.offsets[r])
-        split[...], last, at = above, r, 0
+    @functools.lru_cache(maxsize=1)  # one class's keys at a time
+    def class_keys(r):  # class r's below- and above-turned keys
+        return [_transposed(_rotate_batch(k, se.table[t])) for t in se.turns[r]]
 
     def fill(tile, out):
-        nonlocal at
         n = len(range(L)[tile])
         chunk = -(-n // -(-n // cap))
         for t0 in range(0, n, chunk):  # chunks of equal size, at most _SE_CHUNK_ROWS rows
@@ -387,17 +390,15 @@ def _relative_scores(q: np.ndarray, k: np.ndarray, se: _SelfExtend):
             if hi <= w and lo + w >= L - 1:  # every key in the band
                 np.matmul(q_plain[:, :, rows], k_plain, out=o)
                 continue
-            if last != lo % g:
-                use_class(lo % g)
+            below, above = class_keys(lo % g)
             s, a0 = max(0, hi - w), lo + w + 1  # no j < i - w right of s, no j > i + w left of a0
             q_rows = q_below[:, :, rows]
+            np.matmul(q_rows, below[..., :s], out=o[..., :s])
+            np.matmul(q_rows, above[..., s:], out=o[..., s:])
             fixed = min(m, -(-(s - a0) // g))  # rows with keys j > i + w left of s
-            if fixed > 0:  # their above scores, read before the split moves past them
-                fix = buf[:, :, :fixed, :s - a0]
-                np.matmul(q_rows[:, :, :fixed], split_t[..., a0:s], out=fix)
-            split[..., at:s, :], at = below[..., at:s, :], s
-            np.matmul(q_rows, split_t, out=o)
             if fixed > 0:
+                fix = buf[:, :, :fixed, :s - a0]
+                np.matmul(q_rows[:, :, :fixed], above[..., a0:s], out=fix)
                 np.copyto(o[..., :fixed, a0:s], fix,
                           where=se.above_mask[:fixed, a0 - lo + off:s - lo + off])
             c0, c1 = max(0, lo - w), min(L, hi + w + 1)
@@ -417,11 +418,12 @@ _SCORE_TILE = 1 << 17
 
 # Row cap of a SelfExtend score chunk (``_relative_scores``). A chunk's near
 # region, scored twice more through the masked band and above merges, spans
-# g*(rows - 1) + 2w + 1 keys, while each chunk pays for three matmuls and two
+# g*(rows - 1) + 2w + 1 keys, while each chunk pays for four matmuls and two
 # copies. On a Xeon with 2 MiB of L2 a core, one layer's SelfExtend attention
 # on the eval_se benchmark's shapes (g=5, w=16, H=4: B=1 at L=381, B=2 at
-# L=191) took a median 7.22 / 5.01 ms of CPU with 16 rows, 7.10 / 4.94 ms with
-# 32 and 7.40 / 5.41 ms with 40 (30 runs each, OpenBLAS at 1 thread).
+# L=191) took a median 5.77 / 3.96 ms with 16 rows, 5.72 / 3.92 ms with 24,
+# 5.76 / 3.95 ms with 32, 5.85 / 4.24 ms with 40 and 5.92 / 4.17 ms with 64
+# (200 runs each, the caps interleaved in one process, OpenBLAS at 1 thread).
 _SE_CHUNK_ROWS = 32
 
 # Largest |q_i| |k_j| bound on a batch slice's logits at which ``_attention``
@@ -459,11 +461,13 @@ def _attention(q, k, v, mask, *, self_extend=None, keep=False):
     ``self_extend``, the forward pass's ``_SelfExtend``, sets it): a batch
     slice of whole classes while H*ceil(L/g)*L fits ``_SCORE_TILE`` cells,
     else up to that many cells of one sequence's class. A tile always spans
-    every key, so each softmax row is exact. Its scores are ``q @ k^T``, or
-    the SelfExtend logits of ``_relative_scores``, which scores a tile in
-    chunks of at most ``_SE_CHUNK_ROWS`` rows against rotation tables built
-    once per forward pass. -inf on padded keys is added only to tiles whose
-    sequences have any. Then each score cell takes one pass, its ``exp``:
+    every key, so each softmax row is exact. Its scores are ``q @ k^T``
+    against one ``_transposed`` (B, H, Dh, L) key block made per call and
+    sliced per batch slice, or the SelfExtend logits of ``_relative_scores``,
+    which scores a tile in chunks of at most ``_SE_CHUNK_ROWS`` rows against
+    rotation tables built once per forward pass. -inf on padded keys is added
+    only to tiles whose sequences have any. Then each score cell takes one
+    pass, its ``exp``:
 
     - Rotations keep norms, so every plain, rotary or SelfExtend logit obeys
       |logit_ij| <= |q_i| |k_j|. A batch slice whose sequences all bound
@@ -492,13 +496,14 @@ def _attention(q, k, v, mask, *, self_extend=None, keep=False):
     v1 = np.empty((B, H, L, Dh + 1))
     v1[..., :Dh], v1[..., Dh] = v, 1.0
     ctx = np.empty(v1.shape)  # each row's context, then its row sum
+    kt = _transposed(k) if self_extend is None else None
     for b0 in range(0, B, seqs):
         b1 = min(B, b0 + seqs)
         bias = key_bias[b0:b1] if padded[b0:b1].any() else None
         shift = L == 1 or not bounded[b0:b1].all()
         if self_extend is None:
-            qb, kt = q[b0:b1], k[b0:b1].swapaxes(-1, -2)
-            fill = lambda tile, out: np.matmul(qb[:, :, tile], kt, out=out)  # noqa: E731
+            qb, kb = q[b0:b1], kt[b0:b1]
+            fill = lambda tile, out: np.matmul(qb[:, :, tile], kb, out=out)  # noqa: E731
         else:
             fill = _relative_scores(q[b0:b1], k[b0:b1], self_extend)
         for tile in _row_tiles(L, g, rows):
@@ -634,14 +639,15 @@ def forward_batch(
 ):
     """Hidden states (B, L, d) for a padded batch.
 
-    ``positions`` are ``pad_batch``'s: table rows in absolute mode (cast to
-    int64), phases in rotary mode (cast to float64), where SelfExtend's
-    ``self_extend=(g, w)`` may replace them: every query/key pair (i, j) is
+    ``positions`` are ``pad_batch``'s: table rows in absolute mode (whole
+    numbers, cast to int64), phases in rotary mode (cast to float64), where
+    SelfExtend's ``self_extend=(g, w)`` may replace them: every query/key pair (i, j) is
     then scored at relative position ``se_remap_deltas(i - j, g, w)``.
     ``attn_scale`` multiplies pre-softmax logits per sequence. ``mask`` and
     ``positions`` must have the tokens' shape (B, L) and ``attn_scale`` the
     shape (B,); any other shape raises DimensionError, a non-finite scale
-    ConfigurationError, and a non-finite or out-of-table position PositionError.
+    ConfigurationError, and a non-finite, fractional (absolute mode) or
+    out-of-table position PositionError.
     Every weight, the position table and the RoPE base included, comes from ``model``.
     Padded key positions are masked out of attention; padded rows still carry
     (ignored) values.
@@ -681,14 +687,17 @@ def forward_batch(
     if cfg.position_mode == ABSOLUTE:
         if positions is None or self_extend is not None:
             raise ConfigurationError("absolute-mode forward takes positions, not SelfExtend")
-        positions = np.asarray(positions, dtype=np.int64)
         table = model.params["pos_table"]
-        active = positions[mask]
+        active = np.asarray(positions)[mask]
+        fractional = active[active % 1 != 0]
+        if fractional.size:
+            raise PositionError(f"position id {fractional[0]} is not a whole number")
         outside = active[(active < 0) | (active >= table.shape[0])]
         if outside.size:
             raise PositionError(
                 f"position id {int(outside[0])} outside table of length {table.shape[0]}"
             )
+        positions = np.asarray(positions, dtype=np.int64)
         h = h + table[positions]
     else:
         theta = standard_frequencies(cfg.head_dim, base=cfg.rope_base)
@@ -804,7 +813,7 @@ def backward_batch(
         d_merged = linear(dh, c["merged"], f"{pre}.attn.wo", f"{pre}.attn.bo")
         d_ctx = _split_heads(d_merged, cfg.n_heads)
         w = c["w"]
-        d_w = d_ctx @ c["v"].swapaxes(-1, -2)
+        d_w = np.matmul(d_ctx, _transposed(c["v"]))
         d_v = w.swapaxes(-1, -2) @ d_ctx
         d_w -= (d_w * w).sum(-1, keepdims=True)
         d_w *= w

@@ -218,10 +218,12 @@ def _spec_metadata(resolved: ResolvedExtension | None, notes: list[str]) -> dict
     return {**resolved.describe(), "resolution_notes": notes}
 
 
-def _embed(embedder, texts: dict[str, str], side: str, task: str) -> dict[str, np.ndarray | None]:
+def _embed(embedder, texts: dict[str, str], side: str, task: str,
+           shape: tuple[int, ...] | None = None) -> dict[str, np.ndarray | None]:
     """``{id: vector or None}`` from one ``embedder.embed`` call over ``texts`` in id order;
     ValidationError names the task unless there is one entry per text and every vector is
-    1-D, of one shape and unit norm within 1e-6 (a vector that is not, also its side and id)."""
+    1-D, of one shape, of ``shape`` (the documents') when given and unit norm within 1e-6
+    (a vector that is not of ``shape`` or unit norm, also its side and id)."""
     ids = sorted(texts)
     vecs = embedder.embed([texts[i] for i in ids])
     shapes = sorted({np.shape(v) for v in vecs if v is not None})
@@ -229,7 +231,12 @@ def _embed(embedder, texts: dict[str, str], side: str, task: str) -> dict[str, n
         raise ValidationError(f"task {task!r}: the embedder returned {len(vecs)} vectors of "
                               f"shapes {shapes} for {len(ids)} texts")
     for i, vec in zip(ids, vecs):
-        if vec is not None and not _unit_norm(vec):
+        if vec is None:
+            continue
+        if shape is not None and np.shape(vec) != shape:
+            raise ValidationError(f"task {task!r}: {side} {i!r} has shape {np.shape(vec)}, "
+                                  f"not the documents' {shape}")
+        if not _unit_norm(vec):
             raise ValidationError(f"task {task!r}: {side} {i!r} is not a unit-norm vector "
                                   "within 1e-6")
     return dict(zip(ids, vecs))
@@ -280,7 +287,8 @@ def run_benchmark(
         index = None
         if kept:
             index = EmbeddingIndex(ids=tuple(kept), vectors=np.stack(list(kept.values())))
-        q_vecs = _embed(embedder, task.queries, "query", task.name)
+        q_vecs = _embed(embedder, task.queries, "query", task.name,
+                        None if index is None else index.vectors.shape[1:])
         rankings = {qid: [] if vec is None or index is None
                     else search(index, vec, k=max(10, len(index)))
                     for qid, vec in q_vecs.items()}

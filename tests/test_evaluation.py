@@ -270,7 +270,7 @@ class _FaultyOracle(OracleEmbedder):
 
 @pytest.mark.parametrize("fault, on_queries, message", [
     (lambda v: [x[:4] / np.linalg.norm(x[:4]) for x in v], True,
-     r"a query must be a finite vector of shape \(128,\), got \(4,\)"),
+     r"query 'q0000' has shape \(4,\), not the documents' \(128,\)"),
     (lambda v: [np.full_like(x, np.nan) for x in v], True,
      "query 'q0000' is not a unit-norm vector"),
     (lambda v: [2 * x for x in v], True, "query 'q0000' is not a unit-norm vector"),
@@ -289,8 +289,7 @@ def test_run_benchmark_refuses_what_an_embedder_should_not_return(fault, on_quer
     tasks = _bucket_tasks("passkey", (64,))
     with pytest.raises(ValidationError, match=message) as info:
         run_benchmark(_FaultyOracle(fault, on_queries), None, tasks)
-    if "a query must be" not in message:
-        assert f"task {tasks[0].task.name!r}" in str(info.value)
+    assert f"task {tasks[0].task.name!r}" in str(info.value)
 
 
 # --- one resolution from the flag to the forward pass --------------------------
