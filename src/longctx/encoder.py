@@ -9,8 +9,9 @@ generator; biases start at zero and layer norms at identity, so two models
 built from equal configs are bit-identical.
 
 The forward pass can record a cache from which ``backward_batch`` produces
-exact analytic gradients for every parameter (checked against finite
-differences in the test suite). Models are immutable during inference; encode
+exact analytic gradients for what learns on the model: every parameter, or
+an extended table's free rows (checked against finite differences in the
+test suite). Models are immutable during inference; encode
 and forward_batch are pure in the model.
 """
 
@@ -606,19 +607,26 @@ def plan_batches(sizes: list[int]) -> list[list[int]]:
     return batches
 
 
+def _token_ids(ids) -> np.ndarray:
+    """``ids`` as int64; ConfigurationError unless each is a whole number, which a cast
+    alone would not check (it truncates 1.7 to 1 and fails on strings)."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iuf" or not (np.isfinite(ids) & (ids == np.trunc(ids))).all():
+        raise ConfigurationError(f"token ids must be whole numbers, got {ids.ravel()[:4]}")
+    return ids.astype(np.int64, copy=False)
+
+
 def pad_batch(seqs: list[np.ndarray], positions: list[np.ndarray] | None):
     """Right-padded ``(tokens, mask, pos)`` arrays (B, L) for sequences of mixed length.
 
-    ``pos`` takes the dtype of the ``positions`` arrays and is None when
-    ``positions`` is. Padded slots hold token 0 and position 0 and are masked
-    out.
+    ``pos`` is float64, which ``forward_batch`` casts for the model's mode,
+    and None when ``positions`` is. Padded slots hold token 0 and position 0
+    and are masked out.
     """
     B, L = len(seqs), max(s.size for s in seqs)
     tokens = np.zeros((B, L), dtype=np.int64)
     mask = np.zeros((B, L), dtype=bool)
-    pos = None
-    if positions is not None:
-        pos = np.zeros((B, L), dtype=np.result_type(*{np.asarray(p).dtype for p in positions}))
+    pos = None if positions is None else np.zeros((B, L))
     for i, s in enumerate(seqs):
         tokens[i, :s.size] = s
         mask[i, :s.size] = True
@@ -645,9 +653,11 @@ def forward_batch(
     then scored at relative position ``se_remap_deltas(i - j, g, w)``.
     ``attn_scale`` multiplies pre-softmax logits per sequence. ``mask`` and
     ``positions`` must have the tokens' shape (B, L) and ``attn_scale`` the
-    shape (B,); any other shape raises DimensionError, a non-finite scale
-    ConfigurationError, and a non-finite, fractional (absolute mode) or
-    out-of-table position PositionError.
+    shape (B,); any other shape raises DimensionError. Token ids that are not
+    whole numbers in the vocabulary, a (g, w) other than integers g >= 1 and
+    w >= 0, and a non-finite scale raise ConfigurationError, and a
+    non-finite, fractional (absolute mode) or out-of-table position
+    PositionError.
     Every weight, the position table and the RoPE base included, comes from ``model``.
     Padded key positions are masked out of attention; padded rows still carry
     (ignored) values.
@@ -660,7 +670,7 @@ def forward_batch(
     full softmax weights that ``backward_batch`` needs.
     """
     cfg = model.config
-    token_ids = np.asarray(token_ids, dtype=np.int64)
+    token_ids = _token_ids(token_ids)
     if token_ids.ndim != 2:
         raise DimensionError(f"token batch must be 2-D, got shape {token_ids.shape}")
     B, L = token_ids.shape
@@ -675,6 +685,13 @@ def forward_batch(
         raise EmptyInputError("each sequence needs at least one active token")
     if np.min(token_ids) < 0 or np.max(token_ids) >= cfg.vocab_size:
         raise ConfigurationError("token ids outside the vocabulary")
+    if self_extend is not None:
+        if np.shape(self_extend) != (2,):
+            raise ConfigurationError(f"self_extend must be a pair (g, w), got {self_extend!r}")
+        check_types(dict(zip("gw", self_extend)), {"g": "int", "w": "int"})
+        if self_extend[0] < 1 or self_extend[1] < 0:
+            raise ConfigurationError("SelfExtend needs group size g >= 1 and window w >= 0, "
+                                     f"got (g, w) = {tuple(self_extend)}")
     if self_extend is not None and want_cache:
         raise ConfigurationError("SelfExtend has no backward pass; it cannot record a cache")
     if not np.isfinite(attn_scale).all():
@@ -759,41 +776,38 @@ def backward_batch(
     cache: dict,
     d_out: np.ndarray,
     *,
-    needed: set[str] | None = None,
     grads: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Analytic gradients of a scalar loss w.r.t. every parameter.
+    """Analytic gradients of a scalar loss w.r.t. what learns on ``model``.
 
-    ``d_out`` is the loss gradient at the final hidden states. Token and
-    position gradients are scatter-added over the ids that produced them.
-    ``needed`` restricts which parameter gradients are accumulated (the
-    backward chain itself always runs in full); None computes all. The
-    gradients are added into ``grads`` when given (it must hold every needed
-    name), so several batches can share one gradient set; otherwise into
-    fresh zeros. Only per-token positions are supported: ``forward_batch``
-    records no cache for SelfExtend, which has no backward pass.
+    An unextended model learns every tensor. An extended one learns only the
+    ``pos_table`` rows its ``extension.frozen`` flags leave free, so it gets
+    ``pos_table``'s gradient alone, with the frozen rows exactly 0 (the
+    backward chain itself always runs in full). ``d_out`` is the loss
+    gradient at the final hidden states. Token and position gradients are
+    scatter-added over the ids that produced them. The gradients are added
+    into ``grads`` when given, a set an earlier call on the same model
+    returned, so several batches can share one; otherwise into fresh zeros.
+    Only per-token positions are supported: ``forward_batch`` records no
+    cache for SelfExtend, which has no backward pass.
     """
     cfg = model.config
     p = model.params
-
-    def want(name):
-        return needed is None or name in needed
-
+    ext = model.extension
     if grads is None:
-        grads = {name: np.zeros_like(arr) for name, arr in p.items() if want(name)}
+        grads = {name: np.zeros_like(arr) for name, arr in p.items()
+                 if ext is None or name == "pos_table"}
 
     def linear(dy, x, w, b):  # y = x @ p[w] + p[b]; returns dL/dx
-        if want(w):
+        if ext is None:
             grads[w] += x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
-        if want(b):
             grads[b] += dy.sum(axis=(0, 1))
         return dy @ p[w].T
 
     def norm(dy, ln, prefix):  # layer norm with gain {prefix}.g and bias {prefix}.b
         dx, dg, db = _layer_norm_backward(dy, ln, p[f"{prefix}.g"])
-        if want(f"{prefix}.g"):
+        if ext is None:
             grads[f"{prefix}.g"] += dg
-        if want(f"{prefix}.b"):
             grads[f"{prefix}.b"] += db
         return dx
 
@@ -827,10 +841,12 @@ def backward_batch(
         d_v = linear(_merge_heads(d_v), c["a"], f"{pre}.attn.wv", f"{pre}.attn.bv")
         dh = dh + norm(d_q + d_k + d_v, c["ln1"], f"{pre}.ln1")
 
-    if want("tok_emb"):
+    if ext is None:
         np.add.at(grads["tok_emb"], cache["token_ids"], dh)
-    if cfg.position_mode == ABSOLUTE and want("pos_table"):
+    if cfg.position_mode == ABSOLUTE:
         np.add.at(grads["pos_table"], cache["positions"], dh)
+    if ext is not None:
+        grads["pos_table"][ext.frozen] = 0.0
     return grads
 
 
@@ -846,6 +862,9 @@ def pool_and_normalize(hidden: np.ndarray, mask: np.ndarray | None = None) -> np
     if mask is None:
         mask = np.ones(hidden.shape[0], dtype=bool)
     mask = np.asarray(mask, dtype=bool)
+    if mask.shape != hidden.shape[:1]:
+        raise DimensionError(f"mask must have shape {hidden.shape[:1]} for hidden states of "
+                             f"shape {hidden.shape}, got {mask.shape}")
     if not mask.any():
         raise EmptyInputError("cannot pool an empty sequence")
     v = hidden[mask].mean(axis=0)
@@ -914,7 +933,7 @@ def encode_many(
     cfg = model.config
     resolved = resolve_extension(spec, cfg.position_mode)
     _check_extension_compat(model, resolved)
-    seqs = [np.asarray(s, dtype=np.int64) for s in sequences]
+    seqs = [_token_ids(s) for s in sequences]
     for s in seqs:
         if s.ndim != 1:
             raise DimensionError(f"token sequences must be 1-D, got shape {s.shape}")

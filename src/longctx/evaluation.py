@@ -61,6 +61,7 @@ def search(index: EmbeddingIndex, query: np.ndarray, k: int) -> list[str]:
     The query must be a finite 1-D vector of the index's dimension; the
     ranking does not change when it is scaled by a positive number.
     """
+    check_types({"k": k}, {"k": "int"})
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
     if len(index) == 0:

@@ -61,6 +61,8 @@ def standard_frequencies(dim: int, base: float = ROPE_BASE) -> np.ndarray:
     """RoPE's theta_j = base^(-2j/dim), j in [0, dim/2): float64, decreasing from 1."""
     if dim < 2 or dim % 2 != 0:
         raise DimensionError(f"head dimension must be positive and even, got {dim}")
+    if not (math.isfinite(base) and base > 0):
+        raise ConfigurationError(f"rope base must be a finite number > 0, got {base}")
     j = np.arange(dim // 2, dtype=np.float64)
     return np.power(base, -2.0 * j / dim)
 
@@ -316,6 +318,7 @@ def plan_chunks(input_len: int, l_orig: int) -> list[tuple[int, int]]:
     l_orig, the last is the final l_orig tokens (so it may overlap its
     predecessor). An input within l_orig is one chunk.
     """
+    check_types({"input_len": input_len, "l_orig": l_orig}, {"input_len": "int", "l_orig": "int"})
     if input_len < 1:
         raise EmptyInputError("cannot chunk an empty input")
     if l_orig < 1:

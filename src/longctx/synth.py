@@ -260,14 +260,14 @@ def default_essay_words(n_words: int) -> list[str]:
     return words[:n_words]
 
 
-def _essay_words_for(config: SyntheticTaskConfig, needed: int) -> list[str]:
+def _essay_words_for(config: SyntheticTaskConfig, n_words: int) -> list[str]:
     if config.essay_path is None:
-        return default_essay_words(needed + 256)
+        return default_essay_words(n_words + 256)
     words = read_text(config.essay_path, GenerationError).split()
-    if len(words) < needed:
+    if len(words) < n_words:
         raise GenerationError(
             f"essay at {config.essay_path} has {len(words)} words; "
-            f"need at least {needed}"
+            f"need at least {n_words}"
         )
     return words
 

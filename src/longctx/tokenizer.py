@@ -2,7 +2,7 @@
 
 Words are split on whitespace, stripped of leading/trailing punctuation,
 lowercased, and hashed into a fixed-size id space with blake2b. Token
-counts therefore stay word-proportional and no vocabulary file is needed;
+counts therefore stay word-proportional and no vocabulary file is used;
 the same text always produces the same ids, across processes and runs.
 """
 

@@ -33,7 +33,6 @@ from .encoder import (
     pool_and_normalize_backward,
 )
 from .errors import ConfigurationError, NumericError, ValidationError, check_types
-from .positions import ExtensionSpec, assign_positions, resolve_extension
 from .synth import RetrievalTask
 from .tokenizer import tokenize
 
@@ -103,39 +102,31 @@ def sample_skip_bias(l_target: int, l_orig: int, rng: np.random.Generator) -> in
 
 def _training_positions(model: Model, pairs: list[TrainingPair],
                         rng: np.random.Generator) -> list[np.ndarray]:
-    """Identity positions for every sequence of ``pairs``, in pair order.
+    """Identity positions 0..n-1 for every sequence of ``pairs``, in pair order.
 
     On a model extended for tuning, each sequence is shifted by its own skip
     bias over the extension's window, drawn from ``rng`` in that order.
     """
     ext = model.extension
-    identity = resolve_extension(ExtensionSpec.none(model.config.original_context),
-                                 model.config.position_mode)
-    positions = []
-    for pair in pairs:
-        for seq in pair.sequences():
-            pos = assign_positions(identity, seq.size)
-            if ext is not None:
-                pos = sample_skip_bias(ext.l_target, ext.l_orig, rng) + pos
-            positions.append(pos)
-    return positions
+    return [np.arange(seq.size) + (0 if ext is None else
+                                   sample_skip_bias(ext.l_target, ext.l_orig, rng))
+            for pair in pairs for seq in pair.sequences()]
 
 
-# InfoNCE over cosine logits, -log p(positive | query), and its gradients (d_q, d_p, [d_neg]).
+# InfoNCE over cosine logits, -log p(positive | query), of one pair's embeddings
+# (query, positive, negatives...), and its gradient at each of them, in that order.
 # ``temperature`` is a TuneConfig's, which that config has checked.
-def _contrastive_loss_grads(q, p, negs, temperature):
-    cands = [p, *negs]
+def _contrastive_loss_grads(embs, temperature):
+    q, cands = embs[0], embs[1:]
     logits = np.array([float(q @ c) for c in cands]) / temperature
     m = logits.max()
     exps = np.exp(logits - m)
     z = exps.sum()
     loss = float(math.log(z) + m - logits[0])
-    probs = exps / z
-    d_logits = probs.copy()
+    d_logits = exps / z
     d_logits[0] -= 1.0
     d_q = sum(d_logits[i] * cands[i] for i in range(len(cands))) / temperature
-    d_cands = [d_logits[i] * q / temperature for i in range(len(cands))]
-    return loss, (d_q, d_cands[0], d_cands[1:])
+    return loss, [d_q, *(d * q / temperature for d in d_logits)]
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +183,12 @@ class TrainResult:
 
 
 def _batch_loss_and_grads(model: Model, pairs: list[TrainingPair],
-                          positions: list[np.ndarray], temperature: float,
-                          needed: set[str] | None = None):
-    """Mean InfoNCE over the batch plus gradients for every parameter.
+                          positions: list[np.ndarray], temperature: float):
+    """Mean InfoNCE over the batch plus ``backward_batch``'s gradients of what learns
+    on ``model``: every tensor, or an extended table's free rows.
 
     ``positions`` carries one position array per flattened sequence, in pair
-    order (query, positive, negatives...). ``needed`` limits which parameter
-    gradients are accumulated.
+    order (query, positive, negatives...).
 
     The sequences run through the encoder in the padded groups that
     ``plan_batches`` cuts, as at inference. Embeddings do not depend on their
@@ -216,80 +206,61 @@ def _batch_loss_and_grads(model: Model, pairs: list[TrainingPair],
             embs[i] = pool_and_normalize(hidden[bi], mask[bi])
         groups.append((rows, hidden, cache, mask))
 
-    d_embs = [np.zeros_like(e) for e in embs]
-    total = 0.0
-    row = 0
+    total, d_embs = 0.0, []
     inv_b = 1.0 / len(pairs)
     for pair in pairs:
-        n_seq = 2 + len(pair.negatives)
-        q, p, negs = embs[row], embs[row + 1], embs[row + 2:row + n_seq]
-        loss, (dq, dp, dnegs) = _contrastive_loss_grads(q, p, negs, temperature)
+        start = len(d_embs)  # one gradient per sequence of the pairs before this one
+        loss, d_pair = _contrastive_loss_grads(embs[start:start + len(pair.negatives) + 2],
+                                               temperature)
         total += loss * inv_b
-        d_embs[row] += dq * inv_b
-        d_embs[row + 1] += dp * inv_b
-        for k, dn in enumerate(dnegs):
-            d_embs[row + 2 + k] += dn * inv_b
-        row += n_seq
+        d_embs += [d * inv_b for d in d_pair]
 
     grads = None  # the first group allocates the gradient set, the others add into it
     for rows, hidden, cache, mask in groups:
         d_hidden = np.zeros_like(hidden)
         for bi, i in enumerate(rows):
             d_hidden[bi] = pool_and_normalize_backward(hidden[bi], mask[bi], d_embs[i])
-        grads = backward_batch(model, cache, d_hidden, needed=needed, grads=grads)
+        grads = backward_batch(model, cache, d_hidden, grads=grads)
     return total, grads
 
 
 def _run_training(model: Model, pairs: list[TrainingPair], config: TuneConfig) -> TrainResult:
     """Shared loop: shuffle, batch, shift, step, watch for NaN.
 
-    What trains follows from the model, and sequences must fit its original
-    context. With an extension, only the ``pos_table`` rows its ``frozen``
-    flags leave free learn, at positions shifted by a per-sequence skip bias;
-    without one, every parameter learns at identity positions. A non-finite
-    loss or gradient stops the run with the parameters of the last logged
-    step, restored from a copy of the trainable tensors taken before each
-    optimizer step.
+    What trains follows from the model through ``backward_batch``, and every
+    sequence must fit its original context, checked before any step. On an
+    extended model, sequences are shifted by a per-sequence skip bias. A
+    non-finite loss or gradient stops the run with the parameters of the last
+    logged step, restored from a copy of the trained tensors taken before
+    each optimizer step.
     """
-    if config.epochs == 0 or config.max_steps == 0 or not pairs:
-        return TrainResult(model=model.copy())
-    work = model.copy()
-    rng = np.random.default_rng(config.seed)
-    opt = Adagrad(config.learning_rate, config.warmup_steps)
-    log: list[tuple[int, float]] = []
-    frozen = None if work.extension is None else work.extension.frozen
-    needed = None if frozen is None else {"pos_table"}
-    names = list(work.params if needed is None else needed)
-    good: dict[str, np.ndarray] = {}
-    step = 0
-    max_len = work.config.original_context
-
+    max_len = model.config.original_context
     for seq in (s for pair in pairs for s in pair.sequences()):
         if seq.size > max_len:
             raise ValidationError(f"training sequence of {seq.size} tokens exceeds the "
                                   f"model's original context {max_len}")
-
+    work = model.copy()
+    rng = np.random.default_rng(config.seed)
+    opt = Adagrad(config.learning_rate, config.warmup_steps)
+    log: list[tuple[int, float]] = []
+    good: dict[str, np.ndarray] = {}
     for _epoch in range(config.epochs):
         order = rng.permutation(len(pairs))
         for start in range(0, len(pairs), config.batch_size):
+            if config.max_steps is not None and len(log) >= config.max_steps:
+                return TrainResult(model=work, log=log)
             batch = [pairs[i] for i in order[start:start + config.batch_size]]
             positions = _training_positions(work, batch, rng)
             try:
-                loss, grads = _batch_loss_and_grads(
-                    work, batch, positions, config.temperature, needed=needed)
+                loss, grads = _batch_loss_and_grads(work, batch, positions, config.temperature)
             except NumericError:
                 loss = math.nan
-            step += 1
             if not (math.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())):
                 work.params.update(good)
                 return TrainResult(model=work, log=log, diverged=True)
-            if frozen is not None:
-                grads["pos_table"] = grads["pos_table"] * (~frozen)[:, None]
-            good = {name: work.params[name].copy() for name in names}
+            good = {name: work.params[name].copy() for name in grads}
             opt.step(work.params, grads)
-            log.append((step, loss))
-            if config.max_steps is not None and step >= config.max_steps:
-                return TrainResult(model=work, log=log)
+            log.append((len(log) + 1, loss))
     return TrainResult(model=work, log=log)
 
 
@@ -297,10 +268,13 @@ def tune(model: Model, pairs: list[TrainingPair], config: TuneConfig) -> TrainRe
     """Train only the learnable rows of the extended position table.
 
     The model must already carry ``config.extension`` (see extend_for_tuning),
-    which fixes the frozen rows. All transformer weights, token embeddings,
-    and frozen rows are bit-identical before and after. Attention
-    scaling stays off during training. A non-finite loss or gradient aborts
-    with the parameters of the last logged step.
+    which fixes the frozen rows. On such a model ``backward_batch`` returns
+    ``pos_table``'s gradient alone, with the frozen rows exactly 0, so all
+    transformer weights, token embeddings, and frozen rows are bit-identical
+    before and after. Sequences longer than the original context raise
+    ValidationError, even when no step would run. Attention scaling stays
+    off during training. A non-finite loss or gradient aborts with the
+    parameters of the last logged step.
     """
     if model.extension != config.extension:
         raise ConfigurationError(

@@ -67,10 +67,6 @@ def _config(mode: str, steps: int) -> TuneConfig:
                       n_negatives=2, seed=1, max_steps=steps)
 
 
-def _rows(embs: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in embs]
-
-
 def compute() -> dict:
     rng = np.random.default_rng(0)
     seqs = [rng.integers(0, VOCAB, n) for n in LENGTHS]
@@ -82,24 +78,24 @@ def compute() -> dict:
         for strategy in strategies:
             spec = (ExtensionSpec.none(L_ORIG) if strategy == "none"
                     else ExtensionSpec(strategy, L_ORIG, L_TARGET))
-            embeddings[f"{mode}/{strategy}"] = _rows(
-                encode_many(model, short if strategy == "none" else seqs, spec))
-        embeddings[f"{mode}/pi_unscaled"] = _rows(encode_many(
-            model, seqs, ExtensionSpec("pi", L_ORIG, L_TARGET), attn_scaling=False))
-        losses[f"train_model/{mode}"] = train_model(model, _pairs(2), _config("pi_anchored", 10)
-                                                    ).losses
+            embeddings[f"{mode}/{strategy}"] = encode_many(
+                model, short if strategy == "none" else seqs, spec).tolist()
+        embeddings[f"{mode}/pi_unscaled"] = encode_many(
+            model, seqs, ExtensionSpec("pi", L_ORIG, L_TARGET), attn_scaling=False).tolist()
+        config = _config("pi_anchored", 10)  # train_model reads no geometry from it
+        losses[f"train_model/{mode}"] = train_model(model, _pairs(2), config).losses
     rotary = _model("rotary")
-    embeddings["rotary/ntk_lambda_6.5"] = _rows(encode_many(
-        rotary, seqs, ExtensionSpec("ntk", L_ORIG, L_TARGET, ntk_lambda=6.5)))
-    embeddings["rotary/se_g6_w2"] = _rows(encode_many(
-        rotary, seqs, ExtensionSpec("se", L_ORIG, L_TARGET, group_size=6, window=2)))
+    embeddings["rotary/ntk_lambda_6.5"] = encode_many(
+        rotary, seqs, ExtensionSpec("ntk", L_ORIG, L_TARGET, ntk_lambda=6.5)).tolist()
+    embeddings["rotary/se_g6_w2"] = encode_many(
+        rotary, seqs, ExtensionSpec("se", L_ORIG, L_TARGET, group_size=6, window=2)).tolist()
     absolute = _model("absolute")
     for ext_mode, strategy in (("pi_anchored", "tuned_pi"), ("rp_suffix", "tuned_rp")):
         ext = extend_for_tuning(absolute, _config(ext_mode, 10))
         losses[f"tune/{ext_mode}"] = tune(ext, _pairs(3), _config(ext_mode, 10)).losses
         tuned = tune(ext, _pairs(4), _config(ext_mode, 5)).model
-        embeddings[f"absolute/{strategy}"] = _rows(
-            encode_many(tuned, seqs, ExtensionSpec(strategy, L_ORIG, L_TARGET)))
+        embeddings[f"absolute/{strategy}"] = encode_many(
+            tuned, seqs, ExtensionSpec(strategy, L_ORIG, L_TARGET)).tolist()
     return {"embeddings": embeddings, "losses": losses}
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -35,7 +36,7 @@ from longctx.errors import (
     LengthError,
     PositionError,
 )
-from longctx.encoder import PosExtension
+from longctx.encoder import PI_ANCHORED, RP_SUFFIX, PosExtension
 from longctx.positions import (
     ABSOLUTE_STRATEGIES,
     ROTARY_STRATEGIES,
@@ -526,21 +527,40 @@ def test_a_long_input_never_builds_a_full_score_tensor(mode, strategy):
     assert peak < 128 << 20, f"{peak / (1 << 20):.1f} MiB"
 
 
-@pytest.mark.parametrize("mode", ["absolute", "rotary"])
-def test_backward_gates_each_parameter_by_its_own_name(mode, rng):
+@pytest.mark.parametrize("mode, extension", [
+    ("absolute", None), ("rotary", None), ("absolute", PI_ANCHORED), ("absolute", RP_SUFFIX)])
+def test_backward_returns_the_gradients_of_what_learns(mode, extension, rng):
+    """An unextended model gets every tensor; an extended one gets ``pos_table`` alone, equal
+    to the full table's gradient on its free rows and exactly 0 on its frozen ones."""
     model = init_model(ModelConfig(hidden_size=8, n_layers=2, n_heads=2, vocab_size=32,
                                    original_context=6, position_mode=mode, init_seed=1))
+    rows = 6
+    if extension is not None:
+        ext = PosExtension(extension, 6, 12)
+        rows = ext.rows
+        model = encoder.Model(model.config, {**model.params,
+                                             "pos_table": ext.table(model.params["pos_table"])},
+                              ext)
     tokens = rng.integers(0, 32, (2, 6))
     mask = np.ones((2, 6), dtype=bool)
     mask[1, 4:] = False
-    pos = np.tile(np.arange(6), (2, 1))
+    # the first sequence sits on rows 0..5, which hold the anchors 0, 2 and 4 under
+    # pi_anchored and all six originals under rp_suffix
+    pos = np.stack([np.arange(6), np.arange(rows - 6, rows)])
     hidden, cache = forward_batch(model, tokens, mask, positions=pos, want_cache=True)
     d_out = rng.normal(size=hidden.shape)
-    full = backward_batch(model, cache, d_out)
-    for name in model.params:
-        alone = backward_batch(model, cache, d_out, needed={name})
-        assert list(alone) == [name]
-        assert np.array_equal(alone[name], full[name]), name
+    grads = backward_batch(model, cache, d_out)
+    if extension is None:
+        assert list(grads) == list(model.params)
+        return
+    # the same tensors as an unextended model with a table this long, whose every row learns
+    plain = encoder.Model(replace(model.config, original_context=rows), model.params)
+    full = backward_batch(plain, cache, d_out)["pos_table"]
+    frozen = model.extension.frozen
+    assert list(grads) == ["pos_table"]
+    assert full[frozen].any(axis=1).sum() >= 3  # tokens sat on frozen rows
+    assert (grads["pos_table"][frozen] == 0).all()
+    assert np.array_equal(grads["pos_table"][~frozen], full[~frozen])
 
 
 @pytest.mark.parametrize("mode", ["absolute", "rotary"])
@@ -629,15 +649,38 @@ def test_forward_batch_refuses_arrays_that_disagree_with_the_tokens(
      "positions must be finite"),
     ("positions", np.array([[0, 1, 2, 3, 4], [0, 1, 2, 3, -np.inf]]), PositionError,
      "positions must be finite"),
-], ids=["scale-nan", "scale-inf", "position-nan", "position-inf"])
+    ("token_ids", np.array([[1.7, 2.2, 3.9, 0, 0], [0, 0, 0, 0, 0]]), ConfigurationError,
+     "token ids must be whole numbers"),  # a cast would truncate them to 1, 2, 3
+    ("token_ids", np.array([[np.nan] * 5] * 2), ConfigurationError,
+     "token ids must be whole numbers"),
+    ("token_ids", np.array([["a"] * 5] * 2), ConfigurationError, "token ids must be whole numbers"),
+    *(("self_extend", g_w, ConfigurationError, message) for g_w, message in (
+        ((0, 2), r"g >= 1 and window w >= 0, got \(g, w\) = \(0, 2\)"),
+        ((-1, 2), r"got \(g, w\) = \(-1, 2\)"),
+        ((2, -1), r"got \(g, w\) = \(2, -1\)"),
+        ((2.5, 2), "'g' must be int, got 2.5"),
+        ((2, 1.0), "'w' must be int, got 1.0"),
+        ((3,), r"self_extend must be a pair \(g, w\), got \(3,\)"),
+    )),
+], ids=["scale-nan", "scale-inf", "position-nan", "position-inf", "token-fractional",
+        "token-nan", "token-string", "se-g-0", "se-g-negative", "se-w-negative",
+        "se-g-fractional", "se-w-float", "se-not-a-pair"])
 def test_forward_batch_refuses_values_it_cannot_run(tiny_absolute, tiny_rotary, mode, name,
                                                     value, error, message):
     model = tiny_absolute if mode == "absolute" else tiny_rotary
-    kwargs = {"positions": np.tile(np.arange(5.0), (2, 1)), "attn_scale": np.ones(2),
+    kwargs = {"token_ids": np.zeros((2, 5), dtype=np.int64),
+              "positions": np.tile(np.arange(5.0), (2, 1)), "attn_scale": np.ones(2),
               name: value}
     with pytest.raises(error, match=message):
-        forward_batch(model, np.zeros((2, 5), dtype=np.int64), np.ones((2, 5), dtype=bool),
-                      **kwargs)
+        forward_batch(model, mask=np.ones((2, 5), dtype=bool), **kwargs)
+
+
+@pytest.mark.parametrize("ids", [[1.7, 2.2, 3.9], ["1", "2", "3"]], ids=["fractional", "string"])
+def test_encode_many_refuses_token_ids_that_are_not_whole_numbers(tiny_absolute, ids):
+    with pytest.raises(ConfigurationError, match="token ids must be whole numbers"):
+        encode_many(tiny_absolute, [np.arange(3), ids], ExtensionSpec.none(8))
+    whole = encode_many(tiny_absolute, [[1.0, 2.0, 3.0]], ExtensionSpec.none(8))
+    assert np.array_equal(whole, encode_many(tiny_absolute, [[1, 2, 3]], ExtensionSpec.none(8)))
 
 
 def test_forward_is_deterministic(tiny_absolute):

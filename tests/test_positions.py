@@ -465,7 +465,15 @@ def test_a_resolution_is_checked_where_it_is_made(fields, message):
      "got 0"),
     (lambda: tokenize("a b", vocab_size=0), "got 0"),
     (lambda: lc.word_budget(0), "got 0"),
-], ids=["strategy", "plan_chunks", "max_se_relpos", "search", "tokenize", "word_budget"])
+    (lambda: lc.plan_chunks(10.5, 4), "'input_len' must be int, got 10.5"),
+    (lambda: lc.search(lc.EmbeddingIndex(ids=("a",), vectors=np.eye(1)), np.ones(1), k=1.5),
+     "'k' must be int, got 1.5"),
+    (lambda: lc.standard_frequencies(4, base=-1.0), "rope base must be a finite number > 0"),
+    (lambda: lc.pool_and_normalize(np.ones((3, 4)), np.ones(2, dtype=bool)),
+     r"mask must have shape \(3,\) for hidden states of shape \(3, 4\), got \(2,\)"),
+], ids=["strategy", "plan_chunks", "max_se_relpos", "search", "tokenize", "word_budget",
+        "plan_chunks-fractional", "search-fractional-k", "standard_frequencies-negative-base",
+        "pool_and_normalize-mask-length"])
 def test_out_of_range_public_arguments_raise_configuration_errors(call, bad):
     with pytest.raises(ConfigurationError, match=bad):
         call()

@@ -1,5 +1,6 @@
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -147,7 +148,7 @@ def test_loss_closed_form_orthogonal_negatives():
     for i in range(1, 4):
         v = np.zeros(d); v[i] = 1.0
         negatives.append(v)
-    loss = tuning._contrastive_loss_grads(q, q.copy(), negatives, temperature=1.0)[0]
+    loss = tuning._contrastive_loss_grads([q, q.copy(), *negatives], temperature=1.0)[0]
     expected = -math.log(math.e / (math.e + 3))
     assert math.isclose(loss, expected, rel_tol=1e-12)
 
@@ -156,10 +157,10 @@ def test_loss_nonnegative_and_permutation_invariant(rng):
     for _ in range(20):
         vecs = rng.normal(size=(5, 6))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        q, p, negs = vecs[0], vecs[1], [vecs[2], vecs[3], vecs[4]]
-        loss = tuning._contrastive_loss_grads(q, p, negs, 0.1)[0]
+        loss, grads = tuning._contrastive_loss_grads(vecs, 0.1)
         assert loss >= 0.0
-        assert math.isclose(loss, tuning._contrastive_loss_grads(q, p, negs[::-1], 0.1)[0],
+        assert len(grads) == 5  # one for the query, the positive and each negative
+        assert math.isclose(loss, tuning._contrastive_loss_grads(vecs[[0, 1, 4, 3, 2]], 0.1)[0],
                             rel_tol=1e-12)
 
 
@@ -282,6 +283,19 @@ def test_tune_rejects_sequences_longer_than_window(rng):
         tune(ext, bad, config)
 
 
+@pytest.mark.parametrize("trainer", ["train_model", "tune"])
+@pytest.mark.parametrize("no_steps", [{"epochs": 0}, {"max_steps": 0}], ids=["epochs", "max_steps"])
+def test_a_run_without_steps_still_rejects_an_over_long_sequence(rng, trainer, no_steps):
+    config = tiny_tune_config(**no_steps)
+    model = tiny_model()
+    if trainer == "tune":
+        model = extend_for_tuning(model, config)
+    bad = [TrainingPair(query=rng.integers(0, 64, 9), positive=rng.integers(0, 64, 4),
+                        negatives=[rng.integers(0, 64, 4)])]
+    with pytest.raises(ValidationError, match="training sequence of 9 tokens exceeds"):
+        getattr(tuning, trainer)(model, bad, config)
+
+
 @pytest.mark.parametrize("position_mode", ["absolute", "rotary"])
 def test_train_model_bounds_sequences_by_the_models_window_not_the_configs(rng, position_mode):
     """An l_orig=32 config does not let an 8-token model train on 30-token pairs."""
@@ -325,9 +339,9 @@ def test_mid_run_divergence_returns_last_logged_state(rng, monkeypatch, trainer,
     calls = []
     batch_loss, adagrad_step = tuning._batch_loss_and_grads, tuning.Adagrad.step
 
-    def recording(model, pairs, positions, temperature, needed=None):
+    def recording(model, pairs, positions, temperature):
         calls.append((pairs, positions))
-        loss, grads = batch_loss(model, pairs, positions, temperature, needed=needed)
+        loss, grads = batch_loss(model, pairs, positions, temperature)
         if fault == "nan_grads_at_step_4" and len(calls) == 4:
             grads["pos_table"][:] = np.nan
         return loss, grads
@@ -437,15 +451,20 @@ def test_frozen_rows_gradient_masked_to_zero(rng):
         replay = np.random.default_rng(config.seed)
         batch = [pairs[i] for i in replay.permutation(len(pairs))[:config.batch_size]]
         positions = tuning._training_positions(ext, batch, replay)
-        _, grads = tuning._batch_loss_and_grads(ext, batch, positions, config.temperature,
-                                                needed={"pos_table"})
+        _, grads = tuning._batch_loss_and_grads(ext, batch, positions, config.temperature)
+        # the same batch on an unextended model with this table, whose frozen rows learn too
+        plain = encoder.Model(replace(ext.config, original_context=ext.extension.rows),
+                              ext.params)
+        _, full = tuning._batch_loss_and_grads(plain, batch, positions, config.temperature)
+        frozen = ext.extension.frozen
         moved = (tuned.params["pos_table"] != ext.params["pos_table"]).any(axis=1)
-        expected = ~ext.extension.frozen & grads["pos_table"].any(axis=1)
-        assert expected.any() and grads["pos_table"][ext.extension.frozen].any(), mode
+        expected = ~frozen & grads["pos_table"].any(axis=1)
+        assert expected.any() and full["pos_table"][frozen].any(), mode
+        assert list(grads) == ["pos_table"] and not grads["pos_table"][frozen].any(), mode
         assert np.array_equal(moved, expected), mode
 
 
-def one_block_loss_and_grads(model, pairs, positions, temperature, needed):
+def one_block_loss_and_grads(model, pairs, positions, temperature):
     """Reference: every sequence in one block padded to the longest, one backward pass."""
     seqs = [s for pair in pairs for s in pair.sequences()]
     tokens, mask, pos = pad_batch(seqs, positions)
@@ -456,14 +475,13 @@ def one_block_loss_and_grads(model, pairs, positions, temperature, needed):
     total, row = 0.0, 0
     for pair in pairs:
         n = len(pair.sequences())
-        loss, (dq, dp, dnegs) = tuning._contrastive_loss_grads(
-            embs[row], embs[row + 1], embs[row + 2:row + n], temperature)
+        loss, d_embs = tuning._contrastive_loss_grads(embs[row:row + n], temperature)
         total += loss * inv_b
-        for k, d_emb in enumerate([dq, dp, *dnegs]):
+        for k, d_emb in enumerate(d_embs):
             i = row + k
             d_hidden[i] = pool_and_normalize_backward(hidden[i], mask[i], d_emb * inv_b)
         row += n
-    return total, backward_batch(model, cache, d_hidden, needed=needed)
+    return total, backward_batch(model, cache, d_hidden)
 
 
 LENGTH_GROUP_MODELS = {
@@ -478,8 +496,6 @@ def test_length_groups_match_one_padded_block(mode, data):
     """Cutting by the row budget changes only rounding, for the loss and every gradient."""
     model = LENGTH_GROUP_MODELS[mode]
     config = tiny_tune_config()
-    needed = data.draw(st.sampled_from(
-        [None, {"tok_emb"}] + ([{"pos_table"}] if mode == "absolute" else [])))
     lengths = st.integers(min_value=1, max_value=config.l_orig)
     negatives = st.lists(lengths, min_size=1, max_size=3)
     shapes = data.draw(st.lists(st.tuples(lengths, lengths, negatives), min_size=1, max_size=4))
@@ -493,17 +509,12 @@ def test_length_groups_match_one_padded_block(mode, data):
     positions = tuning._training_positions(model, pairs, np.random.default_rng(seed))
 
     with mock.patch.object(encoder, "_BATCH_ROWS", budget):
-        loss, grads = tuning._batch_loss_and_grads(
-            model, pairs, positions, config.temperature, needed)
-    ref_loss, ref = one_block_loss_and_grads(model, pairs, positions, config.temperature, needed)
+        loss, grads = tuning._batch_loss_and_grads(model, pairs, positions, config.temperature)
+    ref_loss, ref = one_block_loss_and_grads(model, pairs, positions, config.temperature)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     assert set(grads) == set(ref)
-    largest = max(np.abs(g).max() for g in ref.values())
-    for name, want in ref.items():
-        # In absolute mode a key bias shifts a whole softmax row, so its exact
-        # gradient is zero and both sides hold only rounding noise.
-        bound = largest if mode == "absolute" and name.endswith("attn.bk") else np.abs(want).max()
-        assert np.abs(grads[name] - want).max() <= 1e-12 * bound, name
+    for name, want in ref.items():  # the extended absolute model learns pos_table alone
+        assert np.abs(grads[name] - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 @pytest.mark.parametrize("trainer", ["train_model", "tune"])
