@@ -11,15 +11,29 @@ heads, vocab 64, l_orig 8, l_target 32) and returns, as plain JSON data:
 - ``losses``: the 10 per-step losses of ``train_model`` on each model and of
   ``tune`` under each extension mode.
 
+``cli_outputs()`` runs the command line in the current directory and returns:
+
+- ``eval_se_report``: the report of ``longctx eval --strategy se`` of a tiny
+  rotary checkpoint on a generated passkey+needle set at lengths 32 and 64,
+  without its ``created_utc`` timestamp (``run_config.model`` is the relative
+  path ``model.ckpt``);
+- ``inspect_pi`` and ``inspect_se``: what ``longctx inspect`` prints for a
+  rotary ``pi`` and ``se`` extension of 8 to 32 tokens.
+
 ``tests/test_golden.py`` holds every later run to these figures. Rewrite
-``outputs.json`` only with a change that means to alter outputs:
+``outputs.json`` and ``cli_outputs.json`` only with a change that means to
+alter outputs:
 
     PYTHONPATH=src python tests/golden/make_golden.py
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +49,10 @@ from longctx import (
     train_model,
     tune,
 )
+from longctx.cli import main
 
 OUTPUTS = Path(__file__).with_name("outputs.json")
+CLI_OUTPUTS = Path(__file__).with_name("cli_outputs.json")
 
 L_ORIG, L_TARGET, VOCAB = 8, 32, 64
 LENGTHS = (1, 7, 8, 9, 19, 32)
@@ -99,6 +115,39 @@ def compute() -> dict:
     return {"embeddings": embeddings, "losses": losses}
 
 
+def _stdout(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(a) for a in argv])
+    if code != 0:
+        raise RuntimeError(f"longctx {argv[0]} exited with {code}")
+    return out.getvalue()
+
+
+def cli_outputs() -> dict:
+    _stdout("gen", "--kind", "both", "--lengths", "32,64", "--queries", 4, "--candidates", 8,
+            "--seed", 7, "--out", "tasks")
+    _stdout("init", "--hidden-size", 16, "--layers", 2, "--heads", 2, "--vocab-size", 64,
+            "--l-orig", 16, "--mode", "rotary", "--seed", 3, "--out", "model.ckpt")
+    _stdout("eval", "--model", "model.ckpt", "--strategy", "se", "--l-target", 64,
+            "--synthetic", "tasks/passkey", "tasks/needle", "--out", "report.json")
+    report = json.loads(Path("report.json").read_text(encoding="utf-8"))
+    del report["created_utc"]
+    inspect = {f"inspect_{strategy}": _stdout(
+        "inspect", "--strategy", strategy, "--mode", "rotary", "--l-orig", 8, "--l-target", 32,
+        "--input-len", 20, "--d-head", 8) for strategy in ("pi", "se")}
+    return {"eval_se_report": report, **inspect}
+
+
 if __name__ == "__main__":
     OUTPUTS.write_text(json.dumps(compute(), indent=1) + "\n", encoding="utf-8")
     print(f"wrote {OUTPUTS}")
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            outputs = cli_outputs()
+        finally:
+            os.chdir(here)
+    CLI_OUTPUTS.write_text(json.dumps(outputs, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {CLI_OUTPUTS}")

@@ -2,7 +2,8 @@
 
 Embeddings must agree within 1e-12 a component and training losses within
 1e-10 relative, so a refactor that means to keep results can move them only
-by rounding.
+by rounding. The ``longctx eval`` report (without its timestamp) and the
+``longctx inspect`` output must be equal.
 """
 
 import functools
@@ -15,14 +16,20 @@ import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RECORDED = json.loads((GOLDEN / "outputs.json").read_text(encoding="utf-8"))
+CLI_RECORDED = json.loads((GOLDEN / "cli_outputs.json").read_text(encoding="utf-8"))
+
+
+@functools.lru_cache(maxsize=1)
+def make_golden():
+    spec = importlib.util.spec_from_file_location("make_golden", GOLDEN / "make_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @functools.lru_cache(maxsize=1)
 def current() -> dict:
-    spec = importlib.util.spec_from_file_location("make_golden", GOLDEN / "make_golden.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.compute()
+    return make_golden().compute()
 
 
 def test_the_same_outputs_are_recorded_and_computed():
@@ -43,3 +50,8 @@ def test_losses_match_the_golden_ones(key):
     got, want = np.array(current()["losses"][key]), np.array(RECORDED["losses"][key])
     assert got.shape == want.shape == (10,)
     assert (np.abs(got - want) <= 1e-10 * np.abs(want)).all(), key
+
+
+def test_cli_outputs_match_the_golden_ones(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths keep the report's run_config.model stable
+    assert make_golden().cli_outputs() == CLI_RECORDED
