@@ -32,7 +32,9 @@ from .errors import (
     check_types,
 )
 from .positions import (
+    ABSOLUTE,
     ROPE_BASE,
+    ROTARY,
     ExtensionSpec,
     ResolvedExtension,
     Strategy,
@@ -48,8 +50,6 @@ from .positions import (
 # and fails if it is missing; drop this import together with that patch entry.
 from .positions import se_remap_deltas  # noqa: F401
 
-ABSOLUTE = "absolute"
-ROTARY = "rotary"
 PI_ANCHORED = "pi_anchored"
 RP_SUFFIX = "rp_suffix"
 
@@ -433,7 +433,7 @@ _SE_CHUNK_ROWS = 32
 # e^-300 ~ 5e-131 stays a normal number.
 _EXP_BOUND = 300.0
 
-# Padded-row budget of one ``plan_batches`` batch (spans x longest span), the
+# Padded-row budget of one ``padded_batches`` batch (sequences x longest one), the
 # activation-side twin of _SCORE_TILE: at d=64 a batch's (rows, d) arrays take
 # 256 KiB each and stay in L2. On a Xeon with 2 MiB of L2 a core, encoding the
 # benchmark's eval_sweep inputs (pi, ntk, pcw over 128-512 tokens) took a
@@ -590,23 +590,6 @@ def _merge_heads(x):
 # forward / backward over a padded batch
 
 
-def plan_batches(sizes: list[int]) -> list[list[int]]:
-    """Indices of spans of ``sizes`` tokens, cut into padded batches.
-
-    Spans are stably sorted by length; a batch takes the next span unless its
-    count x longest span (its padded rows) would pass ``_BATCH_ROWS``, and a
-    span longer than that runs alone. Lengths ascend within and across
-    batches, so each batch pads every span to its last one.
-    """
-    batches: list[list[int]] = []
-    for j in sorted(range(len(sizes)), key=lambda j: sizes[j]):
-        if batches and (len(batches[-1]) + 1) * sizes[j] <= _BATCH_ROWS:
-            batches[-1].append(j)
-        else:
-            batches.append([j])
-    return batches
-
-
 def _token_ids(ids) -> np.ndarray:
     """``ids`` as int64; ConfigurationError unless each is a whole number, which a cast
     alone would not check (it truncates 1.7 to 1 and fails on strings)."""
@@ -616,23 +599,31 @@ def _token_ids(ids) -> np.ndarray:
     return ids.astype(np.int64, copy=False)
 
 
-def pad_batch(seqs: list[np.ndarray], positions: list[np.ndarray] | None):
-    """Right-padded ``(tokens, mask, pos)`` arrays (B, L) for sequences of mixed length.
+def padded_batches(seqs: list[np.ndarray], positions: list[np.ndarray] | None = None):
+    """Yield ``(rows, tokens, mask, pos)``: token sequences of mixed length in padded batches.
 
-    ``pos`` is float64, which ``forward_batch`` casts for the model's mode,
-    and None when ``positions`` is. Padded slots hold token 0 and position 0
-    and are masked out.
+    Sequences are stably sorted by length, and a batch takes the next one while
+    its count x longest (its padded rows) stays within ``_BATCH_ROWS``; a longer
+    one runs alone. ``rows`` indexes the batch's sequences in ``seqs``, and the
+    (len(rows), longest) arrays are right-padded with token 0, False and
+    position 0. ``pos`` (float64, cast by ``forward_batch``) is None when
+    ``positions`` is.
     """
-    B, L = len(seqs), max(s.size for s in seqs)
-    tokens = np.zeros((B, L), dtype=np.int64)
-    mask = np.zeros((B, L), dtype=bool)
-    pos = None if positions is None else np.zeros((B, L))
-    for i, s in enumerate(seqs):
-        tokens[i, :s.size] = s
-        mask[i, :s.size] = True
-        if pos is not None:
-            pos[i, :s.size] = positions[i]
-    return tokens, mask, pos
+    batches: list[list[int]] = []
+    for j in sorted(range(len(seqs)), key=lambda j: seqs[j].size):
+        if not batches or (len(batches[-1]) + 1) * seqs[j].size > _BATCH_ROWS:
+            batches.append([])
+        batches[-1].append(j)
+    for rows in batches:
+        shape = (len(rows), seqs[rows[-1]].size)
+        tokens, mask = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool)
+        pos = None if positions is None else np.zeros(shape)
+        for i, j in enumerate(rows):
+            n = seqs[j].size
+            tokens[i, :n], mask[i, :n] = seqs[j], True
+            if pos is not None:
+                pos[i, :n] = positions[j]
+        yield rows, tokens, mask, pos
 
 
 def forward_batch(
@@ -647,7 +638,7 @@ def forward_batch(
 ):
     """Hidden states (B, L, d) for a padded batch.
 
-    ``positions`` are ``pad_batch``'s: table rows in absolute mode (whole
+    ``positions`` are ``padded_batches``': table rows in absolute mode (whole
     numbers, cast to int64), phases in rotary mode (cast to float64), where
     SelfExtend's ``self_extend=(g, w)`` may replace them: every query/key pair (i, j) is
     then scored at relative position ``se_remap_deltas(i - j, g, w)``.
@@ -854,35 +845,42 @@ def backward_batch(
 # pooling
 
 
+def _mean_and_norm(hidden: np.ndarray, mask: np.ndarray):
+    """Masked means (..., d) of (..., L, d) ``hidden`` and their L2 norms (...), bit for bit
+    those of one row's ``hidden[mask].mean(axis=0)`` and ``np.linalg.norm``."""
+    v = np.where(mask[..., None], hidden, 0.0).sum(axis=-2) / mask.sum(axis=-1)[..., None]
+    return v, np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def pool_and_normalize(hidden: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Mean over active rows, then L2 normalization."""
+    """Unit-norm embeddings (..., d) of a padded batch: each sequence's mean over the rows
+    of (..., L, d) ``hidden`` that the (..., L) ``mask`` flags (all when None), L2-normalized.
+    A mask of another shape raises DimensionError, a sequence with no active row
+    EmptyInputError, and a mean of zero or non-finite norm NumericError."""
     hidden = np.asarray(hidden, dtype=np.float64)
-    if hidden.ndim != 2:
-        raise DimensionError(f"hidden states must be 2-D, got shape {hidden.shape}")
-    if mask is None:
-        mask = np.ones(hidden.shape[0], dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != hidden.shape[:1]:
-        raise DimensionError(f"mask must have shape {hidden.shape[:1]} for hidden states of "
+    if hidden.ndim < 2:
+        raise DimensionError(f"hidden states must be at least 2-D, got shape {hidden.shape}")
+    mask = np.ones(hidden.shape[:-1], bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask.shape != hidden.shape[:-1]:
+        raise DimensionError(f"mask must have shape {hidden.shape[:-1]} for hidden states of "
                              f"shape {hidden.shape}, got {mask.shape}")
-    if not mask.any():
+    if not mask.any(axis=-1).all():
         raise EmptyInputError("cannot pool an empty sequence")
-    v = hidden[mask].mean(axis=0)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0 or not math.isfinite(norm):
+    v, norm = _mean_and_norm(hidden, mask)
+    if not (np.isfinite(norm) & (norm != 0.0)).all():
         raise NumericError("pooled vector cannot be normalized")
-    return v / norm
+    return v / norm[..., None]
 
 
 def pool_and_normalize_backward(hidden, mask, d_emb):
-    """Gradient of pool_and_normalize back to the hidden rows."""
-    v = hidden[mask].mean(axis=0)
-    norm = float(np.linalg.norm(v))
-    e = v / norm
-    d_v = (d_emb - e * float(e @ d_emb)) / norm
-    d_h = np.zeros_like(hidden)
-    d_h[mask] = d_v / int(mask.sum())
-    return d_h
+    """Gradient (..., L, d) of pool_and_normalize back to a padded batch's hidden rows, from
+    the gradients ``d_emb`` (..., d) at its embeddings; masked-out rows get zeros."""
+    v, norm = _mean_and_norm(hidden, mask)
+    e = v / norm[..., None]
+    dot = (e[..., None, :] @ d_emb[..., :, None])[..., 0]
+    d_v = (d_emb - e * dot) / norm[..., None]
+    d_v /= mask.sum(axis=-1)[..., None]
+    return np.where(mask[..., None], d_v[..., None, :], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -921,14 +919,14 @@ def encode_many(
     """Embeddings (N, d) for a list of token sequences under one strategy.
 
     Each sequence is one span, or under PCW its ``plan_chunks`` chunks at
-    their original positions. ``plan_batches`` cuts all spans into batches of
-    at most ``_BATCH_ROWS`` padded rows, so each batch pads little and its
-    activations stay small. A sequence gets the renormalized mean of its span
-    embeddings (one span is returned as is), in input order. An embedding
-    does not depend on its batch neighbours (padding is masked out), so the
-    batching only changes float rounding. Raises LengthError as soon as any
-    sequence exceeds the target window. ``spec`` may be a ``ResolvedExtension``
-    for the model's mode, which is used as it is.
+    their original positions. ``padded_batches`` cuts all spans into batches
+    of at most ``_BATCH_ROWS`` padded rows, which one ``pool_and_normalize``
+    call pools. A sequence gets the renormalized mean of its span embeddings
+    (one span is returned as is), in input order. An embedding does not
+    depend on its batch neighbours (padding is masked out), so the batching
+    only changes float rounding. Raises LengthError as soon as any sequence
+    exceeds the target window. ``spec`` may be a ``ResolvedExtension`` for
+    the model's mode, which is used as it is.
     """
     cfg = model.config
     resolved = resolve_extension(spec, cfg.position_mode)
@@ -955,25 +953,17 @@ def encode_many(
         view = PosExtension(PI_ANCHORED, spec.l_orig, spec.l_target)
         model = Model(cfg, {**model.params, "pos_table": view.table(model.params["pos_table"])},
                       view)
-    self_extend = None
-    if resolved.strategy is Strategy.SE:
-        self_extend = (resolved.group_size, resolved.window)
+    se = resolved.strategy is Strategy.SE
+    self_extend = (resolved.group_size, resolved.window) if se else None
+    positions = None if se else [assign_positions(resolved, s.size) for s in spans]
+    scales = np.array([attention_scale(s.size, spec.l_orig) if attn_scaling else 1.0
+                       for s in spans])
 
     span_embs = np.empty((len(spans), cfg.hidden_size))
-    for rows in plan_batches([s.size for s in spans]):
-        group = [spans[j] for j in rows]
-        positions = None
-        if self_extend is None:
-            positions = [assign_positions(resolved, s.size) for s in group]
-        tokens, mask, pos = pad_batch(group, positions)
-        scale = np.ones(len(group))
-        if attn_scaling:
-            scale = np.array([attention_scale(s.size, spec.l_orig) for s in group])
-        hidden = forward_batch(
-            model, tokens, mask, positions=pos, self_extend=self_extend, attn_scale=scale,
-        )
-        for bi, j in enumerate(rows):
-            span_embs[j] = pool_and_normalize(hidden[bi], mask[bi])
+    for rows, tokens, mask, pos in padded_batches(spans, positions):
+        hidden = forward_batch(model, tokens, mask, positions=pos, self_extend=self_extend,
+                               attn_scale=scales[rows])
+        span_embs[rows] = pool_and_normalize(hidden, mask)
 
     groups = np.split(span_embs, np.cumsum([len(plan) for plan in plans])[:-1])
     return np.stack([g[0] if len(g) == 1 else pool_and_normalize(g) for g in groups])

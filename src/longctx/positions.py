@@ -20,6 +20,9 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, EmptyInputError, LengthError, check_types
 
 ROPE_BASE = 10000.0
+# the position modes of a model: a learned absolute table, or rotary phases
+ABSOLUTE = "absolute"
+ROTARY = "rotary"
 
 # lambda per scaling factor, as published for the plug-and-play runs
 NTK_LAMBDA_TABLE = {2: 3.0, 4: 5.0, 8: 10.0}
@@ -120,6 +123,7 @@ def se_remap_deltas(delta: np.ndarray, g: int, w: int) -> np.ndarray:
 
 def max_se_relpos(l_target: int, g: int, w: int) -> int:
     """Largest remapped |relative position| reachable in an l_target window."""
+    check_types(locals(), max_se_relpos.__annotations__)
     if l_target < 1:
         raise ConfigurationError(f"l_target must be >= 1, got {l_target}")
     return int(se_remap_deltas(l_target - 1, g, w))
@@ -132,6 +136,7 @@ def resolve_se_params(l_orig: int, l_target: int) -> tuple[int, int]:
     window, stays within l_orig - 1 exactly when g > (l_target - 1 - w) / (l_orig - w);
     g must also stay below max(l_target, 2).
     """
+    check_types(locals(), resolve_se_params.__annotations__)
     key = (l_orig, l_target)
     if key in SE_PARAM_TABLE:
         return SE_PARAM_TABLE[key]
@@ -152,6 +157,7 @@ def attention_scale(n: int, l_orig: int) -> float:
     max(1, log n / log l_orig): identity within the trained window, growing
     logarithmically beyond it to keep attention entropy roughly stable.
     """
+    check_types(locals(), attention_scale.__annotations__)
     if n < 1:
         raise ConfigurationError(f"sequence length must be >= 1, got {n}")
     if l_orig < 2:
@@ -214,7 +220,7 @@ class ExtensionSpec:
 
     @property
     def scale(self) -> int:
-        return math.ceil(self.l_target / self.l_orig)
+        return -(-self.l_target // self.l_orig)
 
     @classmethod
     def none(cls, l_orig: int) -> "ExtensionSpec":
@@ -236,7 +242,9 @@ class ResolvedExtension(ExtensionSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        allowed = ABSOLUTE_STRATEGIES if self.mode == "absolute" else ROTARY_STRATEGIES
+        if self.mode not in (ABSOLUTE, ROTARY):
+            raise ConfigurationError(f"unknown position mode {self.mode!r}")
+        allowed = ABSOLUTE_STRATEGIES if self.mode == ABSOLUTE else ROTARY_STRATEGIES
         if self.strategy not in allowed:
             raise ConfigurationError(
                 f"strategy {self.strategy.value} does not apply to {self.mode}-mode models")
@@ -305,6 +313,7 @@ def resolve_extension(spec: ExtensionSpec, position_mode: str) -> ResolvedExtens
 
 def check_input_length(n: int, l_target: int) -> None:
     """Reject an input length outside [1, l_target]."""
+    check_types(locals(), check_input_length.__annotations__)
     if n < 1:
         raise EmptyInputError(f"input length must be >= 1, got {n}")
     if n > l_target:
@@ -346,7 +355,7 @@ def assign_positions(resolved: ResolvedExtension, n: int) -> np.ndarray:
     st, s = resolved.strategy, resolved.scale
     if st in (Strategy.PCW, Strategy.SE):
         raise ConfigurationError(f"strategy {st.value} has no per-token position assignment")
-    absolute = resolved.mode == "absolute"
+    absolute = resolved.mode == ABSOLUTE
     idx = np.arange(n, dtype=np.int64 if absolute else np.float64)
     if st is Strategy.GP:
         return idx // s

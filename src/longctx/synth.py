@@ -172,6 +172,7 @@ def word_budget(length_tokens: int) -> int:
 
     Clamped to a minimum of 8 words so a document always fits its key sentence.
     """
+    check_types(locals(), word_budget.__annotations__)
     if length_tokens < 1:
         raise ConfigurationError(f"length must be >= 1, got {length_tokens}")
     return max(8, (3 * length_tokens) // 4)

@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_types
 
 DEFAULT_VOCAB_SIZE = 30522
 
@@ -37,6 +37,7 @@ def normalize_word(word: str) -> str:
 
 def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB_SIZE) -> np.ndarray:
     """Token ids for ``text``; one id per whitespace word (empty words dropped)."""
+    check_types(locals(), tokenize.__annotations__)
     if vocab_size < 1:
         raise ConfigurationError(f"vocab_size must be positive, got {vocab_size}")
     ids = [hash_word(w, vocab_size) for w in map(normalize_word, text.split()) if w]

@@ -26,9 +26,8 @@ from .encoder import (
     PosExtension,
     backward_batch,
     forward_batch,
-    pad_batch,
+    padded_batches,
     param_layout,
-    plan_batches,
     pool_and_normalize,
     pool_and_normalize_backward,
 )
@@ -95,6 +94,7 @@ def sample_skip_bias(l_target: int, l_orig: int, rng: np.random.Generator) -> in
     Shifting a sequence's position ids from {0..len-1} to {u..u+len-1} makes
     short training data exercise the full target position range.
     """
+    check_types(locals(), sample_skip_bias.__annotations__)
     if l_target < l_orig:
         raise ConfigurationError(f"l_target {l_target} must be >= l_orig {l_orig}")
     return int(rng.integers(0, l_target - l_orig + 1))
@@ -190,36 +190,32 @@ def _batch_loss_and_grads(model: Model, pairs: list[TrainingPair],
     ``positions`` carries one position array per flattened sequence, in pair
     order (query, positive, negatives...).
 
-    The sequences run through the encoder in the padded groups that
-    ``plan_batches`` cuts, as at inference. Embeddings do not depend on their
-    batch neighbours, the loss is per pair and gradients add, so the grouping
+    The sequences run through the encoder in the batches that
+    ``padded_batches`` cuts, as at inference, and each batch is pooled and
+    un-pooled by one call. Embeddings do not depend on their batch
+    neighbours, the loss is per pair and gradients add, so the batching
     changes only float rounding against one block padded to the longest
     sequence.
     """
     seqs = [s for pair in pairs for s in pair.sequences()]
-    groups = []
-    embs = [None] * len(seqs)
-    for rows in plan_batches([s.size for s in seqs]):
-        tokens, mask, pos = pad_batch([seqs[i] for i in rows], [positions[i] for i in rows])
+    embs = np.empty((len(seqs), model.config.hidden_size))
+    batches = []
+    for rows, tokens, mask, pos in padded_batches(seqs, positions):
         hidden, cache = forward_batch(model, tokens, mask, positions=pos, want_cache=True)
-        for bi, i in enumerate(rows):
-            embs[i] = pool_and_normalize(hidden[bi], mask[bi])
-        groups.append((rows, hidden, cache, mask))
+        embs[rows] = pool_and_normalize(hidden, mask)
+        batches.append((rows, hidden, mask, cache))
 
-    total, d_embs = 0.0, []
+    total, d_embs = 0.0, np.empty_like(embs)
     inv_b = 1.0 / len(pairs)
-    for pair in pairs:
-        start = len(d_embs)  # one gradient per sequence of the pairs before this one
-        loss, d_pair = _contrastive_loss_grads(embs[start:start + len(pair.negatives) + 2],
-                                               temperature)
+    bounds = np.cumsum([0, *(len(pair.negatives) + 2 for pair in pairs)])
+    for a, b in zip(bounds, bounds[1:]):  # one pair's sequences
+        loss, d_embs[a:b] = _contrastive_loss_grads(embs[a:b], temperature)
         total += loss * inv_b
-        d_embs += [d * inv_b for d in d_pair]
+    d_embs *= inv_b
 
-    grads = None  # the first group allocates the gradient set, the others add into it
-    for rows, hidden, cache, mask in groups:
-        d_hidden = np.zeros_like(hidden)
-        for bi, i in enumerate(rows):
-            d_hidden[bi] = pool_and_normalize_backward(hidden[bi], mask[bi], d_embs[i])
+    grads = None  # the first batch allocates the gradient set, the others add into it
+    for rows, hidden, mask, cache in batches:
+        d_hidden = pool_and_normalize_backward(hidden, mask, d_embs[rows])
         grads = backward_batch(model, cache, d_hidden, grads=grads)
     return total, grads
 

@@ -28,12 +28,14 @@ from longctx.encoder import (
     _rotate_batch,
     backward_batch,
     forward_batch,
+    pool_and_normalize_backward,
 )
 from longctx.errors import (
     ConfigurationError,
     DimensionError,
     EmptyInputError,
     LengthError,
+    NumericError,
     PositionError,
 )
 from longctx.encoder import PI_ANCHORED, RP_SUFFIX, PosExtension
@@ -45,6 +47,14 @@ from longctx.positions import (
     se_remap_deltas,
 )
 from longctx.tuning import TuneConfig, extend_for_tuning
+
+
+def one_batch(seqs, positions=None):
+    """``padded_batches``' one batch of ``seqs``, under a row budget that fits them all."""
+    with mock.patch.object(encoder, "_BATCH_ROWS", math.inf):
+        (rows, tokens, mask, pos), = encoder.padded_batches(seqs, positions)
+    return rows, tokens, mask, pos
+
 
 # --- init --------------------------------------------------------------------
 
@@ -405,7 +415,7 @@ def test_tiled_attention_matches_one_untiled_softmax(path, heads, L, B, padded, 
     model = TILE_MODELS[("absolute" if path == "absolute" else "rotary", heads)]
     lengths = rng.integers(1, L + 1, B) if padded else np.full(B, L)
     lengths[rng.integers(B)] = L
-    tokens, mask, _ = encoder.pad_batch([rng.integers(0, 64, n) for n in lengths], None)
+    _, tokens, mask, _ = one_batch([rng.integers(0, 64, n) for n in lengths])
     kwargs = {"attn_scale": rng.uniform(0.5, 2.0, B)}
     if path == "absolute":
         kwargs["positions"] = np.tile(np.arange(L), (B, 1))
@@ -570,8 +580,8 @@ def test_every_parameter_gradient_matches_finite_differences(mode):
                                    original_context=8, position_mode=mode, init_seed=7))
     rng = np.random.default_rng(11)
     lengths = (8, 5, 3)
-    tokens, mask, pos = encoder.pad_batch([rng.integers(0, 16, n) for n in lengths],
-                                          [np.arange(n) for n in lengths])
+    _, tokens, mask, pos = one_batch([rng.integers(0, 16, n) for n in lengths],
+                                     [np.arange(n) for n in lengths])
     scale = np.array([1.3, 0.7, 1.1])
     r = rng.normal(size=(len(lengths), max(lengths), 16))
 
@@ -717,6 +727,62 @@ def test_pool_mean_idempotent_on_duplicates(rng):
 def test_pool_requires_active_tokens(rng):
     with pytest.raises(EmptyInputError):
         pool_and_normalize(rng.normal(size=(3, 4)), np.zeros(3, dtype=bool))
+
+
+def _padded_hidden(seed):
+    """Hidden states (5, 9, 8) of sequences of 9, 1, 4, 9 and 6 tokens and their mask;
+    the padded rows hold values that must not reach the pooled means."""
+    rng = np.random.default_rng(seed)
+    mask = np.arange(9) < np.array([9, 1, 4, 9, 6])[:, None]
+    return rng.normal(size=(5, 9, 8)) * rng.uniform(0.1, 50.0, (5, 1, 1)), mask
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pooling_a_padded_batch_equals_pooling_each_row_bitwise(seed):
+    hidden, mask = _padded_hidden(seed)
+    rows = np.stack([pool_and_normalize(h, m) for h, m in zip(hidden, mask)])
+    assert np.array_equal(pool_and_normalize(hidden, mask), rows)
+    # PCW's form: every row of every sequence active
+    assert np.array_equal(pool_and_normalize(hidden),
+                          np.stack([pool_and_normalize(h) for h in hidden]))
+    # leading axes beyond one batch axis
+    assert np.array_equal(pool_and_normalize(hidden.reshape(5, 1, 9, 8), mask.reshape(5, 1, 9)),
+                          rows.reshape(5, 1, 8))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_unpooling_a_padded_batch_equals_unpooling_each_row_bitwise(seed):
+    hidden, mask = _padded_hidden(seed)
+    d_emb = np.random.default_rng(seed + 100).normal(size=(5, 8))
+    batched = pool_and_normalize_backward(hidden, mask, d_emb)
+    rows = np.stack([pool_and_normalize_backward(h, m, d) for h, m, d in zip(hidden, mask, d_emb)])
+    assert np.array_equal(batched, rows)
+    assert not batched[~mask].any()
+    # one row against central differences of <pool(h), d_emb>
+    h, m, d = hidden[2], mask[2], d_emb[2]
+    eps = 1e-6
+    for idx in [(0, 0), (3, 5), (1, 7)]:
+        up, down = h.copy(), h.copy()
+        up[idx] += eps
+        down[idx] -= eps
+        fd = (pool_and_normalize(up, m) - pool_and_normalize(down, m)) @ d / (2 * eps)
+        assert abs(fd - rows[2][idx]) <= 1e-6 * max(1.0, abs(fd))
+
+
+def test_pooling_a_batch_refuses_an_empty_row_a_zero_mean_and_a_wrong_mask():
+    hidden, mask = _padded_hidden(0)
+    empty = mask.copy()
+    empty[3] = False
+    with pytest.raises(EmptyInputError):
+        pool_and_normalize(hidden, empty)
+    zero = hidden.copy()
+    zero[1, 0] = 0.0  # the 1-token row
+    with pytest.raises(NumericError):
+        pool_and_normalize(zero, mask)
+    with pytest.raises(DimensionError, match=r"mask must have shape \(5, 9\)"):
+        pool_and_normalize(hidden, mask[:, :8])
+    with pytest.raises(DimensionError, match="at least 2-D"):
+        pool_and_normalize(hidden[0, 0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -890,7 +956,7 @@ def test_embedding_ignores_batch_neighbours_and_batch_size(case, data):
 def test_rotary_hidden_states_ignore_a_common_phase_shift(tiny_rotary, rng, lengths, shift):
     """RoPE scores see phase differences only, so shifting every phase by c changes nothing."""
     seqs = [rng.integers(0, 64, n) for n in lengths]
-    tokens, mask, pos = encoder.pad_batch(seqs, [np.arange(n, dtype=np.float64) for n in lengths])
+    _, tokens, mask, pos = one_batch(seqs, [np.arange(n, dtype=np.float64) for n in lengths])
     scale = rng.uniform(0.5, 3.0, len(lengths))
     base = forward_batch(tiny_rotary, tokens, mask, positions=pos, attn_scale=scale)
     moved = forward_batch(tiny_rotary, tokens, mask, positions=pos + shift, attn_scale=scale)
@@ -935,6 +1001,35 @@ def test_pcw_chunks_of_every_input_share_batches(mode, monkeypatch):
     assert len(batches) == math.ceil(n_chunks / 4)
 
 
+@pytest.mark.parametrize("mode, strategy", [
+    ("absolute", Strategy.PCW), ("rotary", Strategy.PCW), ("absolute", Strategy.PI),
+    ("rotary", Strategy.SE),
+], ids=lambda v: getattr(v, "value", v))
+def test_encode_many_pools_once_per_batch_and_once_per_multi_chunk_input(mode, strategy,
+                                                                        monkeypatch):
+    model = INVARIANCE_CASES[(mode, strategy)]
+    spec = ExtensionSpec(strategy=strategy, l_orig=8, l_target=32)
+    rng = np.random.default_rng(5)
+    seqs = [rng.integers(0, 64, n) for n in (1, 9, 16, 20, 30, 3)]
+    calls = {"forward_batch": 0, "pool_and_normalize": 0}
+
+    def counting(name):
+        real = getattr(encoder, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(encoder, name, counting(name))
+    monkeypatch.setattr(encoder, "_BATCH_ROWS", 4 * 8)
+    encode_many(model, seqs, spec)
+    multi_chunk = 4 if strategy is Strategy.PCW else 0  # the 9-, 16-, 20- and 30-token inputs
+    assert calls["forward_batch"] > 1
+    assert calls["pool_and_normalize"] == calls["forward_batch"] + multi_chunk
+
+
 @pytest.mark.parametrize("case", sorted(INVARIANCE_CASES, key=lambda c: (c[0], c[1].value)),
                          ids=lambda c: f"{c[0]}-{c[1].value}")
 def test_a_batch_holds_at_most_batch_size_spans_and_the_row_budget(case, monkeypatch):
@@ -967,16 +1062,28 @@ def test_a_batch_holds_at_most_batch_size_spans_and_the_row_budget(case, monkeyp
 @given(sizes=st.lists(st.integers(min_value=1, max_value=600), max_size=40))
 @example(sizes=[])
 @example(sizes=[512, 1, 513, 256, 256, 2])
-def test_plan_batches_cuts_length_sorted_spans_by_the_row_budget(sizes):
-    batches = encoder.plan_batches(sizes)
-    order = [j for rows in batches for j in rows]
+def test_padded_batches_cut_length_sorted_sequences_by_the_row_budget(sizes):
+    rng = np.random.default_rng(len(sizes))
+    seqs = [rng.integers(1, 64, n) for n in sizes]  # no token 0, so padding shows
+    positions = [rng.uniform(1.0, 2.0, n) for n in sizes]
+    batches = list(encoder.padded_batches(seqs, positions))
+    order = [j for rows, *_ in batches for j in rows]
     # every index once, lengths non-decreasing within and across batches, ties in input order
     assert order == sorted(range(len(sizes)), key=lambda j: sizes[j])
     budget = encoder._BATCH_ROWS
-    for rows in batches:
+    for rows, tokens, mask, pos in batches:
         assert len(rows) == 1 or len(rows) * sizes[rows[-1]] <= budget, rows
-    for prev, nxt in zip(batches, batches[1:]):  # a batch closes only when the next span won't fit
-        assert (len(prev) + 1) * sizes[nxt[0]] > budget
+        assert tokens.shape == mask.shape == pos.shape == (len(rows), sizes[rows[-1]])
+        assert (tokens.dtype, mask.dtype, pos.dtype) == (np.int64, bool, np.float64)
+        for i, j in enumerate(rows):
+            n = sizes[j]
+            assert np.array_equal(tokens[i, :n], seqs[j])
+            assert np.array_equal(pos[i, :n], positions[j])
+            assert mask[i, :n].all() and not mask[i, n:].any()
+            assert not tokens[i, n:].any() and not pos[i, n:].any()
+    for prev, nxt in zip(batches, batches[1:]):  # a batch closes only when the next won't fit
+        assert (len(prev[0]) + 1) * sizes[nxt[0][0]] > budget
+    assert [pos for *_, pos in encoder.padded_batches(seqs)] == [None] * len(batches)
 
 
 @pytest.mark.parametrize("strategy", ["ntk", "se"])

@@ -17,6 +17,7 @@ from longctx.positions import (
     assign_positions,
     attention_scale,
     build_interpolated_matrix,
+    check_input_length,
     max_se_relpos,
     resolve_extension,
     resolve_ntk_lambda,
@@ -326,6 +327,14 @@ def test_scale_is_recomputed():
     assert spec.scale == 2  # ceil, not floor
 
 
+def test_scale_is_the_integer_ceiling_at_any_size():
+    """Float division takes 3 * 2**53 + 1 over 3 to 2**53; the integer ceiling, which
+    ``PosExtension.scale`` takes too, is 2**53 + 1."""
+    l_target = 3 * 2**53 + 1
+    spec = ExtensionSpec(strategy=Strategy.GP, l_orig=3, l_target=l_target)
+    assert spec.scale == PosExtension(PI_ANCHORED, 3, l_target).scale == 2**53 + 1
+
+
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_ntk_lambda_must_be_finite_and_positive(lam):
     with pytest.raises(ConfigurationError, match="NTK multiplier must be finite and positive"):
@@ -445,13 +454,21 @@ _SE = dict(strategy="se", l_orig=8, l_target=32, group_size=4, window=2, mode="r
     ({**_NTK, "ntk_lambda": None}, "a resolved ntk extension needs its parameters"),
     ({**_SE, "group_size": None, "window": None}, "a resolved se extension needs its parameters"),
     ({**_SE, "group_size": 1, "window": 0}, r"max remapped relative position 31 exceeds 7"),
+    ({**_NTK, "mode": "Rotary"}, "unknown position mode 'Rotary'"),
 ], ids=["mode", "l_target", "ntk_lambda", "group_size", "mode-mismatch", "ntk-without-lambda",
-        "se-without-params", "se-infeasible"])
+        "se-without-params", "se-infeasible", "unknown-mode"])
 def test_a_resolution_is_checked_where_it_is_made(fields, message):
     """``resolve_extension`` returns a resolution for its own mode as it is, so a
     hand-made one must not run a strategy its mode, parameters or window refuse."""
     with pytest.raises(ConfigurationError, match=message):
         ResolvedExtension(**fields)
+
+
+def test_resolving_for_a_mode_no_model_has_is_refused():
+    """A mode outside ModelConfig's was once resolved as rotary, and ``assign_positions``
+    then gave float64 phases for an "Absolute" model's table rows."""
+    with pytest.raises(ConfigurationError, match="unknown position mode 'Absolute'"):
+        resolve_extension(ExtensionSpec("gp", 8, 16), "Absolute")
 
 
 # --- typed errors for out-of-range public arguments ------------------------------
@@ -471,9 +488,22 @@ def test_a_resolution_is_checked_where_it_is_made(fields, message):
     (lambda: lc.standard_frequencies(4, base=-1.0), "rope base must be a finite number > 0"),
     (lambda: lc.pool_and_normalize(np.ones((3, 4)), np.ones(2, dtype=bool)),
      r"mask must have shape \(3,\) for hidden states of shape \(3, 4\), got \(2,\)"),
+    (lambda: tokenize(123, 64), "'text' must be str, got 123"),
+    (lambda: tokenize("a b", 2.5), "'vocab_size' must be int, got 2.5"),
+    (lambda: check_input_length(2.5, 8), "'n' must be int, got 2.5"),
+    (lambda: lc.attention_scale(math.nan, 8), "'n' must be int, got nan"),
+    (lambda: lc.attention_scale(3.5, 8), "'n' must be int, got 3.5"),
+    (lambda: lc.resolve_se_params(8.5, 32), "'l_orig' must be int, got 8.5"),
+    (lambda: max_se_relpos(10.5, 2, 1), "'l_target' must be int, got 10.5"),
+    (lambda: lc.word_budget(2.5), "'length_tokens' must be int, got 2.5"),
+    (lambda: lc.sample_skip_bias(16.5, 8, np.random.default_rng(0)),
+     "'l_target' must be int, got 16.5"),
 ], ids=["strategy", "plan_chunks", "max_se_relpos", "search", "tokenize", "word_budget",
         "plan_chunks-fractional", "search-fractional-k", "standard_frequencies-negative-base",
-        "pool_and_normalize-mask-length"])
+        "pool_and_normalize-mask-length", "tokenize-not-text", "tokenize-fractional-vocab",
+        "check_input_length-fractional", "attention_scale-nan", "attention_scale-fractional",
+        "resolve_se_params-fractional", "max_se_relpos-fractional", "word_budget-fractional",
+        "sample_skip_bias-fractional"])
 def test_out_of_range_public_arguments_raise_configuration_errors(call, bad):
     with pytest.raises(ConfigurationError, match=bad):
         call()

@@ -30,7 +30,7 @@ from longctx.encoder import (
     PosExtension,
     backward_batch,
     forward_batch,
-    pad_batch,
+    padded_batches,
     pool_and_normalize,
     pool_and_normalize_backward,
 )
@@ -465,11 +465,14 @@ def test_frozen_rows_gradient_masked_to_zero(rng):
 
 
 def one_block_loss_and_grads(model, pairs, positions, temperature):
-    """Reference: every sequence in one block padded to the longest, one backward pass."""
+    """Reference: every sequence in one block padded to the longest, one backward pass,
+    pooled and un-pooled one row at a time."""
     seqs = [s for pair in pairs for s in pair.sequences()]
-    tokens, mask, pos = pad_batch(seqs, positions)
+    with mock.patch.object(encoder, "_BATCH_ROWS", math.inf):
+        (rows, tokens, mask, pos), = padded_batches(seqs, positions)
     hidden, cache = forward_batch(model, tokens, mask, positions=pos, want_cache=True)
-    embs = [pool_and_normalize(hidden[i], mask[i]) for i in range(len(seqs))]
+    at = {i: bi for bi, i in enumerate(rows)}  # sequence index -> row of the block
+    embs = [pool_and_normalize(hidden[at[i]], mask[at[i]]) for i in range(len(seqs))]
     d_hidden = np.zeros_like(hidden)
     inv_b = 1.0 / len(pairs)
     total, row = 0.0, 0
@@ -478,8 +481,8 @@ def one_block_loss_and_grads(model, pairs, positions, temperature):
         loss, d_embs = tuning._contrastive_loss_grads(embs[row:row + n], temperature)
         total += loss * inv_b
         for k, d_emb in enumerate(d_embs):
-            i = row + k
-            d_hidden[i] = pool_and_normalize_backward(hidden[i], mask[i], d_emb * inv_b)
+            bi = at[row + k]
+            d_hidden[bi] = pool_and_normalize_backward(hidden[bi], mask[bi], d_emb * inv_b)
         row += n
     return total, backward_batch(model, cache, d_hidden)
 
