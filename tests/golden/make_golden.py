@@ -20,9 +20,15 @@ heads, vocab 64, l_orig 8, l_target 32) and returns, as plain JSON data:
 - ``inspect_pi`` and ``inspect_se``: what ``longctx inspect`` prints for a
   rotary ``pi`` and ``se`` extension of 8 to 32 tokens.
 
+``gen_outputs()`` runs ``longctx gen`` in the current directory and returns the
+sha256 of every file it writes, by path under its output directory: both
+kinds at seeds 0 and 7 and lengths 32, 64 and 512 with the default query and
+candidate counts, and one needle bucket (64 tokens) cut from an ``--essay``
+file it writes itself.
+
 ``tests/test_golden.py`` holds every later run to these figures. Rewrite
-``outputs.json`` and ``cli_outputs.json`` only with a change that means to
-alter outputs:
+``outputs.json``, ``cli_outputs.json`` and ``gen_outputs.json`` only with a
+change that means to alter outputs:
 
     PYTHONPATH=src python tests/golden/make_golden.py
 """
@@ -30,6 +36,7 @@ alter outputs:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -53,6 +60,7 @@ from longctx.cli import main
 
 OUTPUTS = Path(__file__).with_name("outputs.json")
 CLI_OUTPUTS = Path(__file__).with_name("cli_outputs.json")
+GEN_OUTPUTS = Path(__file__).with_name("gen_outputs.json")
 
 L_ORIG, L_TARGET, VOCAB = 8, 32, 64
 LENGTHS = (1, 7, 8, 9, 19, 32)
@@ -139,15 +147,30 @@ def cli_outputs() -> dict:
     return {"eval_se_report": report, **inspect}
 
 
+ESSAY = " ".join(f"Entry {i} of the ledger was copied out by hand." for i in range(40))
+
+
+def gen_outputs() -> dict[str, str]:
+    for seed in (0, 7):
+        _stdout("gen", "--kind", "both", "--lengths", "32,64,512", "--seed", seed,
+                "--out", f"gen/seed{seed}")
+    Path("essay.txt").write_text(ESSAY, encoding="utf-8")
+    _stdout("gen", "--kind", "needle", "--lengths", 64, "--queries", 4, "--candidates", 8,
+            "--essay", "essay.txt", "--out", "gen/essay")
+    return {path.relative_to("gen").as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path("gen").rglob("*")) if path.is_file()}
+
+
 if __name__ == "__main__":
     OUTPUTS.write_text(json.dumps(compute(), indent=1) + "\n", encoding="utf-8")
     print(f"wrote {OUTPUTS}")
     here = os.getcwd()
-    with tempfile.TemporaryDirectory() as work:
-        os.chdir(work)
-        try:
-            outputs = cli_outputs()
-        finally:
-            os.chdir(here)
-    CLI_OUTPUTS.write_text(json.dumps(outputs, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {CLI_OUTPUTS}")
+    for path, make in ((CLI_OUTPUTS, cli_outputs), (GEN_OUTPUTS, gen_outputs)):
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            try:
+                outputs = make()
+            finally:
+                os.chdir(here)
+        path.write_text(json.dumps(outputs, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {path}")

@@ -2,8 +2,8 @@
 
 Embeddings must agree within 1e-12 a component and training losses within
 1e-10 relative, so a refactor that means to keep results can move them only
-by rounding. The ``longctx eval`` report (without its timestamp) and the
-``longctx inspect`` output must be equal.
+by rounding. The ``longctx eval`` report (without its timestamp), the
+``longctx inspect`` output and every file ``longctx gen`` writes must be equal.
 """
 
 import functools
@@ -17,6 +17,7 @@ import pytest
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RECORDED = json.loads((GOLDEN / "outputs.json").read_text(encoding="utf-8"))
 CLI_RECORDED = json.loads((GOLDEN / "cli_outputs.json").read_text(encoding="utf-8"))
+GEN_RECORDED = json.loads((GOLDEN / "gen_outputs.json").read_text(encoding="utf-8"))
 
 
 @functools.lru_cache(maxsize=1)
@@ -55,3 +56,8 @@ def test_losses_match_the_golden_ones(key):
 def test_cli_outputs_match_the_golden_ones(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # relative paths keep the report's run_config.model stable
     assert make_golden().cli_outputs() == CLI_RECORDED
+
+
+def test_generated_tasks_match_the_golden_ones(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert make_golden().gen_outputs() == GEN_RECORDED
