@@ -48,8 +48,6 @@ from .synth import (  # noqa: E402
     RetrievalTask,
     SyntheticTaskConfig,
     build_bucket,
-    gen_needle,
-    gen_passkey,
     word_budget,
 )
 from .evaluation import (  # noqa: E402

@@ -4,8 +4,9 @@ Grouped/recurrent position reuse, linear interpolation of learned position
 tables, NTK frequency rescaling, SelfExtend relative-position remapping, and
 the inference-time attention-logit scaling applied alongside them. Every
 function here is pure; ``assign_positions`` is the one per-token position
-rule that encoding, tuning and ``longctx inspect`` share, and ``plan_chunks``
-the one way PCW cuts an input into original-context chunks.
+rule that encoding and ``longctx inspect`` share (tuning trains on identity
+positions shifted by a skip bias), and ``plan_chunks`` the one way PCW cuts
+an input into original-context chunks.
 """
 
 from __future__ import annotations

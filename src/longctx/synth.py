@@ -113,7 +113,7 @@ FACT_MARKERS: frozenset[str] = frozenset(f.marker for f in FACTS)
 
 @dataclass(frozen=True)
 class SyntheticTaskConfig:
-    kind: str  # "passkey" | "needle"
+    kind: str  # a key of _KINDS
     length_grid: tuple[int, ...] = DEFAULT_LENGTH_GRID
     queries_per_length: int = 50
     candidates_per_length: int = 100
@@ -127,7 +127,7 @@ class SyntheticTaskConfig:
                 f"'length_grid' must be a tuple of int, got {self.length_grid!r}")
         for length in self.length_grid:
             check_types({"length_grid entry": length}, {"length_grid entry": "int"})
-        if self.kind not in ("passkey", "needle"):
+        if self.kind not in _KINDS:
             raise ConfigurationError(f"unknown synthetic task kind {self.kind!r}")
         if self.queries_per_length < 1:
             raise ConfigurationError("queries_per_length must be >= 1")
@@ -190,9 +190,9 @@ def _fill_sentences(filler_budget: int) -> list[str]:
     return out
 
 
-def gen_passkey(length_tokens: int, config: SyntheticTaskConfig, rng: np.random.Generator) -> RetrievalTask:
-    """One passkey bucket: candidate docs with unique (name, passkey) pairs."""
-    budget = word_budget(length_tokens)
+def _passkey_documents(budget: int, config: SyntheticTaskConfig,
+                       rng: np.random.Generator) -> tuple[list[str], list[str]]:
+    """Candidate docs with unique (name, passkey) pairs, and each doc's question."""
     n_docs = config.candidates_per_length
     n_names = len(_FIRST_NAMES) * len(_LAST_NAMES)
     if n_docs > n_names:
@@ -204,25 +204,17 @@ def gen_passkey(length_tokens: int, config: SyntheticTaskConfig, rng: np.random.
 
     name_idx = np.sort(rng.choice(n_names, size=n_docs, replace=False))
     passkeys = rng.choice(1_000_000, size=n_docs, replace=False)
-    docs: dict[str, str] = {}
-    names: list[str] = []
+    docs: list[str] = []
+    questions: list[str] = []
     for j in range(n_docs):
         first = _FIRST_NAMES[name_idx[j] // len(_LAST_NAMES)]
         last = _LAST_NAMES[name_idx[j] % len(_LAST_NAMES)]
         name = f"{first} {last}"
-        names.append(name)
         key = f"{name}'s passkey is {passkeys[j]:06d}."
         cut = int(rng.integers(0, len(filler) + 1))
-        docs[f"d{j:04d}"] = " ".join(filler[:cut] + [key] + filler[cut:])
-
-    chosen = np.sort(rng.choice(n_docs, size=config.queries_per_length, replace=False))
-    queries = {
-        f"q{i:04d}": f"What is {names[j]}'s passkey?" for i, j in enumerate(chosen)
-    }
-    qrels = {f"q{i:04d}": {f"d{j:04d}": 1} for i, j in enumerate(chosen)}
-    return RetrievalTask(
-        name=f"passkey-{length_tokens}", queries=queries, docs=docs, qrels=qrels
-    )
+        docs.append(" ".join(filler[:cut] + [key] + filler[cut:]))
+        questions.append(f"What is {name}'s passkey?")
+    return docs, questions
 
 
 # --- haystack essay -------------------------------------------------------
@@ -261,71 +253,71 @@ def default_essay_words(n_words: int) -> list[str]:
     return words[:n_words]
 
 
-def _essay_words_for(config: SyntheticTaskConfig, n_words: int) -> list[str]:
-    if config.essay_path is None:
-        return default_essay_words(n_words + 256)
-    words = read_text(config.essay_path, GenerationError).split()
-    if len(words) < n_words:
-        raise GenerationError(
-            f"essay at {config.essay_path} has {len(words)} words; "
-            f"need at least {n_words}"
-        )
-    return words
+def _needle_documents(budget: int, config: SyntheticTaskConfig,
+                      rng: np.random.Generator) -> tuple[list[str], list[str]]:
+    """Essay windows with one templated fact each, and each fact's question.
 
-
-def gen_needle(length_tokens: int, config: SyntheticTaskConfig, rng: np.random.Generator) -> RetrievalTask:
-    """One needle bucket: essay windows with one templated fact each."""
-    budget = word_budget(length_tokens)
+    An essay file must hold the longest window, the budget less the shortest
+    fact; the default essay is always long enough.
+    """
     n_docs = config.candidates_per_length
     if n_docs > len(FACTS):
         raise GenerationError(
             f"cannot build {n_docs} documents from a catalog of {len(FACTS)} facts"
         )
-    fact_idx = np.sort(rng.choice(len(FACTS), size=n_docs, replace=False))
-
-    max_fact_words = max(len(FACTS[i].statement.split()) for i in fact_idx)
-    essay = _essay_words_for(config, max(budget - max_fact_words, 1))
+    facts = [FACTS[i] for i in np.sort(rng.choice(len(FACTS), size=n_docs, replace=False))]
+    fact_words = [fact.statement.split() for fact in facts]
+    windows = [budget - len(words) for words in fact_words]
+    if min(windows) < 0:
+        raise GenerationError(
+            f"word budget {budget} cannot hold the fact sentence "
+            f"({budget - min(windows)} words)"
+        )
+    if config.essay_path is None:
+        essay = default_essay_words(max(min(windows), 1) + 256)
+    else:
+        essay = read_text(config.essay_path, GenerationError).split()
+        if len(essay) < max(windows):
+            raise GenerationError(
+                f"essay at {config.essay_path} has {len(essay)} words; "
+                f"need at least {max(windows)}"
+            )
     ends_sentence = np.array([w.endswith((".", "!", "?")) for w in essay], dtype=bool)
 
-    docs: dict[str, str] = {}
-    for j, fi in enumerate(fact_idx):
-        fact_words = FACTS[fi].statement.split()
-        window_len = budget - len(fact_words)
-        if window_len < 0:
-            raise GenerationError(
-                f"word budget {budget} cannot hold the fact sentence "
-                f"({len(fact_words)} words)"
-            )
+    docs: list[str] = []
+    for words, window_len in zip(fact_words, windows):
         offset = int(rng.integers(0, len(essay) - window_len + 1))
         window = essay[offset:offset + window_len]
         boundaries = [0] + [
             int(p) + 1 for p in np.flatnonzero(ends_sentence[offset:offset + window_len])
         ]
         cut = boundaries[int(rng.integers(0, len(boundaries)))]
-        docs[f"d{j:04d}"] = " ".join(window[:cut] + fact_words + window[cut:])
-
-    chosen = np.sort(rng.choice(n_docs, size=config.queries_per_length, replace=False))
-    queries = {
-        f"q{i:04d}": FACTS[fact_idx[j]].question for i, j in enumerate(chosen)
-    }
-    qrels = {f"q{i:04d}": {f"d{j:04d}": 1} for i, j in enumerate(chosen)}
-    return RetrievalTask(
-        name=f"needle-{length_tokens}", queries=queries, docs=docs, qrels=qrels
-    )
+        docs.append(" ".join(window[:cut] + words + window[cut:]))
+    return docs, [fact.question for fact in facts]
 
 
-_KIND_CODE = {"passkey": 1, "needle": 2}
-
-
-def bucket_rng(config: SyntheticTaskConfig, length_tokens: int) -> np.random.Generator:
-    """Independent generator per (seed, kind, bucket length)."""
-    return np.random.default_rng([config.seed, _KIND_CODE[config.kind], length_tokens])
+# kind -> (its code in the bucket's RNG seed, its documents function)
+_KINDS = {"passkey": (1, _passkey_documents), "needle": (2, _needle_documents)}
 
 
 def build_bucket(config: SyntheticTaskConfig, length_tokens: int) -> RetrievalTask:
-    rng = bucket_rng(config, length_tokens)
-    gen = gen_passkey if config.kind == "passkey" else gen_needle
-    return gen(length_tokens, config, rng)
+    """One bucket of ``config.kind`` at ``length_tokens`` tokens.
+
+    Each bucket draws from its own (seed, kind, length) stream: first the
+    kind's documents, ids ``d0000``..., then the sorted subset of them whose
+    questions become the queries ``q0000``..., one gold document each.
+    """
+    budget = word_budget(length_tokens)
+    code, documents = _KINDS[config.kind]
+    rng = np.random.default_rng([config.seed, code, length_tokens])
+    docs, questions = documents(budget, config, rng)
+    chosen = np.sort(rng.choice(len(docs), size=config.queries_per_length, replace=False))
+    return RetrievalTask(
+        name=f"{config.kind}-{length_tokens}",
+        queries={f"q{i:04d}": questions[j] for i, j in enumerate(chosen)},
+        docs={f"d{j:04d}": text for j, text in enumerate(docs)},
+        qrels={f"q{i:04d}": {f"d{j:04d}": 1} for i, j in enumerate(chosen)},
+    )
 
 
 # --- exact-match oracle ----------------------------------------------------

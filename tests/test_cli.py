@@ -281,6 +281,15 @@ def test_gen_with_an_essay_that_is_not_utf8_is_code_3_and_writes_nothing(tmp_pat
     assert f"{essay}: not UTF-8 text" in captured.err and "wrote" not in captured.out
 
 
+def test_gen_with_an_essay_shorter_than_a_window_is_code_3_and_writes_nothing(tmp_path, capsys):
+    essay, out = tmp_path / "essay.txt", tmp_path / "tasks"
+    essay.write_text("word. " * 40, encoding="utf-8")
+    assert run("gen", "--kind", "needle", "--lengths", 64, "--queries", 4, "--candidates", 8,
+               "--essay", essay, "--out", out) == 3
+    assert not out.exists()
+    assert f"essay at {essay} has 40 words; need at least 42" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("role", ["query", "positive document"])
 def test_tune_on_a_text_without_tokens_is_code_3_naming_it(tmp_path, capsys, role):
     tasks = gen_small(tmp_path, lengths="8")

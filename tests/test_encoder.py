@@ -86,6 +86,18 @@ def test_invalid_dimensions_rejected():
     assert cfg.head_dim == 16
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_layers", 0, "n_layers must be >= 1, got 0"),
+    ("vocab_size", 0, "vocab_size must be >= 1, got 0"),
+    ("original_context", 0, "original_context must be >= 1, got 0"),
+    ("ffn_multiplier", 0, "ffn_multiplier must be >= 1, got 0"),
+    ("position_mode", "Rotary", "unknown position mode 'Rotary'"),
+], ids=["n_layers-0", "vocab_size-0", "original_context-0", "ffn_multiplier-0", "mode-Rotary"])
+def test_a_model_config_refuses_values_out_of_range(field, value, message):
+    with pytest.raises(ConfigurationError, match=message):
+        ModelConfig(**{**TINY, field: value})
+
+
 @pytest.mark.parametrize("base", [0.0, -10000.0, math.nan, math.inf, -math.inf])
 def test_rope_base_must_be_finite_and_positive(base):
     with pytest.raises(ConfigurationError):
@@ -664,6 +676,12 @@ def test_forward_batch_refuses_arrays_that_disagree_with_the_tokens(
     ("token_ids", np.array([[np.nan] * 5] * 2), ConfigurationError,
      "token ids must be whole numbers"),
     ("token_ids", np.array([["a"] * 5] * 2), ConfigurationError, "token ids must be whole numbers"),
+    ("token_ids", np.zeros(5, dtype=np.int64), DimensionError,
+     r"token batch must be 2-D, got shape \(5,\)"),
+    ("token_ids", np.full((2, 5), 64), ConfigurationError, "token ids outside the vocabulary"),
+    ("mask", np.array([[True] * 5, [False] * 5]), EmptyInputError,
+     "each sequence needs at least one active token"),
+    ("positions", None, ConfigurationError, "-mode forward (takes|needs) positions"),
     *(("self_extend", g_w, ConfigurationError, message) for g_w, message in (
         ((0, 2), r"g >= 1 and window w >= 0, got \(g, w\) = \(0, 2\)"),
         ((-1, 2), r"got \(g, w\) = \(-1, 2\)"),
@@ -673,16 +691,17 @@ def test_forward_batch_refuses_arrays_that_disagree_with_the_tokens(
         ((3,), r"self_extend must be a pair \(g, w\), got \(3,\)"),
     )),
 ], ids=["scale-nan", "scale-inf", "position-nan", "position-inf", "token-fractional",
-        "token-nan", "token-string", "se-g-0", "se-g-negative", "se-w-negative",
+        "token-nan", "token-string", "token-1d", "token-outside-vocab", "mask-empty-row",
+        "no-positions", "se-g-0", "se-g-negative", "se-w-negative",
         "se-g-fractional", "se-w-float", "se-not-a-pair"])
 def test_forward_batch_refuses_values_it_cannot_run(tiny_absolute, tiny_rotary, mode, name,
                                                     value, error, message):
     model = tiny_absolute if mode == "absolute" else tiny_rotary
-    kwargs = {"token_ids": np.zeros((2, 5), dtype=np.int64),
+    kwargs = {"token_ids": np.zeros((2, 5), dtype=np.int64), "mask": np.ones((2, 5), dtype=bool),
               "positions": np.tile(np.arange(5.0), (2, 1)), "attn_scale": np.ones(2),
               name: value}
     with pytest.raises(error, match=message):
-        forward_batch(model, mask=np.ones((2, 5), dtype=bool), **kwargs)
+        forward_batch(model, **kwargs)
 
 
 @pytest.mark.parametrize("ids", [[1.7, 2.2, 3.9], ["1", "2", "3"]], ids=["fractional", "string"])
@@ -846,6 +865,19 @@ def test_tuned_strategies_need_installed_extension(tiny_absolute):
     spec = ExtensionSpec(strategy=Strategy.TUNED_PI, l_orig=8, l_target=32)
     with pytest.raises(ConfigurationError):
         encode(tiny_absolute, np.arange(4), spec)
+
+
+def test_an_extended_model_is_refused_under_an_untuned_strategy(tiny_absolute):
+    ext = extend_for_tuning(tiny_absolute, TuneConfig(mode="pi_anchored", l_orig=8, l_target=32))
+    with pytest.raises(ConfigurationError, match="model carries an extended position table"):
+        encode_many(ext, [np.arange(4)], ExtensionSpec(strategy=Strategy.PI, l_orig=8,
+                                                       l_target=32))
+
+
+def test_encode_many_of_no_sequences_is_an_empty_matrix(tiny_absolute):
+    out = encode_many(tiny_absolute, [], ExtensionSpec(strategy=Strategy.PI, l_orig=8,
+                                                       l_target=32))
+    assert out.shape == (0, 16) and out.dtype == np.float64
 
 
 def test_tuned_pi_needs_the_table_scale_so_short_inputs_keep_their_anchors():

@@ -51,6 +51,23 @@ def test_empty_index_rejected():
         search(index, np.zeros(4), k=1)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda m: EmbeddingIndex(ids=("a", "b"), vectors=np.eye(4)[:1]), ValidationError,
+     r"index shape \(1, 4\) does not match 2 ids"),
+    (lambda m: acc_at_1({}, {}), EmptyInputError, "no rankings to score"),
+    (lambda m: ndcg_details({"q1": ["d1"]}, {"q2": {"d1": 1}}), EvaluationError,
+     "no relevance judgments for query 'q1'"),
+    (lambda m: ndcg_at_10({"q1": ["d1"]}, {"q1": {"d1": 0}}), EvaluationError,
+     r"every query was excluded for zero total relevance \(1 queries\)"),
+    (lambda m: run_benchmark(m, None, []), ConfigurationError,
+     "a Model needs an ExtensionSpec to run the benchmark"),
+], ids=["index-ids-vectors", "acc-no-rankings", "ndcg-unjudged", "ndcg-all-excluded",
+        "model-without-spec"])
+def test_what_cannot_be_indexed_or_scored_is_refused(tiny_absolute, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tiny_absolute)
+
+
 def test_index_requires_unit_norm(rng):
     with pytest.raises(Exception):
         EmbeddingIndex(ids=("a",), vectors=np.array([[2.0, 0.0]]))
@@ -237,7 +254,8 @@ def test_two_tasks_with_one_report_key_are_refused_before_encoding(tasks, messag
     ("acc@1", None, "an acc@1 task needs a bucket length"),
     ("acc@1", "64", "'length' must be int | None"),
     ("ndcg@10", 64, "and an ndcg@10 task none"),
-], ids=["acc-without-length", "acc-with-str-length", "ndcg-with-length"])
+    ("mrr", 64, "unknown metric 'mrr'"),
+], ids=["acc-without-length", "acc-with-str-length", "ndcg-with-length", "unknown-metric"])
 def test_a_benchmark_task_length_matches_its_metric(metric, length, message):
     task = _bucket_tasks("passkey", (64,))[0].task
     with pytest.raises(ConfigurationError, match=message):

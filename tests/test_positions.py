@@ -498,12 +498,32 @@ def test_resolving_for_a_mode_no_model_has_is_refused():
     (lambda: lc.word_budget(2.5), "'length_tokens' must be int, got 2.5"),
     (lambda: lc.sample_skip_bias(16.5, 8, np.random.default_rng(0)),
      "'l_target' must be int, got 16.5"),
+    (lambda: ExtensionSpec(strategy="pi", l_orig=0, l_target=8), "l_orig must be >= 1, got 0"),
+    (lambda: ExtensionSpec(strategy="pi", l_orig=16, l_target=8),
+     "l_target 8 must be >= l_orig 16"),
+    (lambda: ExtensionSpec(strategy="se", l_orig=8, l_target=32, group_size=0, window=2),
+     "group size must be >= 1, got 0"),
+    (lambda: ExtensionSpec(strategy="se", l_orig=8, l_target=32, group_size=2, window=-1),
+     "neighbor window must be >= 0, got -1"),
+    (lambda: se_remap_deltas(np.arange(4), 0, 2), "group size must be >= 1, got 0"),
+    (lambda: se_remap_deltas(np.arange(4), 2, -1), "neighbor window must be >= 0, got -1"),
+    (lambda: build_interpolated_matrix(np.zeros(4), 2),
+     r"position table must be 2-D, got shape \(4,\)"),
+    (lambda: build_interpolated_matrix(np.zeros((4, 2)), 0), "scaling factor must be >= 1, got 0"),
+    (lambda: standard_frequencies(3), "head dimension must be positive and even, got 3"),
+    (lambda: lc.apply_rope(np.ones(6), 1.0, standard_frequencies(4)),
+     "vector length 6 does not match 2 frequencies"),
+    (lambda: lc.attention_score(np.ones(3), np.ones(3), 0, 0),
+     r"expected even-length vectors, got shape \(3,\)"),
 ], ids=["strategy", "plan_chunks", "max_se_relpos", "search", "tokenize", "word_budget",
         "plan_chunks-fractional", "search-fractional-k", "standard_frequencies-negative-base",
         "pool_and_normalize-mask-length", "tokenize-not-text", "tokenize-fractional-vocab",
         "check_input_length-fractional", "attention_scale-nan", "attention_scale-fractional",
         "resolve_se_params-fractional", "max_se_relpos-fractional", "word_budget-fractional",
-        "sample_skip_bias-fractional"])
+        "sample_skip_bias-fractional", "spec-l_orig-0", "spec-l_target-below-l_orig",
+        "spec-group_size-0", "spec-window-negative", "se_remap_deltas-g-0",
+        "se_remap_deltas-w-negative", "interpolated-1d-table", "interpolated-s-0",
+        "standard_frequencies-odd", "apply_rope-theta-mismatch", "attention_score-odd-length"])
 def test_out_of_range_public_arguments_raise_configuration_errors(call, bad):
     with pytest.raises(ConfigurationError, match=bad):
         call()

@@ -72,8 +72,9 @@ def test_malformed_jsonl_reports_line_number(tmp_path):
     ("corpus.jsonl", '{"_id": "d2", "title": 7, "text": "x"}', "field 'title' must be a string"),
     ("queries.jsonl", '{"_id": "q1", "text": "again"}', "repeated _id 'q1'"),
     ("corpus.jsonl", '{"_id": "d1", "title": "", "text": "second doc"}', "repeated _id 'd1'"),
+    ("queries.jsonl", '{"text": "no id"}', "missing field '_id'"),
 ], ids=["number", "null", "list", "null-text", "list-text", "number-title", "repeated-query-id",
-        "repeated-doc-id"])
+        "repeated-doc-id", "missing-id"])
 def test_a_task_line_of_the_wrong_shape_is_a_parse_error_naming_it(tmp_path, file, line, part):
     (tmp_path / "queries.jsonl").write_text('{"_id": "q1", "text": "ok"}\n')
     (tmp_path / "corpus.jsonl").write_text('{"_id": "d1", "title": "", "text": "x"}\n')
@@ -89,6 +90,18 @@ def test_a_repeated_qrels_pair_is_a_parse_error_naming_it(tmp_path):
     (tmp_path / "corpus.jsonl").write_text('{"_id": "d1", "title": "", "text": "x"}\n')
     (tmp_path / "qrels.tsv").write_text("query-id\tdoc-id\tscore\nq1\td1\t1\nq1\td1\t0\n")
     with pytest.raises(ParseError, match="qrels.tsv:3: repeated judgment for 'q1' 'd1'"):
+        load_task_dir(tmp_path)
+
+
+@pytest.mark.parametrize("line, part", [
+    ("q1\td1", "expected 3 tab-separated columns"),
+    ("q1\td1\t1.5", "non-integer score '1.5'"),
+], ids=["two-columns", "fractional-score"])
+def test_a_qrels_line_of_the_wrong_shape_is_a_parse_error_naming_it(tmp_path, line, part):
+    (tmp_path / "queries.jsonl").write_text('{"_id": "q1", "text": "ok"}\n')
+    (tmp_path / "corpus.jsonl").write_text('{"_id": "d1", "title": "", "text": "x"}\n')
+    (tmp_path / "qrels.tsv").write_text(f"query-id\tdoc-id\tscore\n{line}\n")
+    with pytest.raises(ParseError, match=f"qrels.tsv:2: {part}"):
         load_task_dir(tmp_path)
 
 
@@ -235,15 +248,19 @@ def _huge_json_length(data):
     return data[:8] + (1 << 62).to_bytes(8, "little") + data[16:]
 
 
-def _edit_header(edit):
-    """A corruption that rewrites the JSON header, keeping the file well framed."""
+def _rewrite_header(rewrite):
+    """A corruption that replaces the JSON header with ``rewrite(header)``, keeping the
+    file well framed."""
     def corrupt(data):
         end = 16 + int.from_bytes(data[8:16], "little")
-        header = json.loads(data[16:end])
-        edit(header)
-        blob = json.dumps(header).encode("utf-8")
+        blob = json.dumps(rewrite(json.loads(data[16:end]))).encode("utf-8")
         return data[:8] + len(blob).to_bytes(8, "little") + blob + data[end:]
     return corrupt
+
+
+def _edit_header(edit):
+    """A corruption that edits the JSON header in place, keeping the file well framed."""
+    return _rewrite_header(lambda header: (edit(header), header)[1])
 
 
 def _set_tensor(field, value):
@@ -297,12 +314,20 @@ def _append_frozen_flags(data):
     (_edit_header(lambda h: h["tensors"].insert(0, h["tensors"][0])),
      "repeated checkpoint tensor final_ln.b"),
     (_append_frozen_flags, "__pos_frozen__ without an extension"),
+    (lambda data: data[:4] + (2).to_bytes(4, "little") + data[8:],
+     "unsupported checkpoint version 2"),
+    (_rewrite_header(lambda h: [h]), "checkpoint JSON header must be an object"),
+    (_edit_header(lambda h: h.update(tensors={})), "checkpoint tensor manifest must be a list"),
+    (_edit_header(lambda h: h.update(config=[])), "checkpoint config must be a JSON object"),
+    (_edit_header(lambda h: h["config"].pop("vocab_size")),
+     r"checkpoint config lacks \['vocab_size'\]"),
 ], ids=["cut-file-header", "cut-json-header", "cut-tensors", "garbled-json-header",
         "huge-json-length", "unknown-dtype", "string-hidden-size", "unknown-config-key",
         "negative-init-seed",
         "missing-extension", "missing-tensors", "negative-shape", "float32-weights",
         "int64-weights", "bool-weights", "big-endian-weights", "repeated-tensor",
-        "frozen-flags-without-extension"])
+        "frozen-flags-without-extension", "version-2", "header-a-list", "manifest-an-object",
+        "config-a-list", "config-without-vocab-size"])
 def test_corrupt_checkpoint_raises_parse_error_naming_the_path(tmp_path, corrupt, part):
     path = tmp_path / "model.ckpt"
     save_checkpoint(make_model(), path)

@@ -11,8 +11,6 @@ from longctx.synth import (
     SyntheticTaskConfig,
     build_bucket,
     default_essay_words,
-    gen_needle,
-    gen_passkey,
     word_budget,
 )
 
@@ -108,21 +106,48 @@ def test_short_essay_raises_with_required_count(tmp_path):
     essay.write_text("too short. " * 5)
     cfg = small_config("needle", essay_path=str(essay))
     with pytest.raises(GenerationError, match=r"\d+ words"):
-        gen_needle(128, cfg, np.random.default_rng(0))
+        build_bucket(cfg, 128)
+
+
+@pytest.mark.parametrize("n_words", [39, 40, 41, 42])
+def test_an_essay_must_hold_the_longest_window(tmp_path, n_words):
+    # budget 48 at 64 tokens; the shortest chosen fact has 6 words, so one window takes 42
+    essay = tmp_path / "essay.txt"
+    essay.write_text("word. " * n_words)
+    cfg = SyntheticTaskConfig(kind="needle", length_grid=(64,), queries_per_length=4,
+                              candidates_per_length=8, essay_path=str(essay))
+    if n_words < 42:
+        with pytest.raises(GenerationError, match=re.escape(
+                f"essay at {essay} has {n_words} words; need at least 42")):
+            build_bucket(cfg, 64)
+    else:
+        assert len(build_bucket(cfg, 64).docs) == 8
 
 
 def test_candidate_count_beyond_fact_catalog_raises():
     cfg = SyntheticTaskConfig(kind="needle", length_grid=(128,), queries_per_length=10,
                               candidates_per_length=101, seed=1)
     with pytest.raises(GenerationError):
-        gen_needle(128, cfg, np.random.default_rng(0))
+        build_bucket(cfg, 128)
 
 
 def test_passkey_name_pool_exhaustion_raises():
     cfg = SyntheticTaskConfig(kind="passkey", length_grid=(128,), queries_per_length=10,
                               candidates_per_length=5000, seed=1)
     with pytest.raises(GenerationError):
-        gen_passkey(128, cfg, np.random.default_rng(0))
+        build_bucket(cfg, 128)
+
+
+@pytest.mark.parametrize("length, named", [
+    (-5, "length must be >= 1, got -5"),
+    (0, "length must be >= 1, got 0"),
+    (64.5, "'length_tokens' must be int, got 64.5"),
+    (True, "'length_tokens' must be int, got True"),
+], ids=["negative", "zero", "fractional", "bool"])
+@pytest.mark.parametrize("kind", ["passkey", "needle"])
+def test_a_bucket_length_is_checked_before_anything_is_drawn(kind, length, named):
+    with pytest.raises(ConfigurationError, match=re.escape(named)):
+        build_bucket(small_config(kind), length)
 
 
 def test_config_invariants():

@@ -170,6 +170,30 @@ def test_tune_config_rejects_bad_temperature():
             tiny_tune_config(temperature=temperature)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda rng: tiny_tune_config(batch_size=0), ConfigurationError,
+     "batch_size >= 1, epochs >= 0, warmup_steps >= 0 required"),
+    (lambda rng: tiny_tune_config(n_negatives=0), ConfigurationError,
+     "need at least one negative per example"),
+    (lambda rng: TrainingPair(query=np.arange(3), positive=np.arange(3), negatives=[]),
+     ValidationError, "a training pair needs at least one negative"),
+    (lambda rng: sample_skip_bias(8, 16, rng), ConfigurationError,
+     "l_target 8 must be >= l_orig 16"),
+    (lambda rng: extend_for_tuning(extend_for_tuning(tiny_model(), tiny_tune_config()),
+                                   tiny_tune_config()),
+     ConfigurationError, "model already carries an extended position table"),
+    (lambda rng: train_model(extend_for_tuning(tiny_model(), tiny_tune_config()),
+                             random_pairs(rng, 2), tiny_tune_config()),
+     ConfigurationError, "base training expects an unextended model"),
+    (lambda rng: grad_check(tiny_model(), random_pairs(rng, 1)[0], tiny_tune_config()),
+     ConfigurationError, "grad_check needs a model extended for tuning"),
+], ids=["batch_size-0", "n_negatives-0", "pair-without-negatives", "skip-bias-short-target",
+        "extend-an-extended-model", "train-an-extended-model", "grad-check-unextended"])
+def test_tuning_refuses_what_it_cannot_run(rng, call, error, message):
+    with pytest.raises(error, match=message):
+        call(rng)
+
+
 # --- table extension ---------------------------------------------------------------
 
 
