@@ -260,7 +260,10 @@ def _rewrite_header(rewrite):
 
 def _edit_header(edit):
     """A corruption that edits the JSON header in place, keeping the file well framed."""
-    return _rewrite_header(lambda header: (edit(header), header)[1])
+    def rewrite(header):
+        edit(header)
+        return header
+    return _rewrite_header(rewrite)
 
 
 def _set_tensor(field, value):
